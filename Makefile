@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-json fmt vet fuzz determinism benchgate faultsoak trace-smoke scale-smoke chaos-soak metrics-smoke check clean
+.PHONY: all build test race lint lint-json fmt vet fuzz determinism benchgate bench faultsoak trace-smoke scale-smoke chaos-soak metrics-smoke check clean
 
 # Normalisation for report diffs: host and wall-time fields differ between
 # runs by construction, and the scale study's throughput/footprint keys
@@ -26,8 +26,16 @@ race:
 
 # The baseline is committed and empty; any entry added there must still
 # fire (stale entries are findings), so it can only be burned down.
+#
+# The simulation core runs on one virtual clock and is driven from one
+# goroutine, so it carries no wall-clock or determinism exemption at all;
+# the grep keeps that count at zero (the audited real-time boundaries live
+# in cmd/, internal/obs/http.go and internal/experiments/scale.go).
+NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim
 lint:
 	$(GO) run ./cmd/harplint -baseline harplint.baseline.json ./...
+	@if grep -rnE 'harplint:(realtime|allow determinism)' $(NO_EXEMPT_PKGS); then \
+		echo "harplint exemptions are not allowed in: $(NO_EXEMPT_PKGS)"; exit 1; fi
 
 lint-json:
 	$(GO) run ./cmd/harplint -format json -baseline harplint.baseline.json ./...
@@ -71,11 +79,16 @@ benchgate:
 	$(GO) run ./cmd/harpbench -quick -workers 1 -gate BENCH_harpbench.json
 	$(GO) run ./cmd/harpbench -quick -workers 4 -gate BENCH_harpbench.json
 
+# The repo's host-time benchmark (five end-to-end workloads, per-layer
+# breakdown); see benchmark/README.md and BENCHMARK.json.
+bench:
+	bash benchmark/run.sh
+
 # Fault-injection soak: the loss-tolerance test surface under the race
 # detector and the harpdebug invariant hooks, then the loss sweep at two
 # worker counts — its convergence metrics must not depend on scheduling.
 faultsoak:
-	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab|WaitIdle' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
+	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w1.json -workers 1
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w4.json -workers 4
 	jq -S '$(JQ_NORM)' /tmp/losssweep_w1.json > /tmp/losssweep_w1.norm.json

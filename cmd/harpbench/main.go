@@ -276,9 +276,8 @@ func (r *runner) fig9() (map[string]float64, error) {
 }
 
 func (r *runner) fig10() (map[string]float64, error) {
-	// Measured co-simulation (the default path): the disruption window is
-	// the gap between the rate step and the slot the real CoAP exchange
-	// committed its schedule on the shared clock.
+	// The disruption window is the gap between the rate step and the slot
+	// the real CoAP exchange committed its schedule on the shared clock.
 	mcfg := experiments.DefaultFig10()
 	mcfg.Trace = r.trace != ""
 	mcfg.Inspect = r.inspect
@@ -293,7 +292,10 @@ func (r *runner) fig10() (map[string]float64, error) {
 		fmt.Printf("protocol trace written to %s (%d events)\n\n", r.trace, len(measured.Trace))
 	}
 	fmt.Println("co-simulated (measured commit slots):")
-	printFig10Events(measured.Events)
+	for _, e := range measured.Events {
+		fmt.Printf("t=%.1fs: rate -> %.1f pkt/sf, %s, %d HARP msgs + %d sched msgs, reconfigured in %.2fs (%d slotframes)\n",
+			e.AtSec, e.Rate, e.Case, e.Messages, e.SchedMsgs, e.DelaySec, e.Slotframes)
+	}
 	fmt.Println()
 	fmt.Println(measured.Table)
 	fmt.Printf("max latency (measured): %.2fs\n", measured.MaxLatencySec)
@@ -302,29 +304,10 @@ func (r *runner) fig10() (map[string]float64, error) {
 			return nil, err
 		}
 	}
-	fmt.Println()
-
-	// Analytic ablation: same scenario with the §VI-A half-slotframe-per-
-	// message delay model instead of simulated protocol traffic. Its
-	// metrics keep the historical headline keys so the committed baseline
-	// stays comparable across the refactor.
-	acfg := experiments.DefaultFig10()
-	acfg.Analytic = true
-	analytic, err := experiments.Fig10(acfg)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("analytic ablation (modelled delay):")
-	printFig10Events(analytic.Events)
-	fmt.Printf("max latency (analytic): %.2fs\n", analytic.MaxLatencySec)
 
 	metrics := map[string]float64{
-		"max_latency_s":       analytic.MaxLatencySec,
 		"cosim_max_latency_s": measured.MaxLatencySec,
 		"cosim_swap_drops":    float64(measured.SwapDrops),
-	}
-	if n := len(analytic.Events); n > 0 {
-		metrics["last_event_msgs"] = float64(analytic.Events[n-1].Messages)
 	}
 	if n := len(measured.Events); n > 0 {
 		last := measured.Events[n-1]
@@ -337,13 +320,6 @@ func (r *runner) fig10() (map[string]float64, error) {
 	metrics["cosim_esc_commit_p99_ms"] = float64(measured.EscCommit.Quantile(0.99))
 	metrics["cosim_esc_commit_max_ms"] = float64(measured.EscCommit.Max)
 	return metrics, nil
-}
-
-func printFig10Events(events []experiments.Fig10Event) {
-	for _, e := range events {
-		fmt.Printf("t=%.1fs: rate -> %.1f pkt/sf, %s, %d HARP msgs + %d sched msgs, reconfigured in %.2fs (%d slotframes)\n",
-			e.AtSec, e.Rate, e.Case, e.Messages, e.SchedMsgs, e.DelaySec, e.Slotframes)
-	}
 }
 
 func (r *runner) table2() (map[string]float64, error) {

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -33,28 +34,7 @@ import (
 )
 
 func main() {
-	var (
-		topoName   = flag.String("topology", "", "canned topology: fig1, testbed50, deep81 (overrides -nodes/-layers)")
-		topoFile   = flag.String("topology-file", "", "JSON topology file (see topogen)")
-		nodes      = flag.Int("nodes", 50, "random topology size")
-		layers     = flag.Int("layers", 5, "random topology depth")
-		fanout     = flag.Int("fanout", 3, "random topology fan-out cap (0 = unlimited)")
-		schedName  = flag.String("scheduler", "harp", "scheduler: harp, random, msf, ldsf, alice")
-		rate       = flag.Float64("rate", 1, "task rate in packets/slotframe")
-		perLink    = flag.Bool("per-link", false, "per-link demand (no convergecast accumulation) instead of echo tasks")
-		slots      = flag.Int("slots", 199, "slotframe length")
-		dataSlots  = flag.Int("data-slots", 190, "data sub-frame length")
-		channels   = flag.Int("channels", 16, "channel count")
-		slotframes = flag.Int("slotframes", 50, "slotframes to simulate")
-		pdr        = flag.Float64("pdr", 1, "per-transmission delivery ratio")
-		seed       = flag.Int64("seed", 1, "random seed")
-		cosimFlag  = flag.Bool("cosim", false, "co-simulate the distributed HARP protocol with the MAC on one shared clock: agents build the schedule over real CoAP exchanges, and a mid-run traffic change measures the disruption window (ignores -scheduler)")
-		tracePath  = flag.String("trace", "", "with -cosim: record the protocol event trace to this JSONL path (analyse with harptrace)")
-		httpAddr   = flag.String("http", "", "with -cosim: serve the live read-only inspection endpoint (/healthz, /metrics, /series, /debug/pprof) on this address; after the run the final snapshot is served until interrupted")
-	)
-	flag.Parse()
-	if err := run(*topoName, *topoFile, *nodes, *layers, *fanout, *schedName,
-		*rate, *perLink, *slots, *dataSlots, *channels, *slotframes, *pdr, *seed, *cosimFlag, *tracePath, *httpAddr); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "harpsim:", err)
 		os.Exit(1)
 	}
@@ -95,25 +75,49 @@ func pickTopology(name, file string, nodes, layers, fanout int, rng *rand.Rand) 
 	}
 }
 
-func run(topoName, topoFile string, nodes, layers, fanout int, schedName string,
-	rate float64, perLink bool, slots, dataSlots, channels, slotframes int, pdr float64, seed int64, cosimMode bool, tracePath, httpAddr string) error {
-	rng := rand.New(rand.NewSource(seed))
-	tree, err := pickTopology(topoName, topoFile, nodes, layers, fanout, rng)
+// run is the testable entry point: it parses args, runs the scenario and
+// writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("harpsim", flag.ContinueOnError)
+	var (
+		topoName   = fs.String("topology", "", "canned topology: fig1, testbed50, deep81 (overrides -nodes/-layers)")
+		topoFile   = fs.String("topology-file", "", "JSON topology file (see topogen)")
+		nodes      = fs.Int("nodes", 50, "random topology size")
+		layers     = fs.Int("layers", 5, "random topology depth")
+		fanout     = fs.Int("fanout", 3, "random topology fan-out cap (0 = unlimited)")
+		schedName  = fs.String("scheduler", "harp", "scheduler: harp, random, msf, ldsf, alice")
+		rate       = fs.Float64("rate", 1, "task rate in packets/slotframe")
+		perLink    = fs.Bool("per-link", false, "per-link demand (no convergecast accumulation) instead of echo tasks")
+		slots      = fs.Int("slots", 199, "slotframe length")
+		dataSlots  = fs.Int("data-slots", 190, "data sub-frame length")
+		channels   = fs.Int("channels", 16, "channel count")
+		slotframes = fs.Int("slotframes", 50, "slotframes to simulate")
+		pdr        = fs.Float64("pdr", 1, "per-transmission delivery ratio")
+		seed       = fs.Int64("seed", 1, "random seed")
+		cosimFlag  = fs.Bool("cosim", false, "co-simulate the distributed HARP protocol with the MAC on one shared clock: agents build the schedule over real CoAP exchanges, and a mid-run traffic change measures the disruption window (ignores -scheduler)")
+		tracePath  = fs.String("trace", "", "with -cosim: record the protocol event trace to this JSONL path (analyse with harptrace)")
+		httpAddr   = fs.String("http", "", "with -cosim: serve the live read-only inspection endpoint (/healthz, /metrics, /series, /debug/pprof) on this address; after the run the final snapshot is served until interrupted")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	rng := rand.New(rand.NewSource(*seed))
+	tree, err := pickTopology(*topoName, *topoFile, *nodes, *layers, *fanout, rng)
 	if err != nil {
 		return err
 	}
 	frame := schedule.Slotframe{
-		Slots: slots, Channels: channels, DataSlots: dataSlots,
+		Slots: *slots, Channels: *channels, DataSlots: *dataSlots,
 		SlotDuration: 10 * time.Millisecond,
 	}
 
 	var demand *traffic.Demand
-	tasks, err := traffic.UniformEcho(tree, rate)
+	tasks, err := traffic.UniformEcho(tree, *rate)
 	if err != nil {
 		return err
 	}
-	if perLink {
-		demand, err = traffic.PerLink(tree, rate)
+	if *perLink {
+		demand, err = traffic.PerLink(tree, *rate)
 	} else {
 		demand, err = traffic.Compute(tree, tasks)
 	}
@@ -121,17 +125,17 @@ func run(topoName, topoFile string, nodes, layers, fanout int, schedName string,
 		return err
 	}
 
-	if cosimMode {
-		return runCoSim(tree, frame, tasks, demand, slotframes, pdr, seed, tracePath, httpAddr)
+	if *cosimFlag {
+		return runCoSim(stdout, tree, frame, tasks, demand, *slotframes, *pdr, *seed, *tracePath, *httpAddr)
 	}
-	if tracePath != "" {
+	if *tracePath != "" {
 		return fmt.Errorf("-trace requires -cosim (only the protocol co-simulation is traced)")
 	}
-	if httpAddr != "" {
+	if *httpAddr != "" {
 		return fmt.Errorf("-http requires -cosim (only the protocol co-simulation publishes telemetry)")
 	}
 
-	sched, err := pickScheduler(schedName)
+	sched, err := pickScheduler(*schedName)
 	if err != nil {
 		return err
 	}
@@ -143,18 +147,18 @@ func run(topoName, topoFile string, nodes, layers, fanout int, schedName string,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("topology: %d nodes, %d layers; scheduler: %s; demand: %d cells/slotframe\n",
+	fmt.Fprintf(stdout, "topology: %d nodes, %d layers; scheduler: %s; demand: %d cells/slotframe\n",
 		tree.Len(), tree.MaxLayer(), sched.Name(), demand.TotalCells())
-	fmt.Printf("schedule: %d scheduled transmissions, collision probability %.4f (%d cell, %d half-duplex)\n",
+	fmt.Fprintf(stdout, "schedule: %d scheduled transmissions, collision probability %.4f (%d cell, %d half-duplex)\n",
 		collisions.TotalTransmissions, collisions.Probability(),
 		collisions.CellCollisions, collisions.HalfDuplexCollisions)
 
-	simulator, err := sim.New(sim.Config{Tree: tree, Frame: frame, Tasks: tasks, PDR: pdr, Seed: seed})
+	simulator, err := sim.New(sim.Config{Tree: tree, Frame: frame, Tasks: tasks, PDR: *pdr, Seed: *seed})
 	if err != nil {
 		return err
 	}
 	simulator.SetSchedule(s)
-	if err := simulator.RunSlotframes(slotframes); err != nil {
+	if err := simulator.RunSlotframes(*slotframes); err != nil {
 		return err
 	}
 
@@ -169,11 +173,11 @@ func run(topoName, topoFile string, nodes, layers, fanout int, schedName string,
 		}
 	}
 	sum := stats.Summarize(latencies)
-	fmt.Printf("simulated %d slotframes (%.1fs): %d/%d packets delivered\n",
-		slotframes, float64(slotframes*frame.Slots)*slotSec, delivered, generated)
-	fmt.Printf("e2e latency: mean %.3fs, p50 %.3fs, p95 %.3fs, max %.3fs\n",
+	fmt.Fprintf(stdout, "simulated %d slotframes (%.1fs): %d/%d packets delivered\n",
+		*slotframes, float64(*slotframes*frame.Slots)*slotSec, delivered, generated)
+	fmt.Fprintf(stdout, "e2e latency: mean %.3fs, p50 %.3fs, p95 %.3fs, max %.3fs\n",
 		sum.Mean, sum.P50, sum.P95, sum.Max)
-	fmt.Printf("radio events: %d collisions, %d receiver misses, %d channel losses, %d half-duplex deferrals, %d drops\n",
+	fmt.Fprintf(stdout, "radio events: %d collisions, %d receiver misses, %d channel losses, %d half-duplex deferrals, %d drops\n",
 		simulator.Collisions, simulator.ReceiverMisses, simulator.LossFailures,
 		simulator.HalfDuplexBlocks, simulator.Drops)
 	return nil
@@ -185,7 +189,7 @@ func run(topoName, topoFile string, nodes, layers, fanout int, schedName string,
 // the deepest node's uplink demand is raised — the printed disruption
 // window is the measured gap between the traffic change and the slot the
 // protocol commits the adjusted schedule.
-func runCoSim(tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
+func runCoSim(stdout io.Writer, tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
 	demand *traffic.Demand, slotframes int, pdr float64, seed int64, tracePath, httpAddr string) error {
 	var ins *obs.Inspector
 	if httpAddr != "" {
@@ -194,7 +198,7 @@ func runCoSim(tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
 		if err != nil {
 			return err
 		}
-		fmt.Printf("live inspection endpoint on http://%s\n", addr)
+		fmt.Fprintf(stdout, "live inspection endpoint on http://%s\n", addr)
 	}
 	cs, err := cosim.New(cosim.Config{
 		Tree: tree, Frame: frame, Tasks: tasks, Demand: demand,
@@ -206,9 +210,9 @@ func runCoSim(tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
 	if ins != nil {
 		cs.AttachInspector(ins)
 	}
-	fmt.Printf("topology: %d nodes, %d layers; distributed HARP fleet on a shared virtual clock\n",
+	fmt.Fprintf(stdout, "topology: %d nodes, %d layers; distributed HARP fleet on a shared virtual clock\n",
 		tree.Len(), tree.MaxLayer())
-	fmt.Printf("static phase: %d protocol messages, converged at t=%.1f slots\n",
+	fmt.Fprintf(stdout, "static phase: %d protocol messages, converged at t=%.1f slots\n",
 		cs.Bus.Delivered(), cs.Clock.Now())
 
 	// Pick the deepest node (lowest ID on ties) and raise its uplink
@@ -248,21 +252,21 @@ func runCoSim(tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
 		}
 	}
 	sum := stats.Summarize(latencies)
-	fmt.Printf("simulated %d slotframes (%.1fs): %d/%d packets delivered\n",
+	fmt.Fprintf(stdout, "simulated %d slotframes (%.1fs): %d/%d packets delivered\n",
 		slotframes, float64(slotframes*frame.Slots)*slotSec, delivered, generated)
-	fmt.Printf("e2e latency: mean %.3fs, p50 %.3fs, p95 %.3fs, max %.3fs\n",
+	fmt.Fprintf(stdout, "e2e latency: mean %.3fs, p50 %.3fs, p95 %.3fs, max %.3fs\n",
 		sum.Mean, sum.P50, sum.P95, sum.Max)
 	for _, cm := range cs.Commits {
-		fmt.Printf("adjustment: node %d uplink -> %d cells; %d msgs (%d requests, %d sched), committed at slot %d, disruption %.2fs (%d slotframes)\n",
+		fmt.Fprintf(stdout, "adjustment: node %d uplink -> %d cells; %d msgs (%d requests, %d sched), committed at slot %d, disruption %.2fs (%d slotframes)\n",
 			deepest, target, cm.Messages, cm.Requests, cm.ScheduleMessages,
 			cm.CommitSlot, cm.DisruptionSec(frame), cm.Slotframes(frame))
 	}
 	if !cs.Quiesced() {
-		fmt.Println("adjustment still in flight at run end")
+		fmt.Fprintln(stdout, "adjustment still in flight at run end")
 	}
 	health := obs.EvalHealth(cs.Bus.Metrics(), cs.StaticConverged && cs.Quiesced(), 0,
 		obs.DefaultBudgets(frame.Slots))
-	if err := health.WriteText(os.Stdout); err != nil {
+	if err := health.WriteText(stdout); err != nil {
 		return err
 	}
 	cs.PublishState(true, &health)
@@ -271,12 +275,12 @@ func runCoSim(tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
 		if err := obs.WriteJSONLFile(tracePath, events); err != nil {
 			return err
 		}
-		fmt.Printf("protocol trace written to %s (%d events)\n", tracePath, len(events))
+		fmt.Fprintf(stdout, "protocol trace written to %s (%d events)\n", tracePath, len(events))
 	}
 	if ins != nil {
 		// Keep serving the final snapshot so scrapers (and the metrics-smoke
 		// CI target) can read the completed run; SIGINT/SIGTERM ends it.
-		fmt.Println("run complete; serving final snapshot until interrupted")
+		fmt.Fprintln(stdout, "run complete; serving final snapshot until interrupted")
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		<-sig

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -30,37 +31,42 @@ import (
 var scalePresetSizes = []int{1_000, 10_000, 50_000}
 
 func main() {
-	var (
-		nodes  = flag.Int("nodes", 50, "node count (including the gateway)")
-		layers = flag.Int("layers", 5, "tree depth for random generation")
-		fanout = flag.Int("fanout", 0, "fan-out cap (0 = unlimited)")
-		useRPL = flag.Bool("rpl", false, "form the tree with RPL-lite over a random geometric graph")
-		radius = flag.Float64("radius", 0.3, "radio radius for -rpl (unit square)")
-		canned = flag.String("canned", "", "emit a canned topology: fig1, testbed50, deep81")
-		preset = flag.String("preset", "", "emit a family of topologies: scale (1k/10k/50k trees)")
-		outDir = flag.String("out", ".", "output directory for -preset files")
-		seed   = flag.Int64("seed", 1, "random seed")
-	)
-	flag.Parse()
-
-	if *preset != "" {
-		if err := emitPreset(*preset, *outDir, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "topogen:", err)
-			os.Exit(1)
-		}
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "topogen:", err)
+		os.Exit(1)
 	}
+}
 
+// run is the testable entry point: it parses args and writes the topology
+// JSON to stdout (or, for -preset, files into -out).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("topogen", flag.ContinueOnError)
+	var (
+		nodes  = fs.Int("nodes", 50, "node count (including the gateway)")
+		layers = fs.Int("layers", 5, "tree depth for random generation")
+		fanout = fs.Int("fanout", 0, "fan-out cap (0 = unlimited)")
+		useRPL = fs.Bool("rpl", false, "form the tree with RPL-lite over a random geometric graph")
+		radius = fs.Float64("radius", 0.3, "radio radius for -rpl (unit square)")
+		canned = fs.String("canned", "", "emit a canned topology: fig1, testbed50, deep81")
+		preset = fs.String("preset", "", "emit a family of topologies: scale (1k/10k/50k trees)")
+		outDir = fs.String("out", ".", "output directory for -preset files")
+		seed   = fs.Int64("seed", 1, "random seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *preset != "" {
+		return emitPreset(*preset, *outDir, *seed)
+	}
 	tree, err := build(*canned, *useRPL, *nodes, *layers, *fanout, *radius, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "topogen:", err)
-		os.Exit(1)
+		return err
 	}
-	if err := tree.EncodeJSON(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "topogen:", err)
-		os.Exit(1)
+	if err := tree.EncodeJSON(stdout); err != nil {
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "topogen: %d nodes, %d layers\n", tree.Len(), tree.MaxLayer())
+	return nil
 }
 
 // emitPreset writes a named topology family into dir, one streamed JSON

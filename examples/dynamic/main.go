@@ -9,11 +9,10 @@
 // messages over management cells on the same virtual clock the MAC steps
 // on, so the disruption window printed per event is the measured gap
 // between the rate step and the slot the protocol committed the new
-// schedule (compare the analytic model's estimate with -analytic).
+// schedule.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 
@@ -21,20 +20,12 @@ import (
 )
 
 func main() {
-	analytic := flag.Bool("analytic", false, "use the analytic delay-model ablation instead of the measured co-simulation")
-	flag.Parse()
-
 	cfg := experiments.DefaultFig10()
-	cfg.Analytic = *analytic
-	mode := "co-simulated (measured commit slots)"
-	if cfg.Analytic {
-		mode = "analytic ablation (modelled delay)"
-	}
-	fmt.Printf("observing node %d: rate 1 -> %.1f (t=%ds) -> %.1f (t=%ds) pkt/slotframe — %s\n\n",
+	sfSec := experiments.TestbedSlotframe().Duration().Seconds()
+	fmt.Printf("observing node %d: rate 1 -> %.1f (t=%.1fs) -> %.1f (t=%.1fs) pkt/slotframe — co-simulated (measured commit slots)\n\n",
 		cfg.Node,
-		cfg.Step1Rate, cfg.Step1At*199/100,
-		cfg.Step2Rate, cfg.Step2At*199/100,
-		mode)
+		cfg.Step1Rate, float64(cfg.Step1At)*sfSec,
+		cfg.Step2Rate, float64(cfg.Step2At)*sfSec)
 
 	res, err := experiments.Fig10(cfg)
 	if err != nil {
@@ -43,7 +34,7 @@ func main() {
 	for _, e := range res.Events {
 		fmt.Printf("t=%6.1fs  rate -> %.1f  handled as %-16s  %2d HARP msgs, %2d schedule msgs, settled in %.1fs",
 			e.AtSec, e.Rate, e.Case, e.Messages, e.SchedMsgs, e.DelaySec)
-		if e.Measured && e.CommitSlot >= 0 {
+		if e.Case != "uncommitted" {
 			fmt.Printf(" (committed at slot %d)", e.CommitSlot)
 		}
 		fmt.Println()
@@ -51,6 +42,9 @@ func main() {
 	fmt.Println()
 
 	// A coarse character plot of the latency trace (x: time, y: latency).
+	if len(res.Points) == 0 {
+		log.Fatalf("node %d delivered no packets: nothing to plot", cfg.Node)
+	}
 	const width, height = 100, 14
 	maxT := res.Points[len(res.Points)-1].X
 	maxL := res.MaxLatencySec * 1.05
@@ -66,7 +60,7 @@ func main() {
 		y := int(p.Y / maxL * float64(height-1))
 		grid[height-1-y][x] = '*'
 	}
-	fmt.Printf("end-to-end latency of node %d (max %.2fs, one slotframe = 1.99s):\n", cfg.Node, res.MaxLatencySec)
+	fmt.Printf("end-to-end latency of node %d (max %.2fs, one slotframe = %.2fs):\n", cfg.Node, res.MaxLatencySec, sfSec)
 	for _, row := range grid {
 		fmt.Printf("|%s|\n", row)
 	}

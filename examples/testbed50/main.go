@@ -1,9 +1,9 @@
-// Testbed50 runs HARP as a genuinely distributed system: fifty protocol
-// agents — one goroutine per network node — execute the static partition
-// allocation and a dynamic adjustment by exchanging CoAP messages (Table I
-// of the paper) over a concurrent in-memory transport. The resulting
-// global schedule is then verified collision-free and simulated to produce
-// the per-node latency profile of Fig. 9.
+// Testbed50 runs HARP as a distributed system: fifty protocol agents
+// execute the static partition allocation and a dynamic adjustment by
+// exchanging CoAP messages (Table I of the paper) over the virtual-time
+// bus, where each hop waits for the sender's next management cell. The
+// resulting global schedule is then verified collision-free and simulated
+// to produce the per-node latency profile of Fig. 9.
 package main
 
 import (
@@ -39,23 +39,24 @@ func main() {
 	}
 	provisioned := traffic.FromCells(cells)
 
-	// One goroutine per node, channels in between.
-	live := transport.NewLive()
-	defer live.Close()
+	bus, err := transport.NewBus(frame.Slots, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// No root gap here: the spare cells already consume most of the data
 	// sub-frame's headroom (188 of 190 slots).
-	fleet, err := agent.Deploy(tree, frame, provisioned, live)
+	fleet, err := agent.Deploy(tree, frame, provisioned, bus)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	start := time.Now()
 	fleet.Start()
-	if !live.WaitIdle(10 * time.Second) {
-		log.Fatal("static phase did not converge")
+	staticEnd, err := bus.Run()
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("static partition allocation converged: %d messages in %v (wall clock)\n",
-		live.Delivered.Load(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("static partition allocation converged: %d messages in %.1f slotframes of network time\n",
+		bus.Delivered(), staticEnd/float64(frame.Slots))
 
 	if n := fleet.Rejections(); n > 0 {
 		log.Fatalf("%d allocation rejections: demand does not fit the slotframe", n)
@@ -67,18 +68,19 @@ func main() {
 
 	// A runtime traffic change, requested by the affected node itself
 	// (PUT /intf up the tree, per the paper's flowchart).
-	before := live.Delivered.Load()
+	bus.ResetCounters()
 	if err := fleet.RequestLinkDemand(topology.Link{Child: 15, Direction: topology.Uplink}, 4); err != nil {
 		log.Fatal(err)
 	}
-	if !live.WaitIdle(10 * time.Second) {
-		log.Fatal("adjustment did not converge")
+	adjustEnd, err := bus.Run()
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := fleet.Validate(); err != nil {
 		log.Fatalf("schedule invalid after adjustment: %v", err)
 	}
-	fmt.Printf("node 15 uplink demand -> 4 cells: adjusted with %d messages, still conflict-free\n\n",
-		live.Delivered.Load()-before)
+	fmt.Printf("node 15 uplink demand -> 4 cells: adjusted with %d messages in %.1f slotframes, still conflict-free\n\n",
+		bus.Delivered(), (adjustEnd-staticEnd)/float64(frame.Slots))
 
 	// Simulate the agents' schedule for five minutes of operation.
 	sched, err := fleet.BuildSchedule()

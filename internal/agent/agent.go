@@ -1143,86 +1143,32 @@ func insertNode(ids []topology.NodeID, id topology.NodeID) []topology.NodeID {
 	return out
 }
 
-// Root-level adjustment at the gateway agent mirrors the centralized
-// planner: layer partitions are an ordered sequence of slot intervals
-// (compliant order, time-disjoint because adjacent layers share nodes); a
-// grown layer extends in place and later intervals shift only as far as
-// needed.
+// Root-level adjustment at the gateway agent uses the centralized planner's
+// layout (core.ReflowRoot, core.RootHost): layer partitions are an ordered
+// sequence of slot intervals (compliant order, time-disjoint because
+// adjacent layers share nodes); a grown layer extends in place and later
+// intervals shift only as far as needed. Nothing is applied unless the
+// adjustment fits.
 
-// rootIntervals snapshots the gateway's layer partitions.
-func (n *Node) rootIntervals() (map[core.DirLayer]int, map[core.DirLayer]int) {
-	widths := make(map[core.DirLayer]int)
-	chans := make(map[core.DirLayer]int)
-	for _, dd := range topology.Directions() {
-		for l, r := range n.dir(dd).parts {
-			k := core.DirLayer{Direction: dd, Layer: l}
-			widths[k] = r.Slots
-			chans[k] = r.Channels
-		}
-	}
-	return widths, chans
-}
-
-func totalWidth(widths map[core.DirLayer]int) int {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	return total
-}
-
-// reflowRoot lays the layer partitions out as ordered intervals with
-// minimal movement and applies the changed ones (applyPartition skips
-// descendants whose regions are unchanged).
+// rootParts returns the gateway's current layer partitions per direction.
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
-func (n *Node) reflowRoot(widths, chans map[core.DirLayer]int, target core.DirLayer) bool {
-	comps := make(map[core.DirLayer]core.Component, len(widths))
-	for k, w := range widths {
-		comps[k] = core.Component{Slots: w, Channels: chans[k]}
-	}
-	cursor := 0
-	type placement struct {
-		key    core.DirLayer
-		region schedule.Region
-	}
-	var changed []placement
-	for _, k := range core.CompliantOrder(comps) {
-		w := widths[k]
-		if w == 0 {
-			continue
-		}
-		origin := cursor
-		if old, ok := n.dir(k.Direction).parts[k.Layer]; ok && old.Slot >= cursor && old.Slot+w <= n.frame.DataSlots {
-			origin = old.Slot
-		}
-		if origin+w > n.frame.DataSlots {
-			return false
-		}
-		region := schedule.Region{Slot: origin, Channel: 0, Slots: w, Channels: chans[k]}
-		cursor = origin + w
-		if old, ok := n.dir(k.Direction).parts[k.Layer]; !ok || old != region || k == target {
-			changed = append(changed, placement{key: k, region: region})
-		}
-	}
-	for _, pl := range changed {
-		n.applyPartition(pl.key.Direction, pl.key.Layer, pl.region)
-	}
-	return true
+func (n *Node) rootParts() [2]map[int]schedule.Region {
+	return [2]map[int]schedule.Region{n.dir(topology.Uplink).parts, n.dir(topology.Downlink).parts}
 }
 
 // rootWiden grows the gateway's own-layer partition to the requested width.
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) bool {
-	widths, chans := n.rootIntervals()
-	key := core.DirLayer{Direction: d, Layer: layer}
-	widths[key] = comp.Slots
-	chans[key] = comp.Channels
-	if totalWidth(widths) > n.frame.DataSlots {
+	placements, ok := core.ReflowRoot(n.rootParts(), core.DirLayer{Direction: d, Layer: layer}, comp, n.frame)
+	if !ok {
 		return false
 	}
-	return n.reflowRoot(widths, chans, key)
+	for _, pl := range placements {
+		n.applyPartition(pl.Key.Direction, pl.Key.Layer, pl.Region)
+	}
+	return true
 }
 
 // rootHost extends the gateway's layer partition just enough to host a
@@ -1230,45 +1176,22 @@ func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) b
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, curComp core.Component) bool {
-	if curComp.Channels > n.frame.Channels {
+	st := n.dir(d)
+	newLayout, placements, ok := core.RootHost(n.rootParts(), core.DirLayer{Direction: d, Layer: layer},
+		st.layouts[layer], st.childComps[layer], cur, curComp, n.frame)
+	if !ok {
 		return false
 	}
-	st := n.dir(d)
-	widths, chans := n.rootIntervals()
-	key := core.DirLayer{Direction: d, Layer: layer}
-	baseWidth := widths[key]
-	otherTotal := totalWidth(widths) - baseWidth
-	maxWidth := n.frame.DataSlots - otherTotal
-
-	area := curComp.Cells()
-	for id, c := range st.childComps[layer] {
-		if id != cur {
-			area += c.Cells()
-		}
+	if st.childComps[layer] == nil {
+		st.childComps[layer] = make(map[topology.NodeID]core.Component)
 	}
-	start := (area + n.frame.Channels - 1) / n.frame.Channels
-	if start < baseWidth {
-		start = baseWidth
+	st.childComps[layer][cur] = curComp
+	st.layouts[layer] = newLayout
+	for _, pl := range placements {
+		// applyPartition skips descendants whose regions are unchanged.
+		n.applyPartition(pl.Key.Direction, pl.Key.Layer, pl.Region)
 	}
-	if start < curComp.Slots {
-		start = curComp.Slots
-	}
-	for width := start; width <= maxWidth; width++ {
-		newLayout, _, ok := core.AdjustLayout(width, n.frame.Channels,
-			st.layouts[layer], st.childComps[layer], cur, curComp)
-		if !ok {
-			continue
-		}
-		if st.childComps[layer] == nil {
-			st.childComps[layer] = make(map[topology.NodeID]core.Component)
-		}
-		st.childComps[layer][cur] = curComp
-		st.layouts[layer] = newLayout
-		widths[key] = width
-		chans[key] = n.frame.Channels
-		return n.reflowRoot(widths, chans, key)
-	}
-	return false
+	return true
 }
 
 // onPartitionUpdate applies a PUT /part from the parent. An update carrying

@@ -275,42 +275,25 @@ func TestAgentIgnoresMalformedMessages(t *testing.T) {
 	}
 }
 
-func TestFleetOverLiveTransport(t *testing.T) {
-	// The same agents over the goroutine-per-node transport: static phase
-	// plus one adjustment, fully concurrent.
-	tree := topology.Testbed50()
-	tasks, err := traffic.UniformEcho(tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	demand, err := traffic.Compute(tree, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := transport.NewLive()
-	defer live.Close()
-	fleet, err := Deploy(tree, testFrame(), demand, live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet.Start()
-	if !live.WaitIdle(5 * time.Second) {
-		t.Fatal("static phase did not converge")
-	}
+func TestTestbed50AdjustmentOverBus(t *testing.T) {
+	// The dynamic tests above run on Fig1; this is the 50-node testbed:
+	// static phase plus one escalated adjustment.
+	fleet, bus := deployOnBus(t, topology.Testbed50(), 1, testFrame())
 	if err := fleet.Validate(); err != nil {
-		t.Fatalf("live fleet schedule invalid: %v", err)
+		t.Fatalf("fleet schedule invalid: %v", err)
 	}
+	bus.ResetCounters()
 	if err := fleet.SetLinkDemand(topology.Link{Child: 15, Direction: topology.Uplink}, 3, 3); err != nil {
 		t.Fatal(err)
 	}
-	if !live.WaitIdle(5 * time.Second) {
-		t.Fatal("adjustment did not converge")
+	if _, err := bus.Run(); err != nil {
+		t.Fatal(err)
 	}
 	if err := fleet.Validate(); err != nil {
-		t.Fatalf("live fleet invalid after adjustment: %v", err)
+		t.Fatalf("fleet invalid after adjustment: %v", err)
 	}
-	if live.Delivered.Load() == 0 {
-		t.Error("no messages delivered")
+	if bus.Delivered() == 0 {
+		t.Error("adjustment delivered no messages")
 	}
 }
 

@@ -137,7 +137,7 @@ func Deploy(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Deman
 
 // Start triggers the static partition allocation phase: nodes at the
 // deepest non-leaf level report first (§IV-B). The caller must then run the
-// transport to completion (Bus.Run or Live.WaitIdle).
+// transport to completion (Bus.Run).
 func (f *Fleet) Start() {
 	for _, id := range f.Tree.Nodes() {
 		f.node(id).start()

@@ -1,23 +1,86 @@
 package agent_test
 
-// Race-focused deployment test: a full 50-node fleet on the
-// goroutine-per-node transport with adjustment requests fired from many
+// Race-focused deployment test: a full 50-node fleet on a
+// goroutine-per-node network with adjustment requests fired from many
 // client goroutines at once. Run under -race (the CI gate does) this
-// exercises every lock in Node, Fleet and Live concurrently; the invariant
+// exercises every lock in Node and Fleet concurrently; the invariant
 // checker then confirms the fleet settled into a consistent, collision-free
-// state.
+// state. This is the repo's only concurrent driver of the agents —
+// everywhere else they are handlers on one virtual clock.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/harpnet/harp/internal/agent"
+	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/invariant"
 	"github.com/harpnet/harp/internal/topology"
 	"github.com/harpnet/harp/internal/traffic"
 	"github.com/harpnet/harp/internal/transport"
 )
+
+// chanNet is the concurrent network: one delivery goroutine per node fed by
+// a channel (so per-pair delivery stays FIFO, which the agents rely on) and
+// an in-flight count for quiescence. The channel is ideal — the lossy and
+// reliable paths are Bus's and are tested there.
+type chanNet struct {
+	t       *testing.T
+	inboxes map[topology.NodeID]chan frame
+	// inFlight counts messages sent and not yet handled. A handler's own
+	// sends are added before its message is marked done, so the count only
+	// reaches zero at true quiescence.
+	inFlight sync.WaitGroup
+	workers  sync.WaitGroup
+}
+
+type frame struct {
+	from topology.NodeID
+	wire []byte
+}
+
+func (c *chanNet) Register(id topology.NodeID, h transport.Handler) {
+	// 256 is far above what one Testbed50 node ever has queued; a full
+	// inbox would block the sending handler.
+	inbox := make(chan frame, 256)
+	c.inboxes[id] = inbox
+	c.workers.Add(1)
+	go func() {
+		defer c.workers.Done()
+		for f := range inbox {
+			if msg, err := coap.Decode(f.wire); err != nil {
+				c.t.Errorf("decode from %d: %v", f.from, err)
+			} else {
+				h.Handle(f.from, msg)
+			}
+			c.inFlight.Done()
+		}
+	}()
+}
+
+func (c *chanNet) Send(from, to topology.NodeID, msg coap.Message) error {
+	inbox, ok := c.inboxes[to]
+	if !ok {
+		return fmt.Errorf("%w: %d", transport.ErrUnknownNode, to)
+	}
+	wire, err := msg.Encode()
+	if err != nil {
+		return err
+	}
+	c.inFlight.Add(1)
+	inbox <- frame{from: from, wire: wire}
+	return nil
+}
+
+// close waits for quiescence, then stops the delivery goroutines.
+func (c *chanNet) close() {
+	c.inFlight.Wait()
+	for _, inbox := range c.inboxes {
+		close(inbox)
+	}
+	c.workers.Wait()
+}
 
 func TestFleetConcurrentAdjustments(t *testing.T) {
 	tree := topology.Testbed50()
@@ -29,16 +92,14 @@ func TestFleetConcurrentAdjustments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := transport.NewLive()
-	defer live.Close()
-	fleet, err := agent.Deploy(tree, integrationFrame(), demand, live)
+	net := &chanNet{t: t, inboxes: make(map[topology.NodeID]chan frame)}
+	defer net.close()
+	fleet, err := agent.Deploy(tree, integrationFrame(), demand, net)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fleet.Start()
-	if !live.WaitIdle(10 * time.Second) {
-		t.Fatal("static phase did not converge")
-	}
+	net.inFlight.Wait()
 	if err := invariant.CheckFleet(fleet, nil); err != nil {
 		t.Fatalf("after static phase: %v", err)
 	}
@@ -78,9 +139,7 @@ func TestFleetConcurrentAdjustments(t *testing.T) {
 				t.Fatalf("round %d link %v: %v", round, links[i], err)
 			}
 		}
-		if !live.WaitIdle(10 * time.Second) {
-			t.Fatalf("round %d did not converge", round)
-		}
+		net.inFlight.Wait()
 		if err := fleet.Validate(); err != nil {
 			t.Fatalf("round %d: fleet invalid: %v", round, err)
 		}

@@ -185,7 +185,7 @@ type pendingRecompose struct {
 // at `layer` grew to curComp, until some ancestor can host it (Problem 2 +
 // Alg. 2), then commits and propagates the updated partitions downward.
 // When even the gateway's layer partition cannot host the increase, the
-// gateway extends that partition in place (rootHost), shifting the other
+// gateway extends that partition in place (RootHost), shifting the other
 // layer partitions only as far as the compliant interval order requires.
 func (p *Plan) escalate(cur topology.NodeID, dir topology.Direction, layer int, curComp Component, adj *Adjustment) (bool, error) {
 	var pending []pendingRecompose
@@ -375,57 +375,85 @@ func (p *Plan) commitPending(dir topology.Direction, layer int, pending []pendin
 // (the compliant order of §IV-C): a grown layer extends in place — first
 // into unused channel space and the gap to the next interval — and later
 // intervals shift right only as far as the growth actually requires
-// (reflowRoot), so untouched layers keep their partitions and generate no
-// messages.
+// (ReflowRoot), so untouched layers keep their partitions and generate no
+// messages. ReflowRoot and RootHost are pure and shared by the centralized
+// Plan and the gateway agent; each applies the returned placements to its
+// own state, and only when the adjustment fits.
 
-// rootWiden grows the gateway's *own-layer* partition (a single-channel
-// strip) to the requested width.
-func (p *Plan) rootWiden(dir topology.Direction, layer int, comp Component, adj *Adjustment) (bool, error) {
-	gw := p.nodes[topology.GatewayID].dir(dir)
-	widths, chans := p.rootIntervals()
-	key := DirLayer{Direction: dir, Layer: layer}
-	widths[key] = comp.Slots
-	chans[key] = comp.Channels
-	if !p.reflowFits(widths) {
-		return false, nil
-	}
-	if idx := layer - gw.iface.FirstLayer; idx >= 0 && idx < len(gw.iface.Comps) {
-		gw.iface.Comps[idx] = comp
-	}
-	return true, p.reflowRoot(widths, chans, key, adj)
+// RootPlacement is one gateway layer partition a root adjustment must
+// (re-)install.
+type RootPlacement struct {
+	Key    DirLayer
+	Region schedule.Region
 }
 
-// rootHost extends the gateway's layer partition just enough to host a
-// grown child component, keeping the other children of that layer in place
-// via Alg. 2 (AdjustLayout runs with the full channel height, since root
-// partitions are time-disjoint and own the whole channel dimension of
-// their interval).
-func (p *Plan) rootHost(dir topology.Direction, layer int, cur topology.NodeID, curComp Component, pending []pendingRecompose, adj *Adjustment) (bool, error) {
-	if curComp.Channels > p.Frame.Channels {
-		return false, nil
-	}
-	gw := p.nodes[topology.GatewayID].dir(dir)
-	widths, chans := p.rootIntervals()
-	key := DirLayer{Direction: dir, Layer: layer}
-	baseWidth := widths[key]
-
-	// Width budget: everything the other intervals do not need.
-	otherTotal := 0
-	for k, w := range widths {
-		if k != key {
-			otherTotal += w
+// ReflowRoot lays the gateway's layer partitions out as ordered intervals
+// after target's interval is resized to comp, with minimal movement: each
+// interval keeps its current origin (and any gap before it) unless the
+// preceding intervals now reach past it. parts holds the current partitions
+// per direction. It returns, in compliant order, the partitions whose
+// region changed — plus target always, because its *internal* layout
+// changed even when its interval did not — or ok=false when the intervals
+// no longer fit the data sub-frame.
+func ReflowRoot(parts [2]map[int]schedule.Region, target DirLayer, comp Component, frame schedule.Slotframe) ([]RootPlacement, bool) {
+	comps := make(map[DirLayer]Component)
+	for _, d := range topology.Directions() {
+		for l, r := range parts[d] {
+			comps[DirLayer{Direction: d, Layer: l}] = Component{Slots: r.Slots, Channels: r.Channels}
 		}
 	}
-	maxWidth := p.Frame.DataSlots - otherTotal
+	comps[target] = comp
+	var changed []RootPlacement
+	cursor := 0
+	for _, k := range CompliantOrder(comps) {
+		c := comps[k]
+		if c.Slots == 0 {
+			continue
+		}
+		old, had := parts[k.Direction][k.Layer]
+		origin := cursor
+		if had && old.Slot >= cursor && old.Slot+c.Slots <= frame.DataSlots {
+			origin = old.Slot // keep position; preserve any gap before it
+		}
+		if origin+c.Slots > frame.DataSlots {
+			return nil, false
+		}
+		region := schedule.Region{Slot: origin, Channel: 0, Slots: c.Slots, Channels: c.Channels}
+		cursor = origin + c.Slots
+		if !had || old != region || k == target {
+			changed = append(changed, RootPlacement{Key: k, Region: region})
+		}
+	}
+	return changed, true
+}
 
+// RootHost extends the gateway's target layer partition just enough to
+// host child cur's grown component, keeping that layer's other children in
+// place via Alg. 2 (AdjustLayout runs with the full channel height, since
+// root partitions are time-disjoint and own the whole channel dimension of
+// their interval). layout and comps are the layer's current composition.
+// It returns the layer's new layout and the ReflowRoot placements of the
+// widened interval, or ok=false when the increase does not fit.
+func RootHost(parts [2]map[int]schedule.Region, target DirLayer, layout Layout, comps map[topology.NodeID]Component, cur topology.NodeID, curComp Component, frame schedule.Slotframe) (Layout, []RootPlacement, bool) {
+	if curComp.Channels > frame.Channels {
+		return nil, nil, false
+	}
+	// Width budget: everything the other intervals do not need.
+	baseWidth := parts[target.Direction][target.Layer].Slots
+	maxWidth := frame.DataSlots + baseWidth
+	for _, d := range topology.Directions() {
+		for _, r := range parts[d] {
+			maxWidth -= r.Slots
+		}
+	}
 	// Lower bound from area, so the search starts near the answer.
 	area := curComp.Cells()
-	for id, c := range gw.childComps[layer] {
+	for id, c := range comps {
 		if id != cur {
 			area += c.Cells()
 		}
 	}
-	start := (area + p.Frame.Channels - 1) / p.Frame.Channels
+	start := (area + frame.Channels - 1) / frame.Channels
 	if start < baseWidth {
 		start = baseWidth
 	}
@@ -433,87 +461,67 @@ func (p *Plan) rootHost(dir topology.Direction, layer int, cur topology.NodeID, 
 		start = curComp.Slots
 	}
 	for width := start; width <= maxWidth; width++ {
-		newLayout, moved, ok := AdjustLayout(width, p.Frame.Channels,
-			gw.layouts[layer], gw.childComps[layer], cur, curComp)
+		newLayout, _, ok := AdjustLayout(width, frame.Channels, layout, comps, cur, curComp)
 		if !ok {
 			continue
 		}
-		widths[key] = width
-		chans[key] = p.Frame.Channels
-		if !p.reflowFits(widths) {
-			return false, nil
+		placements, ok := ReflowRoot(parts, target, Component{Slots: width, Channels: frame.Channels}, frame)
+		if !ok {
+			return nil, nil, false
 		}
-		p.commitPending(dir, layer, pending)
-		if gw.childComps[layer] == nil {
-			gw.childComps[layer] = make(map[topology.NodeID]Component)
-		}
-		gw.childComps[layer][cur] = curComp
-		gw.layouts[layer] = newLayout
-		_ = moved // propagation below diffs child regions itself
-		return true, p.reflowRoot(widths, chans, key, adj)
+		return newLayout, placements, true
 	}
-	return false, nil
+	return nil, nil, false
 }
 
-// rootIntervals snapshots the gateway's current layer partitions as
-// interval widths and channel extents.
-func (p *Plan) rootIntervals() (map[DirLayer]int, map[DirLayer]int) {
-	widths := make(map[DirLayer]int)
-	chans := make(map[DirLayer]int)
-	for _, d := range topology.Directions() {
-		for l, r := range p.nodes[topology.GatewayID].dir(d).parts {
-			k := DirLayer{Direction: d, Layer: l}
-			widths[k] = r.Slots
-			chans[k] = r.Channels
-		}
-	}
-	return widths, chans
-}
-
-// reflowFits reports whether the interval widths fit the data sub-frame.
-func (p *Plan) reflowFits(widths map[DirLayer]int) bool {
-	total := 0
-	for _, w := range widths {
-		total += w
-	}
-	return total <= p.Frame.DataSlots
-}
-
-// reflowRoot lays the gateway's layer partitions out as ordered intervals
-// with minimal movement: each interval keeps its current origin unless the
-// preceding intervals now reach past it. Changed partitions propagate down
-// (with unchanged descendants skipped); the target key always propagates,
-// because its *internal* layout changed even when its interval did not.
-func (p *Plan) reflowRoot(widths map[DirLayer]int, chans map[DirLayer]int, target DirLayer, adj *Adjustment) error {
+// rootParts returns the gateway's current layer partitions per direction.
+func (p *Plan) rootParts() [2]map[int]schedule.Region {
 	gw := p.nodes[topology.GatewayID]
-	comps := make(map[DirLayer]Component, len(widths))
-	for k, w := range widths {
-		comps[k] = Component{Slots: w, Channels: chans[k]}
-	}
-	cursor := 0
-	for _, k := range CompliantOrder(comps) {
-		w := widths[k]
-		if w == 0 {
-			continue
-		}
-		origin := cursor
-		if old, ok := gw.dir(k.Direction).parts[k.Layer]; ok && old.Slot >= cursor && old.Slot+w <= p.Frame.DataSlots {
-			origin = old.Slot // keep position; preserve any gap before it
-		}
-		if origin+w > p.Frame.DataSlots {
-			return fmt.Errorf("core: root reflow escapes data sub-frame at %v", k)
-		}
-		region := schedule.Region{Slot: origin, Channel: 0, Slots: w, Channels: chans[k]}
-		cursor = origin + w
-		if old, ok := gw.dir(k.Direction).parts[k.Layer]; ok && old == region && k != target {
-			continue
-		}
+	return [2]map[int]schedule.Region{gw.dir(topology.Uplink).parts, gw.dir(topology.Downlink).parts}
+}
+
+// applyRoot installs root placements and propagates them down (unchanged
+// descendants are skipped).
+func (p *Plan) applyRoot(placements []RootPlacement, adj *Adjustment) error {
+	for _, pl := range placements {
 		adj.MovedPartitions++
-		if err := p.propagateRegion(topology.GatewayID, k.Direction, k.Layer, region, adj); err != nil {
+		if err := p.propagateRegion(topology.GatewayID, pl.Key.Direction, pl.Key.Layer, pl.Region, adj); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// rootWiden grows the gateway's *own-layer* partition (a single-channel
+// strip) to the requested width.
+func (p *Plan) rootWiden(dir topology.Direction, layer int, comp Component, adj *Adjustment) (bool, error) {
+	placements, ok := ReflowRoot(p.rootParts(), DirLayer{Direction: dir, Layer: layer}, comp, p.Frame)
+	if !ok {
+		return false, nil
+	}
+	gw := p.nodes[topology.GatewayID].dir(dir)
+	if idx := layer - gw.iface.FirstLayer; idx >= 0 && idx < len(gw.iface.Comps) {
+		gw.iface.Comps[idx] = comp
+	}
+	return true, p.applyRoot(placements, adj)
+}
+
+// rootHost extends the gateway's layer partition to host a grown child
+// component, committing the recompositions pending below it.
+func (p *Plan) rootHost(dir topology.Direction, layer int, cur topology.NodeID, curComp Component, pending []pendingRecompose, adj *Adjustment) (bool, error) {
+	gw := p.nodes[topology.GatewayID].dir(dir)
+	newLayout, placements, ok := RootHost(p.rootParts(), DirLayer{Direction: dir, Layer: layer},
+		gw.layouts[layer], gw.childComps[layer], cur, curComp, p.Frame)
+	if !ok {
+		return false, nil
+	}
+	p.commitPending(dir, layer, pending)
+	if gw.childComps[layer] == nil {
+		gw.childComps[layer] = make(map[topology.NodeID]Component)
+	}
+	gw.childComps[layer][cur] = curComp
+	gw.layouts[layer] = newLayout
+	return true, p.applyRoot(placements, adj)
 }
 
 // CompliantOrder returns the root placement order of §IV-C: uplink layers

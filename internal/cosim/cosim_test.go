@@ -72,6 +72,17 @@ func runAdjustScenario(t *testing.T, seed int64) *CoSim {
 // kernel (0 = single heap).
 func runAdjustScenarioShards(t *testing.T, seed int64, shards int) *CoSim {
 	t.Helper()
+	cs := newAdjustScenario(t, seed, shards)
+	if err := cs.RunSlotframes(6); err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
+
+// newAdjustScenario builds the scenario with its trigger scheduled, not yet
+// run.
+func newAdjustScenario(t *testing.T, seed int64, shards int) *CoSim {
+	t.Helper()
 	tree := topology.Fig1()
 	tasks, err := traffic.UniformEcho(tree, 1)
 	if err != nil {
@@ -98,9 +109,6 @@ func runAdjustScenarioShards(t *testing.T, seed int64, shards int) *CoSim {
 			t.Error(err)
 		}
 	})
-	if err := cs.RunSlotframes(6); err != nil {
-		t.Fatal(err)
-	}
 	return cs
 }
 

@@ -12,15 +12,15 @@ import (
 // event-driven stepper: with the protocol side demanding slots only while an
 // adjustment is in flight, the skipping MAC must reproduce the serial run
 // exactly — same commits, same packet records, same counters — while
-// executing strictly fewer slots.
+// executing strictly fewer slots. The serial reference registers a no-op
+// EachSlot consumer, which makes the stepper execute every slot.
 func TestSkipEquivalenceAdjustScenario(t *testing.T) {
-	run := func(serial bool) *CoSim {
-		prev := sim.SetSerialSteppingDefault(serial)
-		defer sim.SetSerialSteppingDefault(prev)
-		return runAdjustScenario(t, 9)
+	ser := newAdjustScenario(t, 9, 0)
+	ser.Sim.EachSlot(func(*sim.Simulator) {})
+	if err := ser.RunSlotframes(6); err != nil {
+		t.Fatal(err)
 	}
-	ser := run(true)
-	skip := run(false)
+	skip := runAdjustScenario(t, 9)
 	if got, want := skip.Sim.ExecutedSlots(), ser.Sim.ExecutedSlots(); got >= want {
 		t.Errorf("skipping stepper executed %d slots, serial %d — no slots were skipped", got, want)
 	}

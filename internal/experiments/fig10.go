@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/harpnet/harp/internal/agent"
-	"github.com/harpnet/harp/internal/core"
 	"github.com/harpnet/harp/internal/cosim"
 	"github.com/harpnet/harp/internal/obs"
 	"github.com/harpnet/harp/internal/schedule"
@@ -31,23 +29,16 @@ type Fig10Config struct {
 	TotalSlotframes int
 	PDR             float64
 	Seed            int64
-	// Trace enables protocol tracing on the measured co-simulation; the
-	// causal event trace lands in Fig10Result.Trace. Ignored by the
-	// analytic ablation (there is no protocol exchange to trace).
+	// Trace enables protocol tracing; the causal event trace lands in
+	// Fig10Result.Trace.
 	Trace bool
-	// Analytic selects the ablation: instead of co-simulating the real
-	// protocol exchange, the adjustment runs on a centralized plan and the
-	// schedule swap is delayed by the §VI-A half-slotframe-per-message
-	// model. The default (false) measures the disruption window from the
-	// slot the actual CoAP exchange commits on the shared clock.
-	Analytic bool
 	// Inspect, when non-nil, receives live read-only telemetry snapshots
 	// (one per slotframe window plus a final one carrying the health
-	// report) for the -http inspection endpoint. Measured mode only.
+	// report) for the -http inspection endpoint.
 	Inspect *obs.Inspector
 }
 
-// DefaultFig10 returns the paper's scenario (measured co-simulation).
+// DefaultFig10 returns the paper's scenario.
 func DefaultFig10() Fig10Config {
 	return Fig10Config{
 		Node:            15,
@@ -71,11 +62,8 @@ type Fig10Event struct {
 	DelaySec   float64 // disruption window: rate step to schedule swap
 	Slotframes int     // window in whole slotframes
 	// CommitSlot is the absolute slot the new schedule entered the MAC
-	// (measured mode only; -1 in the analytic ablation).
+	// (zero while Case is "uncommitted").
 	CommitSlot int
-	// Measured reports whether the window was observed on the shared clock
-	// (true) or injected by the analytic model (false).
-	Measured bool
 }
 
 // Fig10Result carries the latency trace of the observed node's task.
@@ -87,37 +75,35 @@ type Fig10Result struct {
 	// MaxLatencySec is the worst packet latency observed (the spike of the
 	// second adjustment).
 	MaxLatencySec float64
-	// SwapDrops counts packets stranded by mid-run schedule swaps
-	// (measured mode only).
+	// SwapDrops counts packets stranded by mid-run schedule swaps.
 	SwapDrops int
-	// Trace is the causal protocol event trace (measured mode with
-	// Fig10Config.Trace set; nil otherwise).
+	// Trace is the causal protocol event trace (nil unless
+	// Fig10Config.Trace is set).
 	Trace []obs.Event
 	// EscCommit is the dynamic phase's escalation→commit latency
-	// distribution in milli-slots (measured mode only).
+	// distribution in milli-slots.
 	EscCommit obs.Hist
-	// Health is the end-of-run SLO verdict against the default budgets
-	// (measured mode only; nil in the analytic ablation).
+	// Health is the end-of-run SLO verdict against the default budgets.
 	Health *obs.HealthReport
 }
 
 // fig10Provisioning returns the scenario's task set and provisioned
-// per-link demand: every link carries its task demand, the observed node's
-// path links get one spare cell beyond it — the "idle cells in the
+// per-link demand: every link carries its task demand, and the observed
+// node's path links get one spare cell beyond it — the "idle cells in the
 // allocated partition" that let the first rate step resolve locally on the
-// paper's testbed — and top rates start at one packet/slotframe.
-func fig10Provisioning(tree *topology.Tree, node topology.NodeID) (*traffic.Set, map[topology.Link]int, map[topology.Link]float64, error) {
+// paper's testbed.
+func fig10Provisioning(tree *topology.Tree, node topology.NodeID) (*traffic.Set, map[topology.Link]int, error) {
 	tasks, err := traffic.UniformEcho(tree, 1)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	baseDemand, err := traffic.Compute(tree, tasks)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	path, err := tree.PathToGateway(node)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	slackLinks := make(map[topology.Link]bool)
 	for _, hop := range path[:len(path)-1] {
@@ -126,38 +112,28 @@ func fig10Provisioning(tree *topology.Tree, node topology.NodeID) (*traffic.Set,
 		}
 	}
 	inflated := make(map[topology.Link]int)
-	rates := make(map[topology.Link]float64)
 	for _, l := range baseDemand.Links() {
 		inflated[l] = baseDemand.Cells(l)
 		if slackLinks[l] {
 			inflated[l]++
 		}
-		rates[l] = 1
 	}
-	return tasks, inflated, rates, nil
+	return tasks, inflated, nil
 }
 
-// Fig10 runs the dynamic traffic-change scenario: co-simulated by default,
-// analytically modelled when cfg.Analytic is set.
+// Fig10 co-simulates the dynamic traffic-change scenario: each rate step
+// triggers the real CoAP adjustment protocol over management cells on the
+// shared virtual clock, the data plane keeps flowing over the OLD schedule
+// while the exchange is in flight, and the swap lands at the slot the
+// protocol actually commits — the disruption window is measured, not
+// modelled.
 func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	tree := topology.Testbed50()
 	frame := TestbedSlotframe()
 	if !tree.Has(cfg.Node) || cfg.Node == topology.GatewayID {
 		return Fig10Result{}, fmt.Errorf("experiments: invalid observed node %d", cfg.Node)
 	}
-	if cfg.Analytic {
-		return fig10Analytic(cfg, tree, frame)
-	}
-	return fig10Measured(cfg, tree, frame)
-}
-
-// fig10Measured co-simulates the scenario: each rate step triggers the
-// real CoAP adjustment protocol over management cells on the shared
-// virtual clock, the data plane keeps flowing over the OLD schedule while
-// the exchange is in flight, and the swap lands at the slot the protocol
-// actually commits — the disruption window is measured, not modelled.
-func fig10Measured(cfg Fig10Config, tree *topology.Tree, frame schedule.Slotframe) (Fig10Result, error) {
-	tasks, inflated, _, err := fig10Provisioning(tree, cfg.Node)
+	tasks, inflated, err := fig10Provisioning(tree, cfg.Node)
 	if err != nil {
 		return Fig10Result{}, err
 	}
@@ -179,9 +155,10 @@ func fig10Measured(cfg Fig10Config, tree *topology.Tree, frame schedule.Slotfram
 	}
 
 	// provisioned tracks each link's current allocation so a step requests
-	// adjustment only where its new demand overflows it (same growth
-	// policy as the analytic path: the new requirement plus one spare cell
-	// to drain the backlog built during reconfiguration; never shrink).
+	// adjustment only where its new demand overflows it. Growth policy:
+	// the new requirement plus one spare cell to drain the backlog built
+	// during reconfiguration; never shrink — releases would not return
+	// partition space anyway (§V).
 	provisioned := inflated
 	type stepMeta struct {
 		slot int
@@ -226,12 +203,7 @@ func fig10Measured(cfg Fig10Config, tree *topology.Tree, frame schedule.Slotfram
 	slotSec := frame.SlotDuration.Seconds()
 	var events []Fig10Event
 	for i, st := range steps {
-		ev := Fig10Event{
-			AtSec:      float64(st.slot) * slotSec,
-			Rate:       st.rate,
-			CommitSlot: -1,
-			Measured:   true,
-		}
+		ev := Fig10Event{AtSec: float64(st.slot) * slotSec, Rate: st.rate}
 		if i < len(cs.Commits) {
 			cm := cs.Commits[i]
 			ev.Messages = cm.Messages
@@ -261,111 +233,6 @@ func fig10Measured(cfg Fig10Config, tree *topology.Tree, frame schedule.Slotfram
 	res.Health = &health
 	cs.PublishState(true, res.Health)
 	return res, nil
-}
-
-// fig10Analytic is the labelled ablation: the adjustment runs on a
-// centralized plan and the schedule swap is delayed by the analytic
-// half-slotframe-per-message timing model of §VI-A, with no protocol
-// traffic simulated.
-func fig10Analytic(cfg Fig10Config, tree *topology.Tree, frame schedule.Slotframe) (Fig10Result, error) {
-	tasks, inflated, rates, err := fig10Provisioning(tree, cfg.Node)
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	plan, err := core.NewPlanFromLinkDemand(tree, frame, inflated, rates, core.Options{RootGap: 2})
-	if err != nil {
-		return Fig10Result{}, err
-	}
-
-	simulator, err := sim.New(sim.Config{Tree: tree, Frame: frame, Tasks: tasks, PDR: cfg.PDR, Seed: cfg.Seed})
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	sched, err := plan.BuildSchedule()
-	if err != nil {
-		return Fig10Result{}, err
-	}
-	simulator.SetSchedule(sched)
-
-	var events []Fig10Event
-	// applyStep raises the observed node's task rate at the given slot; the
-	// HARP adjustment runs on the plan and the reconfigured schedule is
-	// installed after the modelled signalling delay.
-	applyStep := func(atSlotframe int, rate float64) {
-		slot := atSlotframe * frame.Slots
-		simulator.At(slot, func(s *sim.Simulator) {
-			_ = s.SetTaskRate(traffic.TaskID(cfg.Node), rate) //harplint:allow errcheck rate steps target the sim best-effort; the checked SetRate below is authoritative
-			// Update the demand of every link on the task's path.
-			if err := tasks.SetRate(traffic.TaskID(cfg.Node), rate); err != nil {
-				return
-			}
-			newDemand, err := traffic.Compute(tree, tasks)
-			if err != nil {
-				return
-			}
-			totalMsgs, schedMsgs, maxClimb := 0, 0, 0
-			worst := core.CaseRelease
-			for _, l := range newDemand.Links() {
-				// The same policy on growth: the new requirement plus one
-				// spare cell (letting the backlog built during
-				// reconfiguration drain); never shrink — releases would
-				// not return partition space anyway (§V).
-				needed := newDemand.Cells(l)
-				if needed <= plan.Demand(l) {
-					continue // provisioned capacity already covers it
-				}
-				target := needed + 1
-				flows := newDemand.Flows(l)
-				top := 1.0
-				if len(flows) > 0 {
-					top = flows[0].Task.Rate
-				}
-				adj, err := plan.SetLinkDemand(l, target, top)
-				if err != nil || adj.Case == core.CaseRejected {
-					continue
-				}
-				totalMsgs += adj.TotalMessages()
-				schedMsgs += adj.ScheduleMessages
-				if adj.LayersClimbed > maxClimb {
-					maxClimb = adj.LayersClimbed
-				}
-				if adj.Case > worst {
-					worst = adj.Case
-				}
-			}
-			// Each protocol message waits on average half a slotframe for
-			// its management cell (§VI-A timing model). The request climbs
-			// serially; partition grants and schedule notices fan out in
-			// parallel down the tree, so the critical path is roughly the
-			// climb plus the downward cascade plus one schedule update.
-			delaySlots := int(math.Ceil(0.5 * float64(frame.Slots) * float64(2*maxClimb+2)))
-			if delaySlots < 1 {
-				delaySlots = 1
-			}
-			events = append(events, Fig10Event{
-				AtSec:      float64(slot) * frame.SlotDuration.Seconds(),
-				Rate:       rate,
-				Case:       worst.String(),
-				Messages:   totalMsgs,
-				SchedMsgs:  schedMsgs,
-				DelaySec:   float64(delaySlots) * frame.SlotDuration.Seconds(),
-				Slotframes: (delaySlots + frame.Slots - 1) / frame.Slots,
-				CommitSlot: -1,
-			})
-			s.At(slot+delaySlots, func(s2 *sim.Simulator) {
-				if newSched, err := plan.BuildSchedule(); err == nil {
-					s2.SetSchedule(newSched)
-				}
-			})
-		})
-	}
-	applyStep(cfg.Step1At, cfg.Step1Rate)
-	applyStep(cfg.Step2At, cfg.Step2Rate)
-
-	if err := simulator.RunSlotframes(cfg.TotalSlotframes); err != nil {
-		return Fig10Result{}, err
-	}
-	return fig10Trace(cfg, simulator.Records(), frame, events), nil
 }
 
 // fig10Trace extracts the observed node's latency trace from the packet

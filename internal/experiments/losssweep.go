@@ -111,7 +111,7 @@ type LossSweepResult struct {
 func lossSweepRun(cfg LossSweepConfig, pdr float64) (LossSweepPoint, *schedule.Schedule, []obs.Event, error) {
 	tree := topology.Testbed50()
 	frame := TestbedSlotframe()
-	tasks, inflated, _, err := fig10Provisioning(tree, cfg.Node)
+	tasks, inflated, err := fig10Provisioning(tree, cfg.Node)
 	if err != nil {
 		return LossSweepPoint{}, nil, nil, err
 	}

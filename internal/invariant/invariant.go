@@ -239,9 +239,8 @@ func fleetCells(f *agent.Fleet, l topology.Link) []schedule.Cell {
 // centralized plan is supplied, it additionally asserts convergence: the
 // distributed execution must hold exactly the partitions and cell
 // assignments the centralized planner computed from the same inputs. Call
-// it only after the transport has drained (Bus.Run returned or
-// Live.WaitIdle reported idle); mid-protocol states are legitimately
-// inconsistent.
+// it only after the transport has drained (Bus.Run returned);
+// mid-protocol states are legitimately inconsistent.
 func CheckFleet(f *agent.Fleet, p *core.Plan) error {
 	data := f.Frame.DataRegion()
 	maxLayer := f.Tree.MaxLayer()

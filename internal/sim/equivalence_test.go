@@ -36,10 +36,11 @@ func snapshotCounters(s *Simulator) simCounters {
 	}
 }
 
-// requireEquivalent runs a scenario in both stepping modes and requires
-// byte-identical packet records and counters, with the skipping stepper
-// provably executing fewer slots (otherwise the test degenerates into
-// comparing a run against itself).
+// requireEquivalent runs a scenario with and without slot skipping and
+// requires byte-identical packet records and counters, with the skipping
+// stepper provably executing fewer slots (otherwise the test degenerates
+// into comparing a run against itself). The serial reference registers a
+// no-op EachSlot consumer, which makes the stepper execute every slot.
 func requireEquivalent(t *testing.T, run func(t *testing.T, serial bool) *Simulator) {
 	t.Helper()
 	serial := run(t, true)
@@ -72,7 +73,9 @@ func TestSkipEquivalenceChainLossy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSerialStepping(serial)
+		if serial {
+			s.EachSlot(func(*Simulator) {})
+		}
 		s.SetSchedule(harpSchedule(t, tree, tasks, f))
 		// The swap target comes from an independent build at the post-change
 		// rate, as the adjustment pipeline would produce.
@@ -108,7 +111,9 @@ func TestSkipEquivalenceTestbedIdle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSerialStepping(serial)
+		if serial {
+			s.EachSlot(func(*Simulator) {})
+		}
 		s.SetSchedule(harpSchedule(t, tree, tasks, f))
 		if err := s.RunSlotframes(6); err != nil {
 			t.Fatal(err)

@@ -230,10 +230,6 @@ type Simulator struct {
 	busyCount  []int
 	busyBits   []uint64
 
-	// serial forces one step per slot — the reference stepping mode the
-	// equivalence tests diff the skipping stepper against.
-	serial bool
-
 	// Run bookkeeping. runEnd is the absolute end slot of the current Run;
 	// nextTick is the slot the stepper executes next. nextTick > now means
 	// the stepper is inside a skipped idle gap, where Now() derives the
@@ -333,25 +329,6 @@ func (g *taskGen) nextRelease(frameSlots int) float64 {
 // moved.
 func (g *taskGen) refresh(frameSlots int) { g.nextAt = g.nextRelease(frameSlots) }
 
-// serialDefault is the stepping mode new simulators start in; see
-// SetSerialSteppingDefault.
-var serialDefault bool
-
-// SetSerialSteppingDefault sets whether new simulators step serially (one
-// clock event per slot) instead of skipping provably idle slots, and
-// returns the previous default — the save/restore idiom the equivalence
-// tests use, mirroring parallel.SetWorkers. Both modes produce
-// byte-identical records, counters and RNG draws; serial is the reference.
-func SetSerialSteppingDefault(serial bool) (prev bool) {
-	prev = serialDefault
-	serialDefault = serial
-	return prev
-}
-
-// SetSerialStepping switches this simulator between serial stepping and
-// event-driven slot skipping. Must be called between Run calls.
-func (s *Simulator) SetSerialStepping(serial bool) { s.serial = serial }
-
 // New builds a simulator. The schedule is installed separately with
 // SetSchedule so callers can swap schedules mid-run (dynamic adjustment).
 func New(cfg Config) (*Simulator, error) {
@@ -392,7 +369,6 @@ func New(cfg Config) (*Simulator, error) {
 		usersCh:     make([]int, cfg.Frame.Channels),
 		busyCount:   make([]int, cfg.Frame.Slots),
 		busyBits:    make([]uint64, bitset.Words(cfg.Frame.Slots)),
-		serial:      serialDefault,
 	}
 	for _, t := range cfg.Tasks.Tasks() { // Tasks() is sorted by ID
 		st := &taskGen{task: t}
@@ -503,7 +479,7 @@ func (s *Simulator) freePacket(p *packet) { s.pool = append(s.pool, p) }
 // Now returns the current absolute slot index. Inside a skipped idle gap
 // the index is derived from the clock, clamped to the gap target, so
 // foreign events on a shared clock observe exactly the slot index they
-// would under serial stepping.
+// would if every slot were executed.
 func (s *Simulator) Now() int {
 	if s.nextTick > s.now {
 		if d := int(math.Ceil(s.clock.Now() - s.origin)); d > s.now {
@@ -733,11 +709,11 @@ type slotDemand struct {
 // a demand function the event-driven stepper consults when it computes the
 // next active slot: need(next) returns the earliest slot >= next the
 // consumer requires, or ok=false when it currently requires none. fn still
-// runs at every executed slot (in serial mode, that is every slot). The
-// co-simulation harness demands every slot only while an adjustment is in
-// flight — its commit must land at the first slot boundary after the
-// control plane quiesces — and nothing once quiesced, which is what lets
-// idle data-plane gaps collapse into single clock events.
+// runs at every executed slot. The co-simulation harness demands every
+// slot only while an adjustment is in flight — its commit must land at the
+// first slot boundary after the control plane quiesces — and nothing once
+// quiesced, which is what lets idle data-plane gaps collapse into single
+// clock events.
 //
 // The demand function is re-evaluated after every executed slot, so state
 // feeding it must change only inside slot callbacks (At, EachSlot, the fns
@@ -754,10 +730,11 @@ func (s *Simulator) EachSlotDemand(fn func(*Simulator), need func(next int) (int
 // it, advancing the slot counter in bulk across the gap. An idle slot
 // touches no queue, no counter and draws no randomness — transmission
 // attempts exist only for non-empty queues — so the skip is exact: records,
-// counters and RNG streams are byte-identical to serial stepping
-// (SetSerialStepping). On a shared clock, other consumers' events due
-// inside a gap still run at their own times, and observe the same Now()
-// they would under serial stepping.
+// counters and RNG streams are byte-identical to executing every slot
+// (which registering an EachSlot consumer forces — the reference the
+// equivalence tests diff against). On a shared clock, other consumers'
+// events due inside a gap still run at their own times, and observe the
+// same Now() they would if every slot were executed.
 func (s *Simulator) Run(n int) error {
 	if n <= 0 {
 		return nil
@@ -778,10 +755,7 @@ func (s *Simulator) Run(n int) error {
 		if err := s.step(); err != nil {
 			return err
 		}
-		target = s.now // step advanced to the next slot
-		if !s.serial {
-			target = s.nextActiveSlot(s.now, s.runEnd)
-		}
+		target = s.nextActiveSlot(s.now, s.runEnd) // step advanced s.now
 	}
 	s.nextTick = s.runEnd
 	s.clock.RunUntil(s.origin + float64(s.runEnd)) // trailing gap

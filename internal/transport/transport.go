@@ -1,26 +1,21 @@
 // Package transport carries encoded CoAP messages between HARP node
-// agents. Two transports are provided:
+// agents over Bus, a deterministic virtual-time transport. Message latency
+// models the management sub-frame of §VI-A — a node's protocol message
+// waits for the node's next management cell, i.e. a uniform fraction of a
+// slotframe per hop — and time is tracked in slots, which is how the
+// Table II "Time" and "SF" columns are measured. Deliveries are events on
+// a vclock.Clock; with NewBusOnClock the bus shares that clock with the
+// MAC simulator, so control-plane messages and data-plane slots interleave
+// on one timeline (the co-simulation of §VI-C).
 //
-//   - Bus: a deterministic virtual-time transport. Message latency models
-//     the management sub-frame of §VI-A — a node's protocol message waits
-//     for the node's next management cell, i.e. a uniform fraction of a
-//     slotframe per hop — and time is tracked in slots, which is how the
-//     Table II "Time" and "SF" columns are measured. Deliveries are events
-//     on a vclock.Clock; with NewBusOnClock the bus shares that clock with
-//     the MAC simulator, so control-plane messages and data-plane slots
-//     interleave on one timeline (the co-simulation of §VI-C).
-//
-//   - Live: a goroutine-per-node transport over channels, demonstrating
-//     the same agents running genuinely concurrently.
-//
-// Both transports move raw bytes: messages are CoAP-encoded on send and
-// decoded at the receiver, so the full codec path is exercised.
+// The bus moves raw bytes: messages are CoAP-encoded on send and decoded
+// at the receiver, so the full codec path is exercised.
 //
 // # Fault model
 //
-// By default both transports deliver every message exactly once — the
-// ideal channel all existing baselines are measured on. SetFaults turns on
-// per-delivery Bernoulli loss and (on the Bus) duplication, drawn from a
+// By default the bus delivers every message exactly once — the ideal
+// channel all existing baselines are measured on. SetFaults turns on
+// per-delivery Bernoulli loss and duplication, drawn from a
 // dedicated RNG stream ("transport.fault") so enabling faults never
 // perturbs the latency draws of a lossless run; Crash/Restart script node
 // outages. EnableReliability layers RFC 7252 §4.2 confirmable-message
@@ -48,9 +43,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/obs"
@@ -79,19 +71,14 @@ type Network interface {
 	Send(from, to topology.NodeID, msg coap.Message) error
 }
 
-// Errors returned by transports.
-var (
-	ErrUnknownNode = errors.New("transport: unknown node")
-	ErrClosed      = errors.New("transport: closed")
-)
+// ErrUnknownNode is returned by Send for an unregistered destination.
+var ErrUnknownNode = errors.New("transport: unknown node")
 
-// envelope is one in-flight message. On the Bus, envelopes are pooled:
-// refs counts the live references (scheduled delivery copies plus, for
-// confirmable messages, the owning exchange), and hitting zero returns the
-// envelope — wire buffer included — to the bus's free list, so a
-// steady-state run recycles a handful of envelopes instead of allocating
-// one per message. The Live transport passes envelopes by value and
-// ignores the pooling fields.
+// envelope is one in-flight message. Envelopes are pooled: refs counts the
+// live references (scheduled delivery copies plus, for confirmable
+// messages, the owning exchange), and hitting zero returns the envelope —
+// wire buffer included — to the bus's free list, so a steady-state run
+// recycles a handful of envelopes instead of allocating one per message.
 type envelope struct {
 	from, to topology.NodeID
 	// fi, ti are the bus's dense slots for from/to (see Bus.nodes); the
@@ -103,7 +90,7 @@ type envelope struct {
 	// tracing is off); every later event of the message — delivery,
 	// fault, retransmission, ACK — is parented to it.
 	span uint64
-	// refs is the pool reference count (Bus only).
+	// refs is the pool reference count.
 	refs int32
 	// reliable marks a confirmable application message owned by an
 	// exchange: its in-flight slot is retired when the exchange resolves,
@@ -951,422 +938,4 @@ func (b *Bus) CountKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// liveExKey identifies a Live exchange: unlike the bus, Live does not
-// serialise exchanges per pair, so the Message-ID is part of the key.
-type liveExKey struct {
-	from, to topology.NodeID
-	mid      uint16
-}
-
-// liveExchange is one outstanding confirmable exchange on the live
-// transport; timer is the pending real-time retransmission.
-type liveExchange struct {
-	env   envelope
-	ex    *coap.Exchange
-	timer *time.Timer
-}
-
-// Live is a goroutine-per-node channel transport. Each registered node gets
-// a dedicated delivery goroutine; Send never blocks the caller as long as
-// the node's inbox has room. EnableReliability adds the same CON/ACK
-// machinery as the bus, on real-time timers: an unresolved exchange holds
-// its in-flight slot, so WaitIdle cannot report idle while a confirmable
-// message still awaits its ACK or a retransmission is pending.
-type Live struct {
-	mu       sync.Mutex
-	inboxes  map[topology.NodeID]chan envelope
-	handlers map[topology.NodeID]Handler
-	wg       sync.WaitGroup
-	closed   bool
-
-	// inFlight counts accepted, not-yet-settled messages; idle is closed
-	// whenever inFlight reaches zero and replaced when work starts, so
-	// WaitIdle blocks on a channel instead of polling. Both are guarded
-	// by mu. A Send inside a Handle increments before the handled
-	// message's decrement, so inFlight==0 is a true quiescent point.
-	inFlight int
-	idle     chan struct{}
-
-	// Reliability and fault state, guarded by mu. Time for the exchange
-	// state machines is seconds since epoch.
-	reliable bool
-	rparams  coap.ReliabilityParams
-	epoch    time.Time
-	drop     float64
-	rnd      *rand.Rand
-	lexch    map[liveExKey]*liveExchange
-	dedup    map[topology.NodeID]*coap.DedupCache
-	stats    FaultStats
-
-	// Delivered counts messages handled.
-	Delivered atomic.Int64
-}
-
-// liveInboxDepth bounds each registered node's delivery queue. A full
-// inbox drops the copy (see post); with reliability on, retransmissions
-// recover the loss.
-const liveInboxDepth = 256
-
-// NewLive builds a live transport. Each node registered later gets a
-// delivery goroutine fed by a queue of liveInboxDepth messages.
-func NewLive() *Live {
-	idle := make(chan struct{})
-	close(idle) // no work yet: born idle
-	return &Live{
-		inboxes:  make(map[topology.NodeID]chan envelope),
-		handlers: make(map[topology.NodeID]Handler),
-		idle:     idle,
-	}
-}
-
-// EnableReliability turns on confirmable-message reliability with real-time
-// retransmission timers. Unlike the bus, Live runs exchanges concurrently
-// (no NSTART gate): inbox channels already serialise per-receiver, and the
-// race tests exercise concurrency, not ordering.
-//
-//harplint:realtime
-func (l *Live) EnableReliability(ackTimeout time.Duration, maxRetransmit int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.reliable = true
-	l.rparams = coap.ReliabilityParams{
-		AckTimeout:    ackTimeout.Seconds(),
-		RandomFactor:  1.5,
-		MaxRetransmit: maxRetransmit,
-	}
-	if l.lexch == nil {
-		l.lexch = make(map[liveExKey]*liveExchange)
-		l.dedup = make(map[topology.NodeID]*coap.DedupCache)
-	}
-	if l.epoch.IsZero() {
-		l.epoch = time.Now() //harplint:allow determinism Live is the wall-clock transport
-	}
-	if l.rnd == nil {
-		l.rnd = vclock.NewStream(vclock.StreamLiveJitter, 1)
-	}
-}
-
-// SetFaults configures Bernoulli delivery loss (data and ACK copies alike);
-// seed makes a run's draw sequence reproducible modulo goroutine order.
-func (l *Live) SetFaults(drop float64, seed int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.drop = drop
-	l.rnd = vclock.NewStream(vclock.StreamLiveJitter, seed)
-}
-
-// Stats returns a snapshot of the fault/reliability counters.
-func (l *Live) Stats() FaultStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.stats
-}
-
-// Register attaches a node and starts its delivery goroutine.
-func (l *Live) Register(id topology.NodeID, h Handler) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	inbox := make(chan envelope, liveInboxDepth)
-	l.inboxes[id] = inbox
-	l.handlers[id] = h
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		for e := range inbox {
-			l.dispatch(e, h)
-		}
-	}()
-}
-
-// dispatch processes one delivered copy on the receiver's goroutine.
-func (l *Live) dispatch(e envelope, h Handler) {
-	// A plain (unreliable, non-control) message settles at this event
-	// whatever happens to it; confirmable messages settle with their
-	// exchange and control copies never held a slot.
-	settles := !e.reliable && !e.control
-	if l.dropDelivery() {
-		if settles {
-			l.settle()
-		}
-		return
-	}
-	msg, err := coap.Decode(e.wire)
-	if err != nil {
-		l.mu.Lock()
-		l.stats.DecodeErrors++
-		l.mu.Unlock()
-		if settles {
-			l.settle()
-		}
-		return
-	}
-	if l.isReliable() {
-		switch msg.Type {
-		case coap.Acknowledgement:
-			l.resolveExchange(e, msg.MessageID)
-			return
-		case coap.Confirmable:
-			l.postAck(e, msg.MessageID)
-			if l.duplicate(e.to, e.from, msg.MessageID) {
-				return
-			}
-		}
-	}
-	h.Handle(e.from, msg)
-	l.Delivered.Add(1)
-	if settles {
-		l.settle()
-	}
-}
-
-// dropDelivery draws the Bernoulli loss fault for one delivery.
-func (l *Live) dropDelivery() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.drop <= 0 || l.rnd == nil {
-		return false
-	}
-	if l.rnd.Float64() < l.drop {
-		l.stats.Dropped++
-		return true
-	}
-	return false
-}
-
-func (l *Live) isReliable() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reliable
-}
-
-// duplicate records a confirmable delivery in the receiver's dedup cache
-// and reports whether it was already applied.
-//
-//harplint:realtime
-func (l *Live) duplicate(receiver, peer topology.NodeID, mid uint16) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c := l.dedup[receiver]
-	if c == nil {
-		c = coap.NewDedupCache(l.rparams.ExchangeLifetime())
-		l.dedup[receiver] = c
-	}
-	//harplint:allow determinism Live is the wall-clock transport
-	if c.Observe(uint64(peer), mid, time.Since(l.epoch).Seconds()) {
-		l.stats.DuplicatesSuppressed++
-		return true
-	}
-	return false
-}
-
-// postAck queues the empty ACK for a confirmable delivery. Non-blocking:
-// if the sender's inbox is full the ACK is lost and the sender's
-// retransmission recovers.
-func (l *Live) postAck(e envelope, mid uint16) {
-	ack := coap.EmptyAck(mid)
-	wire, err := ack.Encode()
-	if err != nil {
-		return
-	}
-	l.mu.Lock()
-	l.stats.AcksDelivered++
-	l.mu.Unlock()
-	l.post(envelope{from: e.to, to: e.from, wire: wire, mid: mid, control: true})
-}
-
-// resolveExchange settles the exchange an ACK belongs to.
-func (l *Live) resolveExchange(e envelope, mid uint16) {
-	key := liveExKey{from: e.to, to: e.from, mid: mid}
-	l.mu.Lock()
-	lx, ok := l.lexch[key]
-	if !ok || !lx.ex.Ack(mid) {
-		l.mu.Unlock()
-		return
-	}
-	lx.timer.Stop()
-	delete(l.lexch, key)
-	l.mu.Unlock()
-	l.settle()
-}
-
-// post queues one copy without blocking; a full inbox loses the copy (the
-// reliability layer's retransmissions recover). Sending under mu excludes
-// a concurrent Close of the channel.
-func (l *Live) post(e envelope) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return
-	}
-	inbox, ok := l.inboxes[e.to]
-	if !ok {
-		return
-	}
-	select {
-	case inbox <- e:
-	default:
-	}
-}
-
-// startExchange registers the exchange for a confirmable send, arms its
-// retransmission timer, and posts the first copy.
-//
-//harplint:realtime
-func (l *Live) startExchange(e envelope) {
-	key := liveExKey{from: e.from, to: e.to, mid: e.mid}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		l.settle()
-		return
-	}
-	now := time.Since(l.epoch).Seconds() //harplint:allow determinism Live is the wall-clock transport
-	lx := &liveExchange{env: e, ex: l.rparams.NewExchange(e.mid, now, l.rnd.Float64())}
-	replaced := l.lexch[key]
-	if replaced != nil {
-		replaced.timer.Stop() // Message-ID wrapped onto a live exchange
-	}
-	l.lexch[key] = lx
-	lx.timer = time.AfterFunc(l.after(lx.ex.NextAt, now), func() { l.onRetx(key) })
-	l.mu.Unlock()
-	if replaced != nil {
-		l.settle() // the superseded exchange's slot
-	}
-	l.post(e)
-}
-
-// after converts an absolute exchange time to a timer duration.
-func (l *Live) after(at, now float64) time.Duration {
-	d := time.Duration((at - now) * float64(time.Second))
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
-// onRetx is an exchange's retransmission timer firing.
-//
-//harplint:realtime
-func (l *Live) onRetx(key liveExKey) {
-	l.mu.Lock()
-	lx, ok := l.lexch[key]
-	if !ok || l.closed {
-		l.mu.Unlock()
-		return
-	}
-	now := time.Since(l.epoch).Seconds() //harplint:allow determinism Live is the wall-clock transport
-	if lx.ex.Retransmit(now) {
-		l.stats.Retransmissions++
-		lx.timer = time.AfterFunc(l.after(lx.ex.NextAt, now), func() { l.onRetx(key) })
-		env := lx.env
-		l.mu.Unlock()
-		l.post(env)
-		return
-	}
-	l.stats.GiveUps++
-	delete(l.lexch, key)
-	h := l.handlers[key.from]
-	env := lx.env
-	l.mu.Unlock()
-	if fh, ok := h.(FailureHandler); ok {
-		if msg, err := coap.Decode(env.wire); err == nil {
-			fh.HandleSendFailure(key.to, msg)
-		}
-	}
-	l.settle()
-}
-
-// settle retires one in-flight message and signals quiescence when it was
-// the last.
-func (l *Live) settle() {
-	l.mu.Lock()
-	l.inFlight--
-	if l.inFlight == 0 {
-		close(l.idle)
-	}
-	l.mu.Unlock()
-}
-
-// Send implements Network.
-func (l *Live) Send(from, to topology.NodeID, msg coap.Message) error {
-	l.mu.Lock()
-	inbox, ok := l.inboxes[to]
-	closed := l.closed
-	reliable := l.reliable && msg.Type == coap.NonConfirmable && msg.Code.IsRequest()
-	if reliable {
-		msg.Type = coap.Confirmable
-	}
-	if !closed && ok {
-		if l.inFlight == 0 {
-			l.idle = make(chan struct{}) // going busy
-		}
-		l.inFlight++
-	}
-	l.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-	}
-	wire, err := msg.Encode()
-	if err != nil {
-		l.settle() // the reserved slot never ships
-		return err
-	}
-	e := envelope{from: from, to: to, wire: wire, mid: msg.MessageID, reliable: reliable}
-	if reliable {
-		l.startExchange(e)
-		return nil
-	}
-	inbox <- e
-	return nil
-}
-
-// WaitIdle blocks until no messages are in flight or the timeout passes.
-// Returns true when the network went idle. Quiescence is signalled by the
-// delivery goroutines (a channel closed when the in-flight count hits
-// zero), not polled. With reliability on, an unresolved confirmable
-// exchange keeps the network busy until its ACK arrives or it gives up.
-//
-//harplint:realtime
-func (l *Live) WaitIdle(timeout time.Duration) bool {
-	l.mu.Lock()
-	ch := l.idle
-	l.mu.Unlock()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-timer.C:
-		l.mu.Lock()
-		idle := l.inFlight == 0
-		l.mu.Unlock()
-		return idle
-	}
-}
-
-// Close stops all delivery goroutines and pending retransmission timers.
-func (l *Live) Close() {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	l.closed = true
-	for key, lx := range l.lexch {
-		lx.timer.Stop()
-		delete(l.lexch, key)
-	}
-	for _, inbox := range l.inboxes {
-		close(inbox)
-	}
-	l.mu.Unlock()
-	l.wg.Wait()
 }

@@ -2,9 +2,7 @@ package transport
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/topology"
@@ -13,7 +11,6 @@ import (
 
 // recorder is a Handler capturing deliveries.
 type recorder struct {
-	mu   sync.Mutex
 	msgs []coap.Message
 	from []topology.NodeID
 	// echoTo, when set, forwards each delivery once to the given node.
@@ -23,22 +20,16 @@ type recorder struct {
 }
 
 func (r *recorder) Handle(from topology.NodeID, msg coap.Message) {
-	r.mu.Lock()
 	r.msgs = append(r.msgs, msg)
 	r.from = append(r.from, from)
 	echo := r.echoTo
-	r.mu.Unlock()
 	if echo != 0 && msg.Path() != "echoed" {
 		reply := coap.NewRequest(coap.NonConfirmable, coap.POST, 99, "echoed")
 		_ = r.net.Send(r.self, echo, reply)
 	}
 }
 
-func (r *recorder) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.msgs)
-}
+func (r *recorder) count() int { return len(r.msgs) }
 
 func TestBusDeliversInOrderAndCounts(t *testing.T) {
 	bus, err := NewBus(100, 42)
@@ -143,69 +134,6 @@ func TestBusTimeMonotonic(t *testing.T) {
 	_ = times
 	if h.count() != 20 {
 		t.Fatalf("deliveries = %d", h.count())
-	}
-}
-
-func TestLiveDeliveryAndIdle(t *testing.T) {
-	live := NewLive()
-	defer live.Close()
-	a, b := &recorder{}, &recorder{}
-	live.Register(1, a)
-	live.Register(2, b)
-	for i := 0; i < 10; i++ {
-		if err := live.Send(1, 2, coap.NewRequest(coap.NonConfirmable, coap.POST, uint16(i), "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !live.WaitIdle(2 * time.Second) {
-		t.Fatal("network never idle")
-	}
-	if b.count() != 10 {
-		t.Errorf("deliveries = %d, want 10", b.count())
-	}
-	if live.Delivered.Load() != 10 {
-		t.Errorf("Delivered = %d", live.Delivered.Load())
-	}
-	if err := live.Send(1, 9, coap.Message{}); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("want ErrUnknownNode, got %v", err)
-	}
-}
-
-func TestLiveClose(t *testing.T) {
-	live := NewLive()
-	live.Register(1, &recorder{})
-	live.Close()
-	if err := live.Send(2, 1, coap.Message{}); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
-	}
-	live.Close()                  // idempotent
-	live.Register(3, &recorder{}) // no-op after close, must not panic
-}
-
-func TestLiveConcurrentSenders(t *testing.T) {
-	live := NewLive()
-	defer live.Close()
-	sink := &recorder{}
-	live.Register(1, sink)
-	for i := 2; i <= 5; i++ {
-		live.Register(topology.NodeID(i), &recorder{})
-	}
-	var wg sync.WaitGroup
-	for s := 2; s <= 5; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				_ = live.Send(topology.NodeID(s), 1, coap.NewRequest(coap.NonConfirmable, coap.POST, uint16(i), "x"))
-			}
-		}(s)
-	}
-	wg.Wait()
-	if !live.WaitIdle(2 * time.Second) {
-		t.Fatal("network never idle")
-	}
-	if sink.count() != 100 {
-		t.Errorf("deliveries = %d, want 100", sink.count())
 	}
 }
 

@@ -447,9 +447,6 @@ const (
 	StreamFault Stream = "transport.fault"
 	// StreamRetx drives CoAP retransmission jitter on the virtual bus.
 	StreamRetx Stream = "transport.retx"
-	// StreamLiveJitter drives the wall-clock Live transport's drop and
-	// retransmission jitter.
-	StreamLiveJitter Stream = "transport.live.jitter"
 	// StreamSimMAC drives the TSCH MAC simulator (interferer on/off,
 	// per-attempt loss draws).
 	StreamSimMAC Stream = "sim.mac"

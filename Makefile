@@ -2,13 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-json fmt vet fuzz determinism benchgate bench faultsoak trace-smoke scale-smoke chaos-soak metrics-smoke check clean
-
-# Normalisation for report diffs: host and wall-time fields differ between
-# runs by construction, and the scale study's throughput/footprint keys
-# (*_per_sec, *_bytes_per_node) are host-dependent by design — the gate
-# bounds those with a ratio band instead.
-JQ_NORM = del(.host, .total_sec, .workers) | .experiments |= map(del(.wall_sec) | .metrics |= with_entries(select((.key | endswith("_per_sec") or endswith("_bytes_per_node")) | not)))
+.PHONY: all build test race lint lint-json fmt vet fuzz bench faultsoak trace-smoke scale-smoke chaos-soak metrics-smoke check clean
 
 all: build
 
@@ -28,10 +22,11 @@ race:
 # fire (stale entries are findings), so it can only be burned down.
 #
 # The simulation core runs on one virtual clock and is driven from one
-# goroutine, so it carries no wall-clock or determinism exemption at all;
-# the grep keeps that count at zero (the audited real-time boundaries live
-# in cmd/, internal/obs/http.go and internal/experiments/scale.go).
-NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim
+# goroutine, and every experiment reports virtual-time results only, so
+# neither carries a wall-clock or determinism exemption at all; the grep
+# keeps that count at zero (the audited real-time boundaries live in cmd/
+# and internal/obs/http.go).
+NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments
 lint:
 	$(GO) run ./cmd/harplint -baseline harplint.baseline.json ./...
 	@if grep -rnE 'harplint:(realtime|allow determinism)' $(NO_EXEMPT_PKGS); then \
@@ -57,72 +52,49 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzGridBitset -fuzztime=$(FUZZTIME) ./internal/packing/
 	$(GO) test -run=^$$ -fuzz=FuzzConExchange -fuzztime=$(FUZZTIME) ./internal/coap/
 
-# Benchmark output must be a pure function of the seeds: run the quick
-# suite under two worker counts and require identical reports outside the
-# host/walltime fields.
-determinism:
-	$(GO) run ./cmd/harpbench -quick -json /tmp/harpbench_w1.json -workers 1
-	$(GO) run ./cmd/harpbench -quick -json /tmp/harpbench_w4.json -workers 4
-	jq -S '$(JQ_NORM)' /tmp/harpbench_w1.json > /tmp/harpbench_w1.norm.json
-	jq -S '$(JQ_NORM)' /tmp/harpbench_w4.json > /tmp/harpbench_w4.norm.json
-	diff -u /tmp/harpbench_w1.norm.json /tmp/harpbench_w4.norm.json
-	$(GO) run ./cmd/harpbench -quick -only fig10 -json /tmp/fig10_t1.json -workers 1 -trace /tmp/fig10_t1.jsonl
-	$(GO) run ./cmd/harpbench -quick -only fig10 -json /tmp/fig10_t4.json -workers 4 -trace /tmp/fig10_t4.jsonl
-	cmp /tmp/fig10_t1.jsonl /tmp/fig10_t4.jsonl
-
-# Bench-regression gate: the committed BENCH_harpbench.json is a baseline,
-# not just a trajectory record. Metrics are seed-deterministic, so any drift
-# at any worker count fails; wall times fail only beyond -gate-wall-tol.
-# After an intentional behaviour or performance change, refresh with:
-#   $(GO) run ./cmd/harpbench -quick -workers 1 -json BENCH_harpbench.json
-benchgate:
-	$(GO) run ./cmd/harpbench -quick -workers 1 -gate BENCH_harpbench.json
-	$(GO) run ./cmd/harpbench -quick -workers 4 -gate BENCH_harpbench.json
-
 # The repo's host-time benchmark (five end-to-end workloads, per-layer
-# breakdown); see benchmark/README.md and BENCHMARK.json.
+# breakdown); see benchmark/README.md and BENCHMARK.json. Results (as
+# opposed to speed) are gated by `go test ./cmd/harpbench`: the quick
+# suite's report must equal BENCH_harpbench.json byte for byte at -workers
+# 1 and 4. After an intentional behaviour change, refresh it with:
+#   $(GO) run ./cmd/harpbench -quick -json BENCH_harpbench.json
 bench:
 	bash benchmark/run.sh
 
 # Fault-injection soak: the loss-tolerance test surface under the race
 # detector and the harpdebug invariant hooks, then the loss sweep at two
-# worker counts — its convergence metrics must not depend on scheduling.
+# worker counts — the report is a pure function of the seeds, so the two
+# files must be identical.
 faultsoak:
 	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w1.json -workers 1
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w4.json -workers 4
-	jq -S '$(JQ_NORM)' /tmp/losssweep_w1.json > /tmp/losssweep_w1.norm.json
-	jq -S '$(JQ_NORM)' /tmp/losssweep_w4.json > /tmp/losssweep_w4.norm.json
-	diff -u /tmp/losssweep_w1.norm.json /tmp/losssweep_w4.norm.json
+	cmp /tmp/losssweep_w1.json /tmp/losssweep_w4.json
 
 # Scale smoke: the 1k tier of the scale study under the race detector, at
-# two worker counts; outside the host-dependent keys the reports must be
-# identical (the sharded kernel's dispatch order is worker- and
-# shard-blind). The full 50k tier runs in the regular bench gate.
+# two worker counts; the reports must be identical (the sharded kernel's
+# dispatch order is worker- and shard-blind). The full 50k tier runs in
+# TestBaselineIsCurrent.
 scale-smoke:
 	$(GO) run -race ./cmd/harpbench -quick -only scale -scale-sizes 1000 -json /tmp/scale_w1.json -workers 1
 	$(GO) run -race ./cmd/harpbench -quick -only scale -scale-sizes 1000 -json /tmp/scale_w4.json -workers 4
-	jq -S '$(JQ_NORM)' /tmp/scale_w1.json > /tmp/scale_w1.norm.json
-	jq -S '$(JQ_NORM)' /tmp/scale_w4.json > /tmp/scale_w4.norm.json
-	diff -u /tmp/scale_w1.norm.json /tmp/scale_w4.norm.json
+	cmp /tmp/scale_w1.json /tmp/scale_w4.json
 
 # Chaos soak: the self-healing machinery (failure detector, adoption,
 # watchdog, chaos engine) under the race detector with the harpdebug
 # invariant sweeps, then the chaos storm at two worker counts — every
-# chaos key is a virtual-time quantity, so the normalised reports must
-# match exactly.
+# chaos key is a virtual-time quantity, so the reports must be identical.
 chaos-soak:
 	$(GO) test -race -tags harpdebug -run 'Detector|Chaos|Recover|GiveUps|RestartDuring' ./internal/agent/ ./internal/cosim/ ./internal/experiments/
 	$(GO) run -race ./cmd/harpbench -quick -only chaos -json /tmp/chaos_w1.json -workers 1
 	$(GO) run -race ./cmd/harpbench -quick -only chaos -json /tmp/chaos_w4.json -workers 4
-	jq -S '$(JQ_NORM)' /tmp/chaos_w1.json > /tmp/chaos_w1.norm.json
-	jq -S '$(JQ_NORM)' /tmp/chaos_w4.json > /tmp/chaos_w4.norm.json
-	diff -u /tmp/chaos_w1.norm.json /tmp/chaos_w4.norm.json
+	cmp /tmp/chaos_w1.json /tmp/chaos_w4.json
 
 # Trace smoke: a small co-simulation must reproduce the committed golden
 # trace byte-for-byte, and harptrace must digest it (summary, windows and
 # the Chrome/Perfetto conversion). Catches both schedule nondeterminism
-# and exporter format drift in one shot.
+# and exporter format drift in one shot. The traced fig10 run must also
+# record the same trace at any worker count.
 trace-smoke:
 	$(GO) run ./cmd/harpsim -topology fig1 -cosim -slotframes 30 -trace /tmp/harptrace_smoke.jsonl > /dev/null
 	diff -u cmd/harptrace/testdata/smoke.jsonl /tmp/harptrace_smoke.jsonl
@@ -130,6 +102,9 @@ trace-smoke:
 	$(GO) run ./cmd/harptrace windows /tmp/harptrace_smoke.jsonl
 	$(GO) run ./cmd/harptrace chrome -o /tmp/harptrace_smoke_chrome.json /tmp/harptrace_smoke.jsonl
 	jq -e '.traceEvents | length > 0' /tmp/harptrace_smoke_chrome.json > /dev/null
+	$(GO) run ./cmd/harpbench -quick -only fig10 -workers 1 -trace /tmp/fig10_t1.jsonl > /dev/null
+	$(GO) run ./cmd/harpbench -quick -only fig10 -workers 4 -trace /tmp/fig10_t4.jsonl > /dev/null
+	cmp /tmp/fig10_t1.jsonl /tmp/fig10_t4.jsonl
 
 # Metrics smoke: run a small co-simulation with the live inspection
 # endpoint, poll /healthz until the run publishes its final (done)

@@ -246,7 +246,14 @@ func New(cfg Config) (*CoSim, error) {
 	if _, err := bus.Run(); err != nil {
 		return nil, fmt.Errorf("cosim: static phase: %w", err)
 	}
-	if err := fleet.Validate(); err != nil {
+	// One build serves both the convergence verdict and the MAC: validate
+	// the schedule the MAC is about to run, not a throw-away copy of it.
+	sched, err := fleet.BuildSchedule()
+	built := err == nil
+	if built {
+		err = sched.Validate(fleet.Tree)
+	}
+	if err != nil {
 		if !cfg.TolerateStaticLoss {
 			return nil, fmt.Errorf("cosim: fleet invalid after static phase: %w", err)
 		}
@@ -266,13 +273,10 @@ func New(cfg Config) (*CoSim, error) {
 			panic(fmt.Sprintf("cosim: static phase invariant: %v", err))
 		}
 	}
-	sched, err := fleet.BuildSchedule()
-	if err != nil {
-		if staticConverged || !cfg.TolerateStaticLoss {
-			return nil, err
-		}
+	if !built {
 		// A half-converged fleet can hold overlapping assignments; the MAC
-		// then starts on an empty schedule (no cells, nothing flows).
+		// then starts on an empty schedule (no cells, nothing flows). A
+		// built-but-invalid schedule is still installed as it is.
 		sched, err = schedule.NewSchedule(cfg.Frame)
 		if err != nil {
 			return nil, err
@@ -329,7 +333,11 @@ func (cs *CoSim) observe() {
 		return
 	}
 	cs.pending = false
-	if err := cs.Fleet.Validate(); err != nil {
+	sched, err := cs.Fleet.BuildSchedule()
+	if err == nil {
+		err = sched.Validate(cs.Fleet.Tree)
+	}
+	if err != nil {
 		if !cs.tolerateLoss {
 			panic(fmt.Sprintf("cosim: fleet invalid at commit: %v", err))
 		}
@@ -343,10 +351,6 @@ func (cs *CoSim) observe() {
 			panic(fmt.Sprintf("cosim: commit invariant: %v", err))
 		}
 	}
-	sched, err := cs.Fleet.BuildSchedule()
-	if err != nil {
-		panic(fmt.Sprintf("cosim: building committed schedule: %v", err))
-	}
 	cs.Sim.SetSchedule(sched)
 	cm := Commit{
 		TriggerSlot:      cs.trigger,
@@ -357,10 +361,9 @@ func (cs *CoSim) observe() {
 		Participants:     cs.Bus.ParticipantCount(),
 	}
 	cs.Commits = append(cs.Commits, cm)
-	cs.Bus.Metrics().Observe(obs.Key(obs.MetricDisruptionSlots), float64(cm.CommitSlot-cm.TriggerSlot))
 	// Run-cumulative disruption distribution (milli-slots): unlike the
-	// gauge above it survives the per-adjustment counter reset, so the
-	// end-of-run report sees every window.
+	// counters it survives the per-adjustment reset, so the end-of-run
+	// report sees every window.
 	cs.Bus.Metrics().Dist(obs.Key(obs.MetricDisruptionMs)).Observe(int64(cm.CommitSlot-cm.TriggerSlot) * 1000)
 	if tr := cs.Tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindCosimCommit).WithSlot(cm.CommitSlot, obs.None).

@@ -1,12 +1,15 @@
 package cosim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"github.com/harpnet/harp/internal/agent"
+	"github.com/harpnet/harp/internal/obs"
 	"github.com/harpnet/harp/internal/schedule"
+	"github.com/harpnet/harp/internal/sim"
 	"github.com/harpnet/harp/internal/topology"
 	"github.com/harpnet/harp/internal/traffic"
 )
@@ -192,5 +195,95 @@ func TestCoSimDeterministic(t *testing.T) {
 	c := runAdjustScenario(t, 43)
 	if reflect.DeepEqual(a.Sim.Records(), c.Sim.Records()) && a.Clock.Now() == c.Clock.Now() {
 		t.Error("different seeds produced identical runs: seed is not wired through")
+	}
+}
+
+// TestCommitInstallsTheValidatedSchedule pins the commit path on the
+// Testbed50 node-15 raise: the schedule observe() validates and the one it
+// hands to the MAC are the same single build. The MAC exposes no schedule
+// accessor, so "the schedule the MAC runs" is read off its behaviour: the
+// hot-swap trace event must count exactly the cells of a fresh
+// Fleet.BuildSchedule(), and a reference MAC that is handed that fresh
+// schedule at the commit slot must produce identical packet records.
+func TestCommitInstallsTheValidatedSchedule(t *testing.T) {
+	tree := topology.Testbed50()
+	tasks, err := traffic.UniformEcho(tree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := testFrame()
+	cs, err := New(Config{Tree: tree, Frame: frame, Tasks: tasks, PDR: 1, Seed: 3, RootGap: 2, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := cs.Fleet.BuildSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slotframes = 12
+	trigger := 2*frame.Slots + 5
+	link := topology.Link{Child: 15, Direction: topology.Uplink}
+	target := len(static.Cells(link)) + 2
+	// The rate steps with the demand, so the raised cells carry packets.
+	raise := func(s *sim.Simulator) {
+		if err := s.SetTaskRate(15, 3); err != nil {
+			t.Error(err)
+		}
+	}
+	cs.At(trigger, func(c *CoSim) {
+		raise(c.Sim)
+		if err := c.Adjust(func(f *agent.Fleet) error {
+			return f.RequestLinkDemand(link, target)
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := cs.RunSlotframes(slotframes); err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Commits) != 1 {
+		t.Fatalf("commits = %d, want 1", len(cs.Commits))
+	}
+	commit := cs.Commits[0].CommitSlot
+
+	fresh, err := cs.Fleet.BuildSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Validate(tree); err != nil {
+		t.Fatalf("committed schedule invalid: %v", err)
+	}
+	if got := len(fresh.Cells(link)); got < target {
+		t.Errorf("link 15 uplink cells after commit = %d, want >= %d", got, target)
+	}
+	if reflect.DeepEqual(static.Transmissions(), fresh.Transmissions()) {
+		t.Fatal("the raise left the schedule unchanged: the scenario pins nothing")
+	}
+
+	swapped := -1
+	for _, ev := range cs.Tracer.Events() {
+		if ev.Kind == obs.KindMacSwap && ev.Slot == commit {
+			var stranded int
+			if _, err := fmt.Sscanf(ev.Detail, "cells=%d stranded=%d", &swapped, &stranded); err != nil {
+				t.Fatalf("mac.swap detail %q: %v", ev.Detail, err)
+			}
+		}
+	}
+	if want := len(fresh.Transmissions()); swapped != want {
+		t.Errorf("MAC swapped in %d cells at commit slot %d, fresh BuildSchedule has %d", swapped, commit, want)
+	}
+
+	ref, err := sim.New(sim.Config{Tree: tree, Frame: frame, Tasks: tasks, PDR: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.SetSchedule(static)
+	ref.At(trigger, raise)
+	ref.At(commit, func(s *sim.Simulator) { s.SetSchedule(fresh) })
+	if err := ref.RunSlotframes(slotframes); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref.Records(), cs.Sim.Records()) {
+		t.Error("packet records diverge from a reference MAC running the fresh BuildSchedule from the commit slot")
 	}
 }

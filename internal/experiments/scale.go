@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"time"
 
 	"github.com/harpnet/harp/internal/agent"
 	"github.com/harpnet/harp/internal/cosim"
@@ -17,8 +15,9 @@ import (
 // 50-node testbed (10k–100k class networks) run the full distributed
 // protocol — static allocation, then rounds of concurrent subtree
 // adjustments — on the sharded virtual-time kernel, measuring how the
-// control plane's convergence, message cost and memory footprint grow
-// with fleet size.
+// control plane's convergence and message cost grow with fleet size (host
+// time and memory footprint at these sizes are benchmark/'s ctrl_scale
+// and keepalive_fleet workloads).
 type ScaleConfig struct {
 	// Sizes are the fleet sizes (total nodes including the gateway).
 	Sizes []int
@@ -63,11 +62,6 @@ type ScalePoint struct {
 	Commits int
 	// Events is the total number of virtual-time events dispatched.
 	Events uint64
-	// EventsPerSec is the wall-clock event throughput of the whole run.
-	EventsPerSec float64
-	// BytesPerNode is the heap growth of building the co-simulation
-	// (fleet, transport, MAC), per node.
-	BytesPerNode float64
 	// Shards is the kernel shard count the run used.
 	Shards int
 }
@@ -78,11 +72,8 @@ type ScaleResult struct {
 	Table  *stats.Table
 }
 
-// Scale runs the study. Sizes run serially — the point is the footprint
-// and throughput of one large fleet, which concurrent runs would distort —
-// so the results are identical at any worker count; only the wall-clock
-// throughput (and, within allocator noise, bytes/node) varies between
-// hosts.
+// Scale runs the study. Every quantity is a virtual-time result, so the
+// points are a pure function of the seeds at any worker or shard count.
 func Scale(cfg ScaleConfig) (ScaleResult, error) {
 	var res ScaleResult
 	for _, size := range cfg.Sizes {
@@ -93,21 +84,15 @@ func Scale(cfg ScaleConfig) (ScaleResult, error) {
 		res.Points = append(res.Points, p)
 	}
 	table := stats.NewTable("Control-plane scale — sharded kernel, sparse demand",
-		"nodes", "shards", "static slots", "adjust slots", "commits", "events", "events/s", "bytes/node")
+		"nodes", "shards", "static slots", "adjust slots", "commits", "events")
 	for _, p := range res.Points {
-		table.AddRow(p.Nodes, p.Shards, p.StaticSlots, p.AdjustSlots, p.Commits,
-			p.Events, p.EventsPerSec, p.BytesPerNode)
+		table.AddRow(p.Nodes, p.Shards, p.StaticSlots, p.AdjustSlots, p.Commits, p.Events)
 	}
 	res.Table = table
 	return res, nil
 }
 
-// scaleRun is the study at one fleet size. The run itself is a pure
-// function of the seeds; the wall clock is read only to report events/sec,
-// a host-dependent throughput figure the determinism diffs strip and the
-// bench gate ratio-bands.
-//
-//harplint:realtime
+// scaleRun is the study at one fleet size.
 func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 	rng := vclock.NewStream(vclock.StreamScale, cfg.Seed*1_000_003+int64(size))
 	tree, err := topology.GenerateScale(topology.GenSpec{
@@ -141,10 +126,6 @@ func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 	}
 
 	shards := cosim.AutoShards(tree)
-	start := time.Now() //harplint:allow determinism wall-clock throughput is the measurement
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	cs, err := cosim.New(cosim.Config{
 		Tree:    tree,
 		Frame:   frame,
@@ -157,14 +138,7 @@ func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 	if err != nil {
 		return ScalePoint{}, err
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	point := ScalePoint{
-		Nodes:        size,
-		Shards:       shards,
-		StaticSlots:  cs.Clock.Now(),
-		BytesPerNode: float64(after.HeapAlloc-before.HeapAlloc) / float64(size),
-	}
+	point := ScalePoint{Nodes: size, Shards: shards, StaticSlots: cs.Clock.Now()}
 
 	// Adjustment rounds: each round raises several task links' demand at
 	// once, spread across the active set — concurrent escalations that meet
@@ -209,6 +183,5 @@ func scaleRun(cfg ScaleConfig, size int) (ScalePoint, error) {
 		point.AdjustSlots = total / float64(len(cs.Commits))
 	}
 	point.Events = cs.Clock.Dispatched()
-	point.EventsPerSec = float64(point.Events) / time.Since(start).Seconds() //harplint:allow determinism wall-clock throughput is the measurement
 	return point, nil
 }

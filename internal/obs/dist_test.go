@@ -134,7 +134,6 @@ func TestSnapshotOrdering(t *testing.T) {
 	}
 	for _, k := range keys {
 		r.Inc(k)
-		r.SetGauge(k, 1)
 		r.Dist(k).Observe(1)
 		r.Series(k, 10).Add(0, 1)
 	}
@@ -142,9 +141,6 @@ func TestSnapshotOrdering(t *testing.T) {
 	sections := map[string][]MetricKey{}
 	for _, c := range s.Counters {
 		sections["counters"] = append(sections["counters"], c.Key)
-	}
-	for _, g := range s.Gauges {
-		sections["gauges"] = append(sections["gauges"], g.Key)
 	}
 	for _, d := range s.Dists {
 		sections["dists"] = append(sections["dists"], d.Key)
@@ -171,22 +167,17 @@ func TestSnapshotOrdering(t *testing.T) {
 	}
 }
 
-// TestResetPreservesDistributions pins the Reset contract: counters,
-// gauges and summary hists clear; run-cumulative dists and series stay.
+// TestResetPreservesDistributions pins the Reset contract: counters
+// clear; run-cumulative dists and series stay.
 func TestResetPreservesDistributions(t *testing.T) {
 	r := NewRegistry()
 	k := Key("x.kind")
 	r.Inc(k)
-	r.SetGauge(k, 2)
-	r.Observe(k, 3)
 	r.Dist(k).Observe(4)
 	r.Series(k, 10).Add(0, 5)
 	r.Reset()
-	if r.Counter(k) != 0 || r.Gauge(k) != 0 {
-		t.Error("Reset left counter or gauge values behind")
-	}
-	if _, ok := r.Hist(k); ok {
-		t.Error("Reset left a summary histogram behind")
+	if r.Counter(k) != 0 {
+		t.Error("Reset left a counter value behind")
 	}
 	if h, ok := r.DistStat(k); !ok || h.Count != 1 {
 		t.Errorf("Reset cleared the distribution: %+v ok=%t", h, ok)
@@ -237,7 +228,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		r := NewRegistry()
 		r.Inc(Key(MetricDelivered))
 		r.Add(NodeKey(3, MetricNodeTx), 7)
-		r.SetGauge(Key("mac.depth"), 2.5)
 		d := r.Dist(Key(MetricConRttMs))
 		d.Observe(90)
 		d.Observe(1500)

@@ -58,9 +58,8 @@ type promFamily struct {
 }
 
 // WritePrometheus renders the snapshot. Counters map to counter
-// families, gauges to gauge families, distributions to histogram
-// families with power-of-two le bounds (buckets above the observed
-// maximum are folded into +Inf). Windowed series are not exposed here
+// families, distributions to histogram families with power-of-two le
+// bounds (buckets above the observed maximum are folded into +Inf). Windowed series are not exposed here
 // — they are a time dimension Prometheus scrapes cannot carry — and
 // are served as JSON on /series instead.
 func WritePrometheus(w io.Writer, s Snapshot) error {
@@ -77,11 +76,6 @@ func WritePrometheus(w io.Writer, s Snapshot) error {
 		name := promName(c.Key.Kind)
 		f := family(name, "counter")
 		f.lines = append(f.lines, fmt.Sprintf("%s%s %d", name, promLabels(c.Key, ""), c.Value))
-	}
-	for _, g := range s.Gauges {
-		name := promName(g.Key.Kind)
-		f := family(name, "gauge")
-		f.lines = append(f.lines, fmt.Sprintf("%s%s %g", name, promLabels(g.Key, ""), g.Value))
 	}
 	for _, d := range s.Dists {
 		name := promName(d.Key.Kind)

@@ -74,9 +74,6 @@ const (
 	// MetricRejections counts demands rejected back to their requester
 	// after a give-up or an explicit parent rejection.
 	MetricRejections = "agent.rejections"
-	// MetricDisruptionSlots is the histogram of measured adjustment
-	// disruption windows, in slots (one observation per commit).
-	MetricDisruptionSlots = "cosim.disruption_slots"
 
 	// MetricKeepalives counts background keepalive probes put on the
 	// channel by the failure detector (control traffic, never tallied in
@@ -130,39 +127,15 @@ const (
 	MetricWinPending = "agent.win_pending_adjustments"
 )
 
-// HistStat summarises one histogram series.
-type HistStat struct {
-	// Count is the number of observations.
-	Count int64
-	// Sum is the total of all observed values.
-	Sum float64
-	// Min and Max bound the observations (zero when Count is zero).
-	Min, Max float64
-}
-
-// observe folds one value into the summary.
-func (h *HistStat) observe(v float64) {
-	if h.Count == 0 || v < h.Min {
-		h.Min = v
-	}
-	if h.Count == 0 || v > h.Max {
-		h.Max = v
-	}
-	h.Count++
-	h.Sum += v
-}
-
-// Registry is the unified metrics store: counters, gauges and histograms
-// keyed by MetricKey. Like the tracer it is single-goroutine (all
-// writers run on one virtual clock) and nil-safe: every method is a
-// no-op (or zero) on the nil receiver, so optional consumers need no
-// guards.
+// Registry is the unified metrics store: counters, distributions and
+// windowed series keyed by MetricKey. Like the tracer it is
+// single-goroutine (all writers run on one virtual clock) and nil-safe:
+// every method is a no-op (or zero) on the nil receiver, so optional
+// consumers need no guards.
 type Registry struct {
 	counters map[MetricKey]int64
-	gauges   map[MetricKey]float64
-	hists    map[MetricKey]*HistStat
-	// dists and series are the tier-2 distribution metrics. Unlike the
-	// tallies above they are run-cumulative: Reset leaves them alone.
+	// dists and series are the distribution metrics. Unlike the counters
+	// they are run-cumulative: Reset leaves them alone.
 	dists  map[MetricKey]*Hist
 	series map[MetricKey]*WindowSeries
 }
@@ -171,8 +144,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[MetricKey]int64),
-		gauges:   make(map[MetricKey]float64),
-		hists:    make(map[MetricKey]*HistStat),
 		dists:    make(map[MetricKey]*Hist),
 		series:   make(map[MetricKey]*WindowSeries),
 	}
@@ -197,47 +168,6 @@ func (r *Registry) Counter(k MetricKey) int64 {
 		return 0
 	}
 	return r.counters[k]
-}
-
-// SetGauge records a gauge's current value.
-func (r *Registry) SetGauge(k MetricKey, v float64) {
-	if r == nil {
-		return
-	}
-	r.gauges[k] = v
-}
-
-// Gauge returns a gauge's value (zero if never set).
-func (r *Registry) Gauge(k MetricKey) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[k]
-}
-
-// Observe folds a value into a histogram series.
-func (r *Registry) Observe(k MetricKey, v float64) {
-	if r == nil {
-		return
-	}
-	h := r.hists[k]
-	if h == nil {
-		h = &HistStat{}
-		r.hists[k] = h
-	}
-	h.observe(v)
-}
-
-// Hist returns a histogram's summary and whether it has observations.
-func (r *Registry) Hist(k MetricKey) (HistStat, bool) {
-	if r == nil {
-		return HistStat{}, false
-	}
-	h, ok := r.hists[k]
-	if !ok {
-		return HistStat{}, false
-	}
-	return *h, true
 }
 
 // Dist returns the power-of-two histogram for k, creating it on first
@@ -296,21 +226,19 @@ func (r *Registry) SeriesStat(k MetricKey) (width int, vals []int64, ok bool) {
 	return s.Width, s.Values(), true
 }
 
-// Reset clears every counter, gauge and summary-histogram series. The
-// co-simulation calls this at a trigger so each adjustment's overhead
-// is measured on its own — note it clears those maps wholesale
-// (transport, agent and MAC series alike), exactly as the legacy
-// Bus.ResetCounters cleared all its tallies. The distribution metrics
-// (Dist, Series) are deliberately NOT cleared: they are run-cumulative
-// — latency histograms and windowed series must span every adjustment
-// of the run to support SLO verdicts and p50/p99 bench keys.
+// Reset clears every counter. The co-simulation calls this at a trigger
+// so each adjustment's overhead is measured on its own — note it clears
+// the map wholesale (transport, agent and MAC series alike), exactly as
+// the legacy Bus.ResetCounters cleared all its tallies. The distribution
+// metrics (Dist, Series) are deliberately NOT cleared: they are
+// run-cumulative — latency histograms and windowed series must span
+// every adjustment of the run to support SLO verdicts and p50/p99 bench
+// keys.
 func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
 	clear(r.counters)
-	clear(r.gauges)
-	clear(r.hists)
 }
 
 // CounterKeys returns every counter key with a non-zero value, sorted by
@@ -394,12 +322,6 @@ type CounterSample struct {
 	Value int64
 }
 
-// GaugeSample is one gauge in a snapshot.
-type GaugeSample struct {
-	Key   MetricKey
-	Value float64
-}
-
 // DistSample is one power-of-two histogram in a snapshot (a copy).
 type DistSample struct {
 	Key  MetricKey
@@ -419,7 +341,6 @@ type SeriesSample struct {
 // the run keeps writing.
 type Snapshot struct {
 	Counters []CounterSample
-	Gauges   []GaugeSample
 	Dists    []DistSample
 	Series   []SeriesSample
 }
@@ -437,11 +358,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Counters = append(s.Counters, CounterSample{Key: k, Value: v})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return lessNLK(s.Counters[i].Key, s.Counters[j].Key) })
-	s.Gauges = make([]GaugeSample, 0, len(r.gauges))
-	for k, v := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeSample{Key: k, Value: v})
-	}
-	sort.Slice(s.Gauges, func(i, j int) bool { return lessNLK(s.Gauges[i].Key, s.Gauges[j].Key) })
 	s.Dists = make([]DistSample, 0, len(r.dists))
 	for k, h := range r.dists {
 		s.Dists = append(s.Dists, DistSample{Key: k, Hist: *h})

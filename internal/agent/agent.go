@@ -21,7 +21,6 @@ import (
 	"github.com/harpnet/harp/internal/proto"
 	"github.com/harpnet/harp/internal/schedule"
 	"github.com/harpnet/harp/internal/topology"
-	"github.com/harpnet/harp/internal/transport"
 )
 
 // dirState is one direction's protocol state at a node.
@@ -63,8 +62,10 @@ type dirState struct {
 
 	// pendingSince stamps the virtual time each layer's escalation left
 	// (and demandSince the own-layer provisional demand raise), for the
-	// adjustment watchdog. Only written when the node has a virtual-time
-	// source (vnow, wired by the failure detector); zero cost otherwise.
+	// adjustment watchdog. Only written when the deployment has a
+	// virtual-time source (shared.hooks); zero cost otherwise. pendingSince
+	// changes only through stampPending/clearPending (and the wipe in
+	// resetResources), which keep the fleet's in-flight tally in step.
 	pendingSince map[int]float64
 	demandSince  float64
 
@@ -72,7 +73,9 @@ type dirState struct {
 	// the gateway), keyed by layer.
 	parts map[int]schedule.Region
 
-	// assignment is the RM cell assignment of the own-layer links.
+	// assignment is the RM cell assignment of the own-layer links. Every
+	// write is followed by Node.publish, and a stored cell slice is never
+	// modified in place afterwards — the fleet view aliases it.
 	assignment map[topology.NodeID][]schedule.Cell
 	// sentRegions caches the last partition regions pushed to children, to
 	// send updates only on change.
@@ -85,7 +88,9 @@ type dirState struct {
 // ensure allocates the per-child and per-layer maps. Called when a node
 // (first) hosts children: at Deploy for non-leaves and the gateway, on a
 // Join-flagged report (a subtree attached under a former leaf), and when
-// Fleet.Reparent rewires a subtree under a former leaf.
+// Fleet.Reparent rewires a subtree under a former leaf — and by the
+// handlers that store a parent's grant or a child's report, which must not
+// depend on the node having hosted children before.
 func (st *dirState) ensure() {
 	if st.demand == nil {
 		st.demand = make(map[topology.NodeID]int)
@@ -147,9 +152,9 @@ type Node struct {
 	nonLeaf  []topology.NodeID // sorted non-leaf children
 	ownLayer int               // l(V_i) = depth+1
 	maxLayer int               // l(G_Vi)
-	frame    schedule.Slotframe
-	rootGap  int // gateway only: idle slots between layer partitions
-	net      transport.Network
+	// sh is what the whole deployment shares: the per-fleet constants and
+	// the maintained fleet view this node publishes into.
+	sh *shared
 
 	dirs  [2]dirState
 	msgID uint16
@@ -166,23 +171,6 @@ type Node struct {
 	// would look like a duplicate of nothing.
 	settledOnce bool
 
-	// Rejections counts adjustment requests the node (as gateway) could not
-	// satisfy.
-	Rejections int
-
-	// tracer and metrics are the deployment's observability sinks
-	// (WithTracer, WithMetrics). Both are nil-safe: the zero value means
-	// disabled.
-	tracer  *obs.Tracer
-	metrics *obs.Registry
-
-	// heard, when set by the failure detector, is called (under n.mu) for
-	// every delivered message — any traffic from a peer is liveness
-	// evidence, keepalives included. nil when detection is off.
-	heard func(from topology.NodeID)
-	// vnow, when set by the failure detector, reads the shared virtual
-	// clock so escalations can be stamped for the adjustment watchdog.
-	vnow func() float64
 	// giveUps records the (peer, adjustment) keys already degraded into a
 	// rejection, so a dead parent's repeated transport give-ups for the
 	// same adjustment coalesce into one counted degradation. Lazily
@@ -219,12 +207,12 @@ func (n *Node) nextMsgID() uint16 {
 func (n *Node) isGateway() bool { return n.parent == topology.None }
 
 // reject counts an adjustment the node could not satisfy, in both the
-// legacy field and the metrics registry.
+// fleet tally (Fleet.Rejections) and the metrics registry.
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) reject() {
-	n.Rejections++
-	n.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricRejections))
+	n.sh.rejections.Add(1)
+	n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricRejections))
 }
 
 // send builds and transmits a CoAP request carrying a HARP payload.
@@ -236,18 +224,18 @@ func (n *Node) send(to topology.NodeID, method coap.Code, path string, payload [
 	// Transport errors indicate a mis-deployed fleet; agents cannot repair
 	// that, so the failure surfaces via the transport's own accounting.
 	//harplint:allow errcheck
-	_ = n.net.Send(n.id, to, msg)
+	_ = n.sh.net.Send(n.id, to, msg)
 }
 
 // Handle implements transport.Handler: the CoAP router of Table I.
 func (n *Node) Handle(from topology.NodeID, msg coap.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.heard != nil {
+	if h := n.sh.hooks.Load(); h != nil && h.heard != nil {
 		// Any delivered message is liveness evidence for the detector;
 		// keepalive probes (POST /ka) carry nothing else and fall through
 		// the router below.
-		n.heard(from)
+		h.heard(from)
 	}
 	switch {
 	case msg.Code == coap.POST && msg.Path() == proto.PathInterface:
@@ -297,7 +285,7 @@ func (n *Node) HandleSendFailure(to topology.NodeID, msg coap.Message) {
 			// every queued escalation of a layer give up in turn, but the
 			// layer degrades once until the peer proves reachable again.
 			n.degradeOnce(giveUpKey{peer: to, d: m.Direction, layer: m.Layer})
-			if tr := n.tracer; tr.Enabled() {
+			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentUnwind).WithNode(int(n.id)).WithPeer(int(to)).
 					WithLayer(m.Layer).WithDetail(m.Direction.String()))
 			}
@@ -326,6 +314,31 @@ func (n *Node) degradeOnce(key giveUpKey) {
 	n.reject()
 }
 
+// stampPending records that layer's escalation left at virtual time now and
+// counts it into the fleet's in-flight tally (Fleet.PendingAdjustments).
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) stampPending(st *dirState, layer int, now float64) {
+	if st.pendingSince == nil {
+		st.pendingSince = make(map[int]float64)
+	}
+	if _, stamped := st.pendingSince[layer]; !stamped {
+		n.sh.pending.Add(1)
+	}
+	st.pendingSince[layer] = now
+}
+
+// clearPending drops layer's escalation stamp (committed, unwound or
+// aborted) and takes it out of the fleet's in-flight tally.
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) clearPending(st *dirState, layer int) {
+	if _, stamped := st.pendingSince[layer]; stamped {
+		delete(st.pendingSince, layer)
+		n.sh.pending.Add(-1)
+	}
+}
+
 // unwindPending rolls one layer's in-flight adjustment state back to the
 // last committed layout: the pending recomposition is dropped, own-layer
 // provisional demand raises revert to their snapshots, and requests that
@@ -348,7 +361,7 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 	}
 	delete(st.pendingLayouts, layer)
 	delete(st.pendingComps, layer)
-	delete(st.pendingSince, layer)
+	n.clearPending(st, layer)
 	if q := st.deferred[layer]; len(q) > 0 {
 		delete(st.deferred, layer)
 		for _, da := range q {
@@ -392,8 +405,8 @@ func (n *Node) abortStale(now, deadline float64) int {
 		sort.Ints(stale)
 		for _, layer := range stale {
 			aborted++
-			n.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
-			if tr := n.tracer; tr.Enabled() {
+			n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
+			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentAbort).WithNode(int(n.id)).WithPeer(int(n.parent)).
 					WithLayer(layer).WithDetail(d.String()))
 			}
@@ -402,8 +415,8 @@ func (n *Node) abortStale(now, deadline float64) int {
 		}
 		if st.demandSince != 0 && now-st.demandSince >= deadline && len(st.pendingDemand) > 0 {
 			aborted++
-			n.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
-			if tr := n.tracer; tr.Enabled() {
+			n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
+			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentAbort).WithNode(int(n.id)).WithPeer(int(n.parent)).
 					WithLayer(n.ownLayer).WithDetail(d.String()))
 			}
@@ -424,13 +437,15 @@ func (n *Node) dropDeadChild(c topology.NodeID) {
 	n.onChildLeave(c)
 }
 
-// setLiveness wires (or, with nils, unwires) the failure detector's
-// delivery hook and virtual-time source.
-func (n *Node) setLiveness(heard func(topology.NodeID), vnow func() float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.heard = heard
-	n.vnow = vnow
+// now reads the deployment's virtual clock; ok is false while none is bound
+// (no detector, no BindVirtualTime), and stamping is then skipped.
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) now() (t float64, ok bool) {
+	if h := n.sh.hooks.Load(); h != nil && h.vnow != nil {
+		return h.vnow(), true
+	}
+	return 0, false
 }
 
 // start kicks off the static phase at this node: non-leaf nodes whose
@@ -448,10 +463,23 @@ func (n *Node) start() {
 
 // onInterfaceReport stores a child's interface; when all non-leaf children
 // have reported, this node composes its own interface and forwards it (or
-// allocates, at the gateway).
+// allocates, at the gateway). A report from a node that is not a child is
+// dropped.
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) onInterfaceReport(m proto.InterfaceReport) {
+	if !containsNode(n.children, m.Owner) {
+		// Not a child here: this node dropped the sender as dead (or never
+		// hosted it) and the sender has not noticed yet. Only a Join report
+		// attaches a subtree — the sender re-registers through that path
+		// when it is readmitted — so the stray is dropped and counted.
+		n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricStrayReports))
+		return
+	}
+	// A current child's report is always processable, also at a node whose
+	// maps are still nil.
+	n.dir(topology.Uplink).ensure()
+	n.dir(topology.Downlink).ensure()
 	up, okU := n.dir(topology.Uplink).childIfaces[m.Owner]
 	down, okD := n.dir(topology.Downlink).childIfaces[m.Owner]
 	if okU && okD && dirIfaceEqual(up, m.Up) && dirIfaceEqual(down, m.Down) &&
@@ -489,7 +517,7 @@ func (n *Node) computeAndForwardInterface() {
 		report.Down.OwnDemand = n.joinDemand[topology.Downlink]
 		n.joining = false
 	}
-	if tr := n.tracer; tr.Enabled() {
+	if tr := n.sh.tracer; tr.Enabled() {
 		sp := tr.Emit(obs.Ev(obs.KindAgentReport).WithNode(int(n.id)).WithPeer(int(n.parent)).
 			WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("join=%t", report.Join)))
 		tr.Push(sp)
@@ -522,7 +550,7 @@ func (n *Node) computeInterface(d topology.Direction) {
 			children = append(children, core.ChildComponent{Child: c, Comp: ci.Comps[idx]})
 			byChild[c] = ci.Comps[idx]
 		}
-		comp, layout, err := core.Compose(children, n.frame.Channels)
+		comp, layout, err := core.Compose(children, n.sh.frame.Channels)
 		if err != nil {
 			comp, layout = core.Component{}, core.Layout{}
 		}
@@ -539,7 +567,7 @@ func (n *Node) computeInterface(d topology.Direction) {
 func (n *Node) allocateRoot() {
 	up := core.Interface{Owner: n.id, FirstLayer: n.dir(topology.Uplink).iface.FirstLayer, Comps: n.dir(topology.Uplink).iface.Comps}
 	down := core.Interface{Owner: n.id, FirstLayer: n.dir(topology.Downlink).iface.FirstLayer, Comps: n.dir(topology.Downlink).iface.Comps}
-	alloc, err := core.AllocateRoot(up, down, n.frame, false, n.rootGap)
+	alloc, err := core.AllocateRoot(up, down, n.sh.frame, false, n.sh.rootGap)
 	if err != nil {
 		n.reject()
 		return
@@ -630,7 +658,9 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 	}
 	n.settledOnce = true
 	for _, e := range m.Entries {
-		n.dir(e.Direction).parts[e.Layer] = e.Region
+		st := n.dir(e.Direction)
+		st.ensure() // see applyPartition
+		st.parts[e.Layer] = e.Region
 	}
 	n.settle()
 }
@@ -655,6 +685,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 	if !ok {
 		if total == 0 {
 			st.assignment = make(map[topology.NodeID][]schedule.Cell)
+			n.publish(d)
 		}
 		return
 	}
@@ -668,7 +699,8 @@ func (n *Node) assignOwn(d topology.Direction) {
 		// grant re-runs the full assignment.
 		for _, c := range n.children {
 			cells := st.assignment[c]
-			kept := cells[:0]
+			// A fresh slice, not cells[:0]: the published view aliases cells.
+			kept := make([]schedule.Cell, 0, len(cells))
 			for _, cell := range cells {
 				if region.Contains(cell) {
 					kept = append(kept, cell)
@@ -678,7 +710,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 				continue
 			}
 			st.assignment[c] = kept
-			if tr := n.tracer; tr.Enabled() {
+			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
 					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(kept))))
 			}
@@ -686,6 +718,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 				Direction: d, Cells: kept,
 			}))
 		}
+		n.publish(d)
 		n.debugCheckAssignments("assignOwn")
 		return
 	}
@@ -695,7 +728,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 	}
 	for _, c := range n.children {
 		if !cellsEqual(st.assignment[c], next[c]) {
-			if tr := n.tracer; tr.Enabled() {
+			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
 					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(next[c]))))
 			}
@@ -705,7 +738,25 @@ func (n *Node) assignOwn(d topology.Direction) {
 		}
 	}
 	st.assignment = next
+	n.publish(d)
 	n.debugCheckAssignments("assignOwn")
+}
+
+// publish mirrors direction d's non-empty cell assignments into the fleet
+// view, replacing what this node published for d before. It runs after
+// every write to dirState.assignment, so the view equals a walk over all
+// agents at every instant and Fleet.BuildSchedule never visits a node.
+//
+//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+func (n *Node) publish(d topology.Direction) {
+	var links []linkCells
+	for child, cells := range n.dir(d).assignment {
+		if len(cells) > 0 {
+			links = append(links, linkCells{child: child, cells: cells})
+		}
+	}
+	sort.Slice(links, func(i, j int) bool { return links[i].child < links[j].child })
+	n.sh.view.set(n.id, d, links)
 }
 
 // debugCheckAssignments validates that every non-empty own-layer cell
@@ -853,8 +904,10 @@ func (n *Node) applyChildDemand(child topology.NodeID, d topology.Direction, cel
 	if _, ok := st.pendingDemand[child]; !ok {
 		st.pendingDemand[child] = demandSnapshot{cells: old, topRate: oldRate}
 	}
-	if n.vnow != nil && st.demandSince == 0 {
-		st.demandSince = n.vnow()
+	if st.demandSince == 0 {
+		if now, ok := n.now(); ok {
+			st.demandSince = now
+		}
 	}
 	n.escalate(d, n.ownLayer, core.Component{Slots: total, Channels: 1})
 }
@@ -864,9 +917,9 @@ func (n *Node) applyChildDemand(child topology.NodeID, d topology.Direction, cel
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) escalate(d topology.Direction, layer int, comp core.Component) {
-	n.metrics.Inc(obs.LayerKey(int(n.id), layer, obs.MetricEscalations))
+	n.sh.metrics.Inc(obs.LayerKey(int(n.id), layer, obs.MetricEscalations))
 	if n.isGateway() {
-		if tr := n.tracer; tr.Enabled() {
+		if tr := n.sh.tracer; tr.Enabled() {
 			tr.Emit(obs.Ev(obs.KindAgentEscalate).WithNode(int(n.id)).WithLayer(layer).
 				WithDetail(fmt.Sprintf("%s root-widen slots=%d ch=%d", d, comp.Slots, comp.Channels)))
 		}
@@ -875,7 +928,7 @@ func (n *Node) escalate(d topology.Direction, layer int, comp core.Component) {
 		}
 		return
 	}
-	if tr := n.tracer; tr.Enabled() {
+	if tr := n.sh.tracer; tr.Enabled() {
 		sp := tr.Emit(obs.Ev(obs.KindAgentEscalate).WithNode(int(n.id)).WithPeer(int(n.parent)).
 			WithLayer(layer).WithDetail(fmt.Sprintf("%s slots=%d ch=%d", d, comp.Slots, comp.Channels)))
 		tr.Push(sp)
@@ -989,18 +1042,15 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 	if region, ok := st.parts[layer]; ok {
 		hostComp = core.Component{Slots: region.Slots, Channels: region.Channels}
 	}
-	grown, layout, ok := core.MinimalExtension(hostComp, st.layouts[layer], st.childComps[layer], from, comp, n.frame.Channels)
+	grown, layout, ok := core.MinimalExtension(hostComp, st.layouts[layer], st.childComps[layer], from, comp, n.sh.frame.Channels)
 	if !ok {
 		n.reject()
 		return
 	}
 	st.pendingComps[layer] = merged
 	st.pendingLayouts[layer] = layout
-	if n.vnow != nil {
-		if st.pendingSince == nil {
-			st.pendingSince = make(map[int]float64)
-		}
-		st.pendingSince[layer] = n.vnow()
+	if now, ok := n.now(); ok {
+		n.stampPending(st, layer, now)
 	}
 	n.escalate(d, layer, grown)
 }
@@ -1015,7 +1065,7 @@ func (n *Node) onChildLeave(from topology.NodeID) {
 	if !containsNode(n.children, from) {
 		return
 	}
-	if tr := n.tracer; tr.Enabled() {
+	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentLeave).WithNode(int(n.id)).WithPeer(int(from)))
 	}
 	n.children = removeNode(n.children, from)
@@ -1052,7 +1102,7 @@ func (n *Node) onChildJoin(m proto.InterfaceReport) {
 	// This node is about to host a child: a former leaf has all-nil maps.
 	n.dir(topology.Uplink).ensure()
 	n.dir(topology.Downlink).ensure()
-	if tr := n.tracer; tr.Enabled() {
+	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentJoin).WithNode(int(n.id)).WithPeer(int(m.Owner)).
 			WithDetail(fmt.Sprintf("rejoin=%t", rejoining)))
 	}
@@ -1161,7 +1211,7 @@ func (n *Node) rootParts() [2]map[int]schedule.Region {
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) bool {
-	placements, ok := core.ReflowRoot(n.rootParts(), core.DirLayer{Direction: d, Layer: layer}, comp, n.frame)
+	placements, ok := core.ReflowRoot(n.rootParts(), core.DirLayer{Direction: d, Layer: layer}, comp, n.sh.frame)
 	if !ok {
 		return false
 	}
@@ -1178,7 +1228,7 @@ func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) b
 func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, curComp core.Component) bool {
 	st := n.dir(d)
 	newLayout, placements, ok := core.RootHost(n.rootParts(), core.DirLayer{Direction: d, Layer: layer},
-		st.layouts[layer], st.childComps[layer], cur, curComp, n.frame)
+		st.layouts[layer], st.childComps[layer], cur, curComp, n.sh.frame)
 	if !ok {
 		return false
 	}
@@ -1213,8 +1263,12 @@ func (n *Node) onPartitionUpdate(m proto.PartitionUpdate) {
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.Region) {
 	st := n.dir(d)
+	// The parent's grant is authoritative even at a node whose maps are nil:
+	// a relay that rebooted after its children were adopted away is a leaf
+	// now, yet its parent still re-syncs the regions it holds for it.
+	st.ensure()
 	st.parts[layer] = region
-	if tr := n.tracer; tr.Enabled() {
+	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentGrant).WithNode(int(n.id)).WithLayer(layer).
 			WithDetail(fmt.Sprintf("%s slot=%d slots=%d ch=%d", d, region.Slot, region.Slots, region.Channels)))
 	}
@@ -1223,18 +1277,20 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 		st.childComps[layer] = st.pendingComps[layer]
 		delete(st.pendingLayouts, layer)
 		delete(st.pendingComps, layer)
-		if since, stamped := st.pendingSince[layer]; stamped && n.vnow != nil {
+		if since, stamped := st.pendingSince[layer]; stamped {
 			// Escalation→commit latency: from hosting the escalated child
 			// component (the pendingSince stamp) to this grant committing
 			// the recomposition, in milli-slots.
-			n.metrics.Dist(obs.Key(obs.MetricEscCommitMs)).Observe(int64((n.vnow() - since) * 1000))
+			if now, ok := n.now(); ok {
+				n.sh.metrics.Dist(obs.Key(obs.MetricEscCommitMs)).Observe(int64((now - since) * 1000))
+			}
 		}
-		n.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricCommits))
-		if tr := n.tracer; tr.Enabled() {
+		n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricCommits))
+		if tr := n.sh.tracer; tr.Enabled() {
 			tr.Emit(obs.Ev(obs.KindAgentCommit).WithNode(int(n.id)).WithLayer(layer).WithDetail(d.String()))
 		}
 	}
-	delete(st.pendingSince, layer)
+	n.clearPending(st, layer)
 	if n.giveUps != nil {
 		// A grant proves the parent reachable: future give-ups to it count
 		// as fresh degradations.
@@ -1316,7 +1372,9 @@ func (n *Node) resetResources() {
 		// Wipe everything but the configured link demands (reloaded by the
 		// caller) and the granted own-link cells; a leaf drops back to all-nil
 		// maps, a parent gets fresh empty ones.
+		n.sh.pending.Add(-int64(len(st.pendingSince)))
 		*st = dirState{demand: st.demand, topRate: st.topRate, myCells: st.myCells}
+		n.publish(d)
 		if len(n.children) > 0 {
 			st.ensure()
 		}

@@ -163,10 +163,8 @@ func NewDetector(f *Fleet, net DetectorNet, clock *vclock.Clock, cfg DetectorCon
 // sweep. Every node starts alive and freshly heard.
 func (d *Detector) Start() {
 	now := d.clock.Now()
-	heard := func(from topology.NodeID) { d.lastHeard[from] = d.clock.Now() }
-	vnow := d.clock.Now
+	d.fleet.setLiveness(func(from topology.NodeID) { d.lastHeard[from] = d.clock.Now() }, d.clock.Now)
 	for _, id := range d.fleet.Tree.Nodes() {
-		d.fleet.node(id).setLiveness(heard, vnow)
 		d.lastHeard[id] = now
 		d.state[id] = liveAlive
 	}
@@ -182,9 +180,7 @@ func (d *Detector) Stop() {
 		d.timer.Cancel()
 		d.timer = nil
 	}
-	for _, id := range d.fleet.Tree.Nodes() {
-		d.fleet.node(id).setLiveness(nil, nil)
-	}
+	d.fleet.setLiveness(nil, nil)
 }
 
 // Err returns the first error any sweep's recovery action hit, if any.

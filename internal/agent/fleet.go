@@ -19,6 +19,9 @@ type Fleet struct {
 	// nodes is indexed by the tree's dense node index (topology.Tree.Index);
 	// slots freed by node removal are nil.
 	nodes []*Node
+	// sh is the state all agents share, including the maintained views the
+	// whole-network accessors below read.
+	sh *shared
 }
 
 // node resolves an agent through the tree's dense index; nil if unknown.
@@ -77,17 +80,16 @@ func Deploy(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Deman
 	if err := tree.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{Tree: tree, Frame: frame, nodes: make([]*Node, tree.IndexCap())}
+	sh := &shared{frame: frame, rootGap: cfg.rootGap, net: net, tracer: cfg.tracer, metrics: cfg.metrics}
+	sh.view.hosts = make(map[topology.NodeID][2][]linkCells)
+	f := &Fleet{Tree: tree, Frame: frame, nodes: make([]*Node, tree.IndexCap()), sh: sh}
+	maxLayers := tree.SubtreeMaxLayers()
 	for _, id := range tree.Nodes() {
 		parent, err := tree.Parent(id)
 		if err != nil {
 			return nil, err
 		}
 		ownLayer, err := tree.LinkLayer(id)
-		if err != nil {
-			return nil, err
-		}
-		maxLayer, err := tree.SubtreeMaxLayer(id)
 		if err != nil {
 			return nil, err
 		}
@@ -104,12 +106,8 @@ func Deploy(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Deman
 			children: children,
 			nonLeaf:  nonLeaf,
 			ownLayer: ownLayer,
-			maxLayer: maxLayer,
-			frame:    frame,
-			rootGap:  cfg.rootGap,
-			net:      net,
-			tracer:   cfg.tracer,
-			metrics:  cfg.metrics,
+			maxLayer: maxLayers[tree.Index(id)],
+			sh:       sh,
 		}
 		// Only nodes that host children carry protocol maps; leaf agents stay
 		// map-free (the dominant population at scale). The gateway always gets
@@ -179,32 +177,28 @@ func (f *Fleet) RequestLinkDemand(l topology.Link, cells int) error {
 	return n.RequestDemand(l.Direction, cells)
 }
 
-// BuildSchedule assembles the global schedule from every agent's local
-// assignment — the instrumentation view used for validation and
-// simulation.
+// BuildSchedule returns the global schedule — every agent's current
+// own-layer cell assignment — as the instrumentation view used for
+// validation and simulation. It reads the maintained view the agents
+// publish into at each assignment write, so it costs O(links that own
+// cells) whatever the fleet size, and equals a walk over all agents in
+// NodeID order at every instant, mid-protocol states included. The result
+// is a fresh copy: callers may keep or edit it without touching fleet
+// state.
 func (f *Fleet) BuildSchedule() (*schedule.Schedule, error) {
 	s, err := schedule.NewSchedule(f.Frame)
 	if err != nil {
 		return nil, err
 	}
-	for _, id := range f.Tree.Nodes() {
-		n := f.node(id)
-		for _, d := range topology.Directions() {
-			for child, cells := range n.Assignment(d) {
-				if len(cells) == 0 {
-					continue
-				}
-				if err := s.Assign(topology.Link{Child: child, Direction: d}, cells...); err != nil {
-					return nil, err
-				}
-			}
-		}
+	if err := f.sh.view.appendTo(s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// Validate builds the global schedule and checks the collision-freedom and
-// half-duplex invariants.
+// Validate builds the global schedule (BuildSchedule) and checks the
+// collision-freedom and half-duplex invariants on it; nothing is checked
+// less than on a from-scratch walk, only the assembly is cheaper.
 func (f *Fleet) Validate() error {
 	s, err := f.BuildSchedule()
 	if err != nil {
@@ -294,7 +288,12 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 	if err := f.Tree.Reparent(node, newParent); err != nil {
 		return err
 	}
-	for _, id := range f.Tree.Nodes() {
+	maxLayers := f.Tree.SubtreeMaxLayers()
+	for i, n := range f.nodes {
+		if n == nil {
+			continue
+		}
+		id := f.Tree.NodeAt(i)
 		parent, err := f.Tree.Parent(id)
 		if err != nil {
 			return err
@@ -303,11 +302,7 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 		if err != nil {
 			return err
 		}
-		maxLayer, err := f.Tree.SubtreeMaxLayer(id)
-		if err != nil {
-			return err
-		}
-		f.node(id).setStructure(parent, ownLayer, maxLayer)
+		n.setStructure(parent, ownLayer, maxLayers[i])
 	}
 	np := f.node(newParent)
 	np.mu.Lock()
@@ -487,51 +482,32 @@ func (f *Fleet) syncFromTree(id topology.NodeID) {
 	n.mu.Unlock()
 }
 
-// Rejections sums the adjustment rejections across agents.
-func (f *Fleet) Rejections() int {
-	total := 0
-	for _, n := range f.nodes {
-		if n == nil {
-			continue
-		}
-		n.mu.Lock()
-		total += n.Rejections
-		n.mu.Unlock()
-	}
-	return total
-}
+// Rejections returns the adjustment rejections across all agents: an O(1)
+// read of the tally every Node.reject counts into.
+func (f *Fleet) Rejections() int { return int(f.sh.rejections.Load()) }
 
-// BindVirtualTime gives every agent a virtual-clock reading so
+// BindVirtualTime gives the deployment a virtual-clock reading so
 // escalations are stamped (pendingSince) and escalation→commit latency
 // is observed. The failure detector's setLiveness later overwrites the
 // source with the same clock plus its delivery hook; binding here only
 // means stamping works on runs without a detector. Behaviour-neutral:
 // the stamps are read only by the watchdog and the latency telemetry.
 func (f *Fleet) BindVirtualTime(vnow func() float64) {
-	for _, n := range f.nodes {
-		if n == nil {
-			continue
-		}
-		n.mu.Lock()
-		n.vnow = vnow
-		n.mu.Unlock()
+	hooks := clockHooks{vnow: vnow}
+	if cur := f.sh.hooks.Load(); cur != nil {
+		hooks.heard = cur.heard
 	}
+	f.sh.hooks.Store(&hooks)
 }
 
-// PendingAdjustments counts the fleet's in-flight adjustments: layers
-// holding a stamped escalation whose grant has not committed yet. The
-// telemetry layer samples it at window boundaries.
-func (f *Fleet) PendingAdjustments() int {
-	total := 0
-	for _, n := range f.nodes {
-		if n == nil {
-			continue
-		}
-		n.mu.Lock()
-		for _, d := range topology.Directions() {
-			total += len(n.dir(d).pendingSince)
-		}
-		n.mu.Unlock()
-	}
-	return total
+// setLiveness wires (or, with nils, unwires) the failure detector's
+// delivery hook and virtual-time source for every agent at once.
+func (f *Fleet) setLiveness(heard func(topology.NodeID), vnow func() float64) {
+	f.sh.hooks.Store(&clockHooks{heard: heard, vnow: vnow})
 }
+
+// PendingAdjustments returns the fleet's in-flight adjustments: layers
+// holding a stamped escalation whose grant has not committed yet. The
+// telemetry layer samples it at window boundaries; it is an O(1) read of
+// the tally the agents keep at their stamp and clear sites.
+func (f *Fleet) PendingAdjustments() int { return int(f.sh.pending.Load()) }

@@ -117,6 +117,30 @@ func TestFleetConcurrentAdjustments(t *testing.T) {
 		{Child: 16, Direction: topology.Downlink},
 		{Child: 17, Direction: topology.Uplink},
 	}
+	// A telemetry-style poller reads the maintained fleet views the whole
+	// time the handlers write them: every schedule it gets must assemble,
+	// whatever mid-protocol state it catches.
+	stop := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := fleet.BuildSchedule(); err != nil {
+				t.Errorf("concurrent BuildSchedule: %v", err)
+				return
+			}
+			_ = fleet.PendingAdjustments() + fleet.Rejections()
+		}
+	}()
+	defer poller.Wait()
+	defer close(stop)
+
 	for round, cells := range []int{4, 2, 5} {
 		var wg sync.WaitGroup
 		errs := make([]error, len(links))

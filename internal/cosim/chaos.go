@@ -156,7 +156,14 @@ func (c *Chaos) Run(slotframes int) error {
 	for k := 0; k < slotframes; k++ {
 		c.cs.At(start+k*frame, func(cs *CoSim) {
 			c.availSamples++
-			if cs.Fleet.Validate() == nil {
+			// Fleet.Validate spelled out, so the harpdebug view assertion
+			// also sees the mid-storm states no commit ever installs.
+			sched, err := cs.Fleet.BuildSchedule()
+			if err == nil {
+				debugCheckView(cs.Fleet, sched)
+				err = sched.Validate(cs.Fleet.Tree)
+			}
+			if err == nil {
 				c.availOK++
 			}
 		})

@@ -251,6 +251,7 @@ func New(cfg Config) (*CoSim, error) {
 	sched, err := fleet.BuildSchedule()
 	built := err == nil
 	if built {
+		debugCheckView(fleet, sched)
 		err = sched.Validate(fleet.Tree)
 	}
 	if err != nil {
@@ -335,6 +336,7 @@ func (cs *CoSim) observe() {
 	cs.pending = false
 	sched, err := cs.Fleet.BuildSchedule()
 	if err == nil {
+		debugCheckView(cs.Fleet, sched)
 		err = sched.Validate(cs.Fleet.Tree)
 	}
 	if err != nil {

@@ -58,3 +58,23 @@ func TestChaosExpDeterministic(t *testing.T) {
 		t.Errorf("chaos runs differ:\n%+v\n%+v", a, b)
 	}
 }
+
+// TestChaosStrayReportSeeds replays the three storms that used to panic
+// with "assignment to entry in nil map": a node dropped as dead came back
+// on the transport before the detector readmitted it, and re-reported its
+// interface (non-Join) to a former parent left childless and map-free.
+// The stray report is now dropped, so every run must return. Seed 17 then
+// heals completely; seeds 1 and 2 return the storm's own verdict (orphans
+// left, or no quiescence within the drain) like seeds 3, 7 and 11 do —
+// that is the open self-healing work, not this handler's.
+func TestChaosStrayReportSeeds(t *testing.T) {
+	for _, seed := range []int64{17, 1, 2} {
+		cfg := DefaultChaosExp()
+		cfg.Seed = seed
+		_, err := ChaosExp(cfg) // a panic fails the test
+		if err != nil && seed == 17 {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		t.Logf("seed %d: returned, err = %v", seed, err)
+	}
+}

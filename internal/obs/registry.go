@@ -91,6 +91,10 @@ const (
 	// MetricAborts counts stale in-flight adjustments rolled back by the
 	// adjustment watchdog.
 	MetricAborts = "agent.aborts"
+	// MetricStrayReports counts interface reports an agent dropped because
+	// the sender is not one of its children (a child it dropped as dead
+	// that re-reported before its readmission).
+	MetricStrayReports = "agent.stray_reports"
 )
 
 // Distribution kinds: run-cumulative power-of-two histograms (Dist) and

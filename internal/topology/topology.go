@@ -337,6 +337,26 @@ func (t *Tree) SubtreeMaxLayer(id NodeID) (int, error) {
 	return deepest, nil
 }
 
+// SubtreeMaxLayers returns SubtreeMaxLayer for every node at once, indexed
+// by dense index (freed slots hold 0): one post-order walk from the gateway
+// instead of one subtree walk per node.
+func (t *Tree) SubtreeMaxLayers() []int {
+	out := make([]int, len(t.order))
+	var walk func(n *node) int
+	walk = func(n *node) int {
+		deepest := n.depth
+		for _, c := range n.children {
+			if d := walk(t.nodes[c]); d > deepest {
+				deepest = d
+			}
+		}
+		out[t.index[n.id]] = deepest
+		return deepest
+	}
+	walk(t.nodes[GatewayID])
+	return out
+}
+
 // Subtree returns the node IDs of the subtree rooted at id (including id),
 // sorted.
 func (t *Tree) Subtree(id NodeID) ([]NodeID, error) {

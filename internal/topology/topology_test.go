@@ -80,6 +80,40 @@ func TestDepthsAndLayers(t *testing.T) {
 	}
 }
 
+// TestSubtreeMaxLayersMatchesPerNodeWalk: the one-pass table equals the
+// per-node recursive query on every node, also after a reparent and with a
+// freed dense slot in the table.
+func TestSubtreeMaxLayersMatchesPerNodeWalk(t *testing.T) {
+	tr, err := Generate(GenSpec{Nodes: 200, Layers: 6, MaxChildren: 5}, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		all := tr.SubtreeMaxLayers()
+		if len(all) != tr.IndexCap() {
+			t.Fatalf("%s: table has %d entries, IndexCap %d", when, len(all), tr.IndexCap())
+		}
+		for _, id := range tr.Nodes() {
+			want, err := tr.SubtreeMaxLayer(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := all[tr.Index(id)]; got != want {
+				t.Errorf("%s: node %d: table %d, SubtreeMaxLayer %d", when, id, got, want)
+			}
+		}
+	}
+	check("generated")
+	if err := tr.RemoveLeaf(199); err != nil { // the last node added is a leaf
+		t.Fatal(err)
+	}
+	if err := tr.Reparent(5, GatewayID); err != nil { // the backbone's tail moves up
+		t.Fatal(err)
+	}
+	check("after RemoveLeaf and Reparent")
+}
+
 func TestSubtreeQueries(t *testing.T) {
 	tr := Fig1()
 	sub, err := tr.Subtree(1)

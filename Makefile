@@ -66,7 +66,7 @@ bench:
 # worker counts — the report is a pure function of the seeds, so the two
 # files must be identical.
 faultsoak:
-	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab|FleetViews|FleetConcurrent' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
+	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab|FleetViews|FleetConcurrent|EnvelopePool|Unregistered|PairMapModel|StarSender|Borrowed|KeepaliveLedger' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w1.json -workers 1
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w4.json -workers 4
 	cmp /tmp/losssweep_w1.json /tmp/losssweep_w4.json

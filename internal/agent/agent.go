@@ -11,6 +11,7 @@
 package agent
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -215,30 +216,92 @@ func (n *Node) reject() {
 	n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricRejections))
 }
 
-// send builds and transmits a CoAP request carrying a HARP payload.
+// The Uri-Path options of the Table I resources and of the detector's
+// probe, built once: every message of the fleet shares them read-only.
+var (
+	optsInterface = coap.PathOptions(proto.PathInterface)
+	optsPartition = coap.PathOptions(proto.PathPartition)
+	optsSchedule  = coap.PathOptions(proto.PathSchedule)
+	optsKeepalive = coap.PathOptions(proto.PathKeepalive)
+)
+
+// route is the Table I handler a message resolves to.
+type route uint8
+
+const (
+	routeNone       route = iota // not a HARP message: a keepalive probe, or noise
+	routeReport                  // POST /intf
+	routeLeave                   // DELETE /intf
+	routeAdjust                  // PUT /intf
+	routePartSet                 // POST /part
+	routePartUpdate              // PUT /part
+	routeSchedule                // POST /sched
+)
+
+// resolve maps a message to its handler from the method and the sole path
+// segment, comparing bytes: no path string is built. A keepalive (POST /ka)
+// resolves to routeNone.
+//
+//harplint:hotpath
+func resolve(msg coap.Message) route {
+	seg, single := msg.PathSegment()
+	if !single {
+		return routeNone
+	}
+	switch {
+	case bytes.Equal(seg, optsInterface[0].Value):
+		switch msg.Code {
+		case coap.POST:
+			return routeReport
+		case coap.DELETE:
+			return routeLeave
+		case coap.PUT:
+			return routeAdjust
+		}
+	case bytes.Equal(seg, optsPartition[0].Value):
+		switch msg.Code {
+		case coap.POST:
+			return routePartSet
+		case coap.PUT:
+			return routePartUpdate
+		}
+	case bytes.Equal(seg, optsSchedule[0].Value):
+		if msg.Code == coap.POST {
+			return routeSchedule
+		}
+	}
+	return routeNone
+}
+
+// send builds and transmits a CoAP request carrying a HARP payload; path is
+// one of the prebuilt option slices above.
 //
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
-func (n *Node) send(to topology.NodeID, method coap.Code, path string, payload []byte) {
-	msg := coap.NewRequest(coap.NonConfirmable, method, n.nextMsgID(), path)
-	msg.Payload = payload
+func (n *Node) send(to topology.NodeID, method coap.Code, path []coap.Option, payload []byte) {
+	msg := coap.Message{
+		Type: coap.NonConfirmable, Code: method, MessageID: n.nextMsgID(),
+		Options: path, Payload: payload,
+	}
 	// Transport errors indicate a mis-deployed fleet; agents cannot repair
 	// that, so the failure surfaces via the transport's own accounting.
 	//harplint:allow errcheck
 	_ = n.sh.net.Send(n.id, to, msg)
 }
 
-// Handle implements transport.Handler: the CoAP router of Table I.
+// Handle implements transport.Handler: the CoAP router of Table I. msg is
+// borrowed from the transport for the call; the proto decoders copy what
+// the handlers keep.
 func (n *Node) Handle(from topology.NodeID, msg coap.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if h := n.sh.hooks.Load(); h != nil && h.heard != nil {
 		// Any delivered message is liveness evidence for the detector;
-		// keepalive probes (POST /ka) carry nothing else and fall through
-		// the router below.
+		// keepalive probes (POST /ka) carry nothing else and resolve to no
+		// route below.
 		h.heard(from)
 	}
-	switch {
-	case msg.Code == coap.POST && msg.Path() == proto.PathInterface:
+	switch resolve(msg) {
+	case routeReport:
 		if m, err := proto.DecodeInterfaceReport(msg.Payload); err == nil {
 			if m.Join {
 				n.onChildJoin(m)
@@ -246,21 +309,21 @@ func (n *Node) Handle(from topology.NodeID, msg coap.Message) {
 				n.onInterfaceReport(m)
 			}
 		}
-	case msg.Code == coap.DELETE && msg.Path() == proto.PathInterface:
+	case routeLeave:
 		n.onChildLeave(from)
-	case msg.Code == coap.PUT && msg.Path() == proto.PathInterface:
+	case routeAdjust:
 		if m, err := proto.DecodeAdjustRequest(msg.Payload); err == nil {
 			n.onAdjustRequest(from, m)
 		}
-	case msg.Code == coap.POST && msg.Path() == proto.PathPartition:
+	case routePartSet:
 		if m, err := proto.DecodePartitionSet(msg.Payload); err == nil {
 			n.onPartitionSet(m)
 		}
-	case msg.Code == coap.PUT && msg.Path() == proto.PathPartition:
+	case routePartUpdate:
 		if m, err := proto.DecodePartitionUpdate(msg.Payload); err == nil {
 			n.onPartitionUpdate(m)
 		}
-	case msg.Code == coap.POST && msg.Path() == proto.PathSchedule:
+	case routeSchedule:
 		if m, err := proto.DecodeScheduleNotice(msg.Payload); err == nil {
 			n.dir(m.Direction).myCells = m.Cells
 		}
@@ -278,8 +341,8 @@ func (n *Node) Handle(from topology.NodeID, msg coap.Message) {
 func (n *Node) HandleSendFailure(to topology.NodeID, msg coap.Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	switch {
-	case msg.Code == coap.PUT && msg.Path() == proto.PathInterface:
+	switch resolve(msg) {
+	case routeAdjust:
 		if m, err := proto.DecodeAdjustRequest(msg.Payload); err == nil {
 			// One degradation per (peer, adjustment): a dead parent makes
 			// every queued escalation of a layer give up in turn, but the
@@ -293,7 +356,7 @@ func (n *Node) HandleSendFailure(to topology.NodeID, msg coap.Message) {
 		} else {
 			n.reject()
 		}
-	case msg.Code == coap.POST && msg.Path() == proto.PathInterface:
+	case routeReport:
 		// Interface report lost: the parent is unreachable.
 		n.degradeOnce(giveUpKey{peer: to, report: true})
 	}
@@ -523,7 +586,7 @@ func (n *Node) computeAndForwardInterface() {
 		tr.Push(sp)
 		defer tr.Pop()
 	}
-	n.send(n.parent, coap.POST, proto.PathInterface, proto.EncodeInterfaceReport(report))
+	n.send(n.parent, coap.POST, optsInterface, proto.EncodeInterfaceReport(report))
 }
 
 //harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
@@ -623,7 +686,7 @@ func (n *Node) settle() {
 		if g != nil {
 			entries = g.entries
 		}
-		n.send(c, coap.POST, proto.PathPartition, proto.EncodePartitionSet(proto.PartitionSet{Entries: entries}))
+		n.send(c, coap.POST, optsPartition, proto.EncodePartitionSet(proto.PartitionSet{Entries: entries}))
 	}
 	if debugChecks {
 		n.debugCheckAssignments("settle")
@@ -714,7 +777,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
 					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(kept))))
 			}
-			n.send(c, coap.POST, proto.PathSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
+			n.send(c, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
 				Direction: d, Cells: kept,
 			}))
 		}
@@ -732,7 +795,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
 					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(next[c]))))
 			}
-			n.send(c, coap.POST, proto.PathSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
+			n.send(c, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
 				Direction: d, Cells: next[c],
 			}))
 		}
@@ -934,7 +997,7 @@ func (n *Node) escalate(d topology.Direction, layer int, comp core.Component) {
 		tr.Push(sp)
 		defer tr.Pop()
 	}
-	n.send(n.parent, coap.PUT, proto.PathInterface, proto.EncodeAdjustRequest(proto.AdjustRequest{
+	n.send(n.parent, coap.PUT, optsInterface, proto.EncodeAdjustRequest(proto.AdjustRequest{
 		Origin: n.id, Direction: d, Layer: layer, Comp: comp,
 	}))
 }
@@ -953,7 +1016,7 @@ func (n *Node) RequestDemand(d topology.Direction, cells int) error {
 	if cells < 0 {
 		return fmt.Errorf("agent: negative demand %d", cells)
 	}
-	n.send(n.parent, coap.PUT, proto.PathInterface, proto.EncodeAdjustRequest(proto.AdjustRequest{
+	n.send(n.parent, coap.PUT, optsInterface, proto.EncodeAdjustRequest(proto.AdjustRequest{
 		Origin:    n.id,
 		Direction: d,
 		Layer:     n.ownLayer - 1, // the layer of this node's link to its parent
@@ -1015,7 +1078,7 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 				off := newLayout[child]
 				r := c.Region(region.Slot+off.Slot, region.Channel+off.Channel)
 				st.sentRegions[layer][child] = r
-				n.send(child, coap.PUT, proto.PathPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
+				n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
 					Direction: d, Layer: layer, Region: r,
 				}))
 			}
@@ -1165,12 +1228,12 @@ func (n *Node) resyncChild(child topology.NodeID) {
 		}
 		sort.Ints(layers)
 		for _, layer := range layers {
-			n.send(child, coap.PUT, proto.PathPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
+			n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
 				Direction: d, Layer: layer, Region: st.sentRegions[layer][child],
 			}))
 		}
 		if cells := st.assignment[child]; len(cells) > 0 {
-			n.send(child, coap.POST, proto.PathSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
+			n.send(child, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
 				Direction: d, Cells: cells,
 			}))
 		}
@@ -1319,7 +1382,7 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 			continue // unchanged: no message
 		}
 		st.sentRegions[layer][child] = r
-		n.send(child, coap.PUT, proto.PathPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
+		n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
 			Direction: d, Layer: layer, Region: r,
 		}))
 	}
@@ -1344,7 +1407,7 @@ func (n *Node) Leave() {
 	if n.isGateway() {
 		return
 	}
-	n.send(n.parent, coap.DELETE, proto.PathInterface, nil)
+	n.send(n.parent, coap.DELETE, optsInterface, nil)
 }
 
 // setStructure installs recomputed tree coordinates after a topology

@@ -6,7 +6,6 @@ import (
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/obs"
-	"github.com/harpnet/harp/internal/proto"
 	"github.com/harpnet/harp/internal/topology"
 	"github.com/harpnet/harp/internal/traffic"
 	"github.com/harpnet/harp/internal/vclock"
@@ -100,7 +99,7 @@ const (
 // The paper's testbed announces failures to the experiment harness; here
 // Bus.Crash is silent and outages are *discovered* from missing traffic,
 // as a deployment would. The detector is centralized over one fleet —
-// the global last-heard map stands in for per-neighbour timers, which
+// the global last-heard table stands in for per-neighbour timers, which
 // makes network partitions invisible (a partitioned node keeps its
 // global liveness through any reachable neighbour; partitions shorter
 // than DeadAfter are ridden out by CON retransmission). Link flaps that
@@ -110,6 +109,12 @@ const (
 // All state transitions happen inside clock events, so the detector
 // needs no lock of its own; it must only be driven through the shared
 // virtual clock (Bus, CoSim).
+//
+// A keepalive is the commonest message a fleet carries (two per tree link
+// per period), so the per-node state is three slices indexed by the tree's
+// dense index — the delivery hook is one index lookup and one store — and
+// the sweep walks a cached probe list (probeWalk) instead of asking the
+// tree for every node's parent and sorted children every period.
 type Detector struct {
 	fleet *Fleet
 	net   DetectorNet
@@ -117,12 +122,19 @@ type Detector struct {
 	cfg   DetectorConfig
 	rng   *rand.Rand
 
-	lastHeard   map[topology.NodeID]float64
-	state       map[topology.NodeID]liveness
-	suspectedAt map[topology.NodeID]float64
-	msgID       uint16
-	stopped     bool
-	timer       *vclock.Handle
+	// lastHeard, state and suspectedAt are indexed by Tree.Index and sized
+	// Tree.IndexCap at Start (empty before it: every query answers false).
+	// A zero suspectedAt means not suspected.
+	lastHeard   []float64
+	state       []liveness
+	suspectedAt []float64
+	// walk is the cached probe list; walkGen is the fleet's tree generation
+	// it was built at (see Fleet.treeGen).
+	walk    probeWalk
+	walkGen uint64
+	msgID   uint16
+	stopped bool
+	timer   *vclock.Handle
 
 	// Deaths, Adoptions and Readmissions record what the detector did, in
 	// declaration order. They survive Bus.ResetCounters (which wipes the
@@ -148,39 +160,97 @@ func NewDetector(f *Fleet, net DetectorNet, clock *vclock.Clock, cfg DetectorCon
 		return nil, fmt.Errorf("agent: detector needs a demand provider")
 	}
 	return &Detector{
-		fleet:       f,
-		net:         net,
-		clock:       clock,
-		cfg:         cfg,
-		rng:         vclock.NewStream(vclock.StreamDetector, cfg.Seed),
-		lastHeard:   make(map[topology.NodeID]float64),
-		state:       make(map[topology.NodeID]liveness),
-		suspectedAt: make(map[topology.NodeID]float64),
+		fleet: f,
+		net:   net,
+		clock: clock,
+		cfg:   cfg,
+		rng:   vclock.NewStream(vclock.StreamDetector, cfg.Seed),
 	}, nil
+}
+
+// probeWalk is the sweep's view of the tree, in the order the sweep visits
+// it: every node in NodeID order and, per node, the peers it probes — its
+// parent first, then its children in NodeID order. Everything is a dense
+// tree index (Tree.NodeAt maps back). The node set of a deployed fleet is
+// fixed; the peers change only when Fleet.rehome rewires the tree, which
+// bumps Fleet.treeGen and makes the next sweep rebuild the walk.
+type probeWalk struct {
+	nodes []int32 // every node, in NodeID order
+	off   []int32 // nodes[k] probes peers[off[k]:off[k+1]]
+	peers []int32
+}
+
+// rebuild recomputes the walk from the tree, reusing its storage.
+func (w *probeWalk) rebuild(tree *topology.Tree) {
+	w.nodes, w.off, w.peers = w.nodes[:0], w.off[:0], w.peers[:0]
+	for _, id := range tree.Nodes() {
+		w.nodes = append(w.nodes, int32(tree.Index(id)))
+		w.off = append(w.off, int32(len(w.peers)))
+		if parent, err := tree.Parent(id); err == nil && parent != topology.None {
+			w.peers = append(w.peers, int32(tree.Index(parent)))
+		}
+		for _, c := range tree.Children(id) {
+			w.peers = append(w.peers, int32(tree.Index(c)))
+		}
+	}
+	w.off = append(w.off, int32(len(w.peers)))
 }
 
 // Start wires the liveness hooks into every agent and schedules the first
 // sweep. Every node starts alive and freshly heard.
 func (d *Detector) Start() {
 	now := d.clock.Now()
-	d.fleet.setLiveness(func(from topology.NodeID) { d.lastHeard[from] = d.clock.Now() }, d.clock.Now)
-	for _, id := range d.fleet.Tree.Nodes() {
-		d.lastHeard[id] = now
-		d.state[id] = liveAlive
+	n := d.fleet.Tree.IndexCap()
+	d.lastHeard = make([]float64, n)
+	d.state = make([]liveness, n) // liveAlive
+	d.suspectedAt = make([]float64, n)
+	for i := range d.lastHeard {
+		d.lastHeard[i] = now
 	}
+	d.walk.rebuild(d.fleet.Tree)
+	d.walkGen = d.fleet.treeGen
+	d.fleet.BindVirtualTime(d.clock.Now)
+	d.fleet.setHeard(d.heard)
 	d.stopped = false
 	d.scheduleSweep()
 }
 
-// Stop unwires the hooks and cancels the pending sweep; the clock can
-// drain again.
+// heard is the agents' delivery hook: any message from a node is liveness
+// evidence for it. One index lookup, one store.
+//
+//harplint:hotpath
+func (d *Detector) heard(from topology.NodeID) {
+	if i := d.index(from); i >= 0 {
+		d.lastHeard[i] = d.clock.Now()
+	}
+}
+
+// index returns a node's position in the per-node slices, or -1 for an id
+// the detector holds no state for (unknown to the tree, or not started).
+func (d *Detector) index(id topology.NodeID) int {
+	if i := d.fleet.Tree.Index(id); i < len(d.state) {
+		return i
+	}
+	return -1
+}
+
+// stateOf returns a node's liveness (alive for an id without state).
+func (d *Detector) stateOf(id topology.NodeID) liveness {
+	if i := d.index(id); i >= 0 {
+		return d.state[i]
+	}
+	return liveAlive
+}
+
+// Stop unwires the delivery hook and cancels the pending sweep; the clock
+// can drain again. The deployment's virtual-clock reading stays bound.
 func (d *Detector) Stop() {
 	d.stopped = true
 	if d.timer != nil {
 		d.timer.Cancel()
 		d.timer = nil
 	}
-	d.fleet.setLiveness(nil, nil)
+	d.fleet.setHeard(nil)
 }
 
 // Err returns the first error any sweep's recovery action hit, if any.
@@ -192,16 +262,16 @@ func (d *Detector) Err() error {
 }
 
 // Dead reports whether the detector currently considers a node dead.
-func (d *Detector) Dead(id topology.NodeID) bool { return d.state[id] == liveDead }
+func (d *Detector) Dead(id topology.NodeID) bool { return d.stateOf(id) == liveDead }
 
 // Suspected reports whether the detector currently suspects a node.
-func (d *Detector) Suspected(id topology.NodeID) bool { return d.state[id] == liveSuspect }
+func (d *Detector) Suspected(id topology.NodeID) bool { return d.stateOf(id) == liveSuspect }
 
 // DeadOrCrashed is the predicate adoptions and demand shifts use: a node
 // the detector declared dead, or one the transport knows is down (its
 // agent state is frozen and must not be mutated).
 func (d *Detector) DeadOrCrashed(id topology.NodeID) bool {
-	return d.state[id] == liveDead || d.net.Crashed(id)
+	return d.stateOf(id) == liveDead || d.net.Crashed(id)
 }
 
 //harplint:locked — single-threaded on the virtual clock (sweep events).
@@ -218,42 +288,38 @@ func (d *Detector) sweep() {
 		return
 	}
 	now := d.clock.Now()
-	nodes := d.fleet.Tree.Nodes()
+	tree := d.fleet.Tree
+	if d.walkGen != d.fleet.treeGen {
+		d.walk.rebuild(tree)
+		d.walkGen = d.fleet.treeGen
+	}
+	nodes := d.walk.nodes // fixed for the sweep: adoptions below move nodes, never add or remove them
 
 	// 1. Keepalives: every non-crashed node probes its parent and children.
 	// Background sends hold no in-flight slot, so quiescence (and every
 	// delivery counter) is untouched.
-	for _, id := range nodes {
-		if d.net.Crashed(id) {
-			continue
-		}
-		if parent, err := d.fleet.Tree.Parent(id); err == nil && parent != topology.None {
-			d.keepalive(id, parent)
-		}
-		for _, c := range d.fleet.Tree.Children(id) {
-			d.keepalive(id, c)
-		}
-	}
+	d.probe()
 
 	// 2. Judge silence. Transitions are collected first and applied in
 	// sorted node order; the dead set is fully marked before any adoption
 	// runs, so a parent and child dying in the same sweep never adopt into
 	// each other.
 	var newlyDead, comebacks []topology.NodeID
-	for _, id := range nodes {
+	for _, i := range nodes {
+		id := tree.NodeAt(int(i))
 		if id == topology.GatewayID {
 			continue // the gateway anchors the hierarchy (it hosts the detector)
 		}
-		silence := now - d.lastHeard[id]
-		switch d.state[id] {
+		silence := now - d.lastHeard[i]
+		switch d.state[i] {
 		case liveDead:
 			if silence < d.cfg.DeadAfter {
 				comebacks = append(comebacks, id)
 			}
 		case liveSuspect:
 			if silence < d.cfg.SuspectAfter {
-				d.state[id] = liveAlive
-				delete(d.suspectedAt, id)
+				d.state[i] = liveAlive
+				d.suspectedAt[i] = 0
 			} else if silence >= d.cfg.DeadAfter {
 				newlyDead = append(newlyDead, id)
 			}
@@ -285,16 +351,16 @@ func (d *Detector) sweep() {
 		declared := newlyDead[:0]
 		for _, id := range newlyDead {
 			blamed := false
-			if ancestors, err := d.fleet.Tree.Ancestors(id); err == nil {
+			if ancestors, err := tree.Ancestors(id); err == nil {
 				for _, a := range ancestors {
-					if dying[a] || d.state[a] == liveSuspect {
+					if dying[a] || d.stateOf(a) == liveSuspect {
 						blamed = true
 						break
 					}
 				}
 			}
 			if blamed {
-				d.lastHeard[id] = now
+				d.lastHeard[tree.Index(id)] = now
 				continue
 			}
 			declared = append(declared, id)
@@ -302,7 +368,7 @@ func (d *Detector) sweep() {
 		newlyDead = declared
 	}
 	for _, id := range newlyDead {
-		d.state[id] = liveDead
+		d.state[tree.Index(id)] = liveDead
 	}
 	for _, id := range newlyDead {
 		d.declareDead(id, now)
@@ -313,31 +379,44 @@ func (d *Detector) sweep() {
 
 	// 3. Adjustment watchdog on live nodes.
 	if d.cfg.AbortAfter > 0 {
-		for _, id := range nodes {
-			if d.state[id] == liveDead || d.net.Crashed(id) {
+		for _, i := range nodes {
+			if d.state[i] == liveDead || d.net.Crashed(tree.NodeAt(int(i))) {
 				continue
 			}
-			d.Aborts += d.fleet.node(id).abortStale(now, d.cfg.AbortAfter)
+			d.Aborts += d.fleet.nodes[i].abortStale(now, d.cfg.AbortAfter)
 		}
 	}
 
 	d.scheduleSweep()
 }
 
+// probe sends one sweep's keepalives along the cached walk.
+//
 //harplint:locked — single-threaded on the virtual clock (sweep events).
-func (d *Detector) keepalive(from, to topology.NodeID) {
-	d.msgID++
-	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, d.msgID, proto.PathKeepalive)
-	// An unknown peer cannot happen on a deployed fleet; the error path is
-	// the transport's own accounting.
-	//harplint:allow errcheck
-	_ = d.net.SendBackground(from, to, msg)
+//harplint:hotpath
+func (d *Detector) probe() {
+	tree, w := d.fleet.Tree, &d.walk
+	for k, i := range w.nodes {
+		from := tree.NodeAt(int(i))
+		if d.net.Crashed(from) {
+			continue
+		}
+		for _, p := range w.peers[w.off[k]:w.off[k+1]] {
+			d.msgID++
+			msg := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: d.msgID, Options: optsKeepalive}
+			// An unknown peer cannot happen on a deployed fleet; the error
+			// path is the transport's own accounting.
+			//harplint:allow errcheck
+			_ = d.net.SendBackground(from, tree.NodeAt(int(p)), msg)
+		}
+	}
 }
 
 //harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) suspect(id topology.NodeID, now float64) {
-	d.state[id] = liveSuspect
-	d.suspectedAt[id] = now
+	i := d.fleet.Tree.Index(id)
+	d.state[i] = liveSuspect
+	d.suspectedAt[i] = now
 	if m := d.cfg.Metrics; m != nil {
 		m.Inc(obs.Key(obs.MetricSuspects))
 	}
@@ -353,18 +432,19 @@ func (d *Detector) suspect(id topology.NodeID, now float64) {
 //
 //harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) declareDead(id topology.NodeID, now float64) {
-	rec := DeathRecord{Node: id, SuspectedAt: d.suspectedAt[id], DeclaredAt: now}
+	i := d.fleet.Tree.Index(id)
+	rec := DeathRecord{Node: id, SuspectedAt: d.suspectedAt[i], DeclaredAt: now}
 	if rec.SuspectedAt == 0 {
 		rec.SuspectedAt = now
 	}
-	delete(d.suspectedAt, id)
+	d.suspectedAt[i] = 0
 	d.Deaths = append(d.Deaths, rec)
 	if m := d.cfg.Metrics; m != nil {
 		m.Inc(obs.Key(obs.MetricDeaths))
 	}
 	if tr := d.cfg.Tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentDead).WithNode(int(id)).
-			WithDetail(fmt.Sprintf("silent=%.0f", now-d.lastHeard[id])))
+			WithDetail(fmt.Sprintf("silent=%.0f", now-d.lastHeard[i])))
 	}
 
 	parent, err := d.fleet.Tree.Parent(id)
@@ -465,8 +545,9 @@ func (d *Detector) adoptiveParent(dead topology.NodeID) topology.NodeID {
 //
 //harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) readmit(id topology.NodeID, now float64) {
-	d.state[id] = liveAlive
-	delete(d.suspectedAt, id)
+	i := d.fleet.Tree.Index(id)
+	d.state[i] = liveAlive
+	d.suspectedAt[i] = 0
 	d.Readmissions++
 	if tr := d.cfg.Tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentReadmit).WithNode(int(id)))

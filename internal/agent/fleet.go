@@ -22,6 +22,10 @@ type Fleet struct {
 	// sh is the state all agents share, including the maintained views the
 	// whole-network accessors below read.
 	sh *shared
+	// treeGen counts the rewirings of Tree (rehome is the one place a
+	// deployed fleet's tree changes); the failure detector rebuilds its
+	// cached probe walk when it moves.
+	treeGen uint64
 }
 
 // node resolves an agent through the tree's dense index; nil if unknown.
@@ -288,6 +292,7 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 	if err := f.Tree.Reparent(node, newParent); err != nil {
 		return err
 	}
+	f.treeGen++
 	maxLayers := f.Tree.SubtreeMaxLayers()
 	for i, n := range f.nodes {
 		if n == nil {
@@ -488,10 +493,10 @@ func (f *Fleet) Rejections() int { return int(f.sh.rejections.Load()) }
 
 // BindVirtualTime gives the deployment a virtual-clock reading so
 // escalations are stamped (pendingSince) and escalation→commit latency
-// is observed. The failure detector's setLiveness later overwrites the
-// source with the same clock plus its delivery hook; binding here only
-// means stamping works on runs without a detector. Behaviour-neutral:
-// the stamps are read only by the watchdog and the latency telemetry.
+// is observed. The failure detector binds the same clock when it starts
+// and leaves it bound when it stops; binding here means stamping also
+// works on runs without a detector. Behaviour-neutral: the stamps are read
+// only by the watchdog and the latency telemetry.
 func (f *Fleet) BindVirtualTime(vnow func() float64) {
 	hooks := clockHooks{vnow: vnow}
 	if cur := f.sh.hooks.Load(); cur != nil {
@@ -500,10 +505,16 @@ func (f *Fleet) BindVirtualTime(vnow func() float64) {
 	f.sh.hooks.Store(&hooks)
 }
 
-// setLiveness wires (or, with nils, unwires) the failure detector's
-// delivery hook and virtual-time source for every agent at once.
-func (f *Fleet) setLiveness(heard func(topology.NodeID), vnow func() float64) {
-	f.sh.hooks.Store(&clockHooks{heard: heard, vnow: vnow})
+// setHeard wires (or, with nil, unwires) the failure detector's delivery
+// hook for every agent at once. Like BindVirtualTime it replaces its own
+// half of the hooks and keeps the other: a stopping detector must not
+// blind the stamps.
+func (f *Fleet) setHeard(heard func(topology.NodeID)) {
+	hooks := clockHooks{heard: heard}
+	if cur := f.sh.hooks.Load(); cur != nil {
+		hooks.vnow = cur.vnow
+	}
+	f.sh.hooks.Store(&hooks)
 }
 
 // PendingAdjustments returns the fleet's in-flight adjustments: layers

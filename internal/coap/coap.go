@@ -4,6 +4,13 @@
 // basic response codes, Uri-Path options, tokens and payloads, with the
 // standard binary wire encoding. The agent layer routes HARP's four
 // handlers (POST/PUT on /intf and /part) over these messages.
+//
+// There is one parser and two ways to hold its result. ParseBorrowed
+// returns a Message whose Token, option values and Payload alias the input
+// buffer: free, and valid only while the buffer is left alone — the
+// transport's delivery path uses it and lends the message to the handler
+// for one call. Decode is ParseBorrowed followed by Message.Clone: the
+// message owns its bytes, for callers that keep it.
 package coap
 
 import (
@@ -122,11 +129,19 @@ var (
 
 // NewRequest builds a request with the given method and Uri-Path segments.
 func NewRequest(t Type, method Code, messageID uint16, path ...string) Message {
-	m := Message{Type: t, Code: method, MessageID: messageID}
+	return Message{Type: t, Code: method, MessageID: messageID, Options: PathOptions(path...)}
+}
+
+// PathOptions builds the Uri-Path options of a request path, one per
+// segment. A sender with a fixed set of paths builds each once and shares
+// the slice read-only between its messages: AppendTo never mutates
+// options that are already in number order.
+func PathOptions(path ...string) []Option {
+	var opts []Option
 	for _, seg := range path {
-		m.Options = append(m.Options, Option{Number: OptionUriPath, Value: []byte(seg)})
+		opts = append(opts, Option{Number: OptionUriPath, Value: []byte(seg)})
 	}
-	return m
+	return opts
 }
 
 // PathSegment returns the message's sole Uri-Path segment without
@@ -281,10 +296,62 @@ func appendNibbleExt(buf []byte, n byte, v uint32) []byte {
 	return buf
 }
 
-// Decode parses a wire-format message.
+// Decode parses a wire-format message into a Message that owns its bytes:
+// the caller may reuse or overwrite data afterwards. It is ParseBorrowed
+// followed by Clone, so the two forms cannot drift; callers that only look
+// at the message while data stays untouched (the bus's delivery path) use
+// ParseBorrowed and skip the copy.
+func Decode(data []byte) (Message, error) {
+	var scratch [4]Option // on the stack; enough for any message this module encodes
+	m, err := ParseBorrowed(data, scratch[:0])
+	if err != nil {
+		return Message{}, err
+	}
+	return m.Clone(), nil
+}
+
+// Clone returns a copy of the message that shares no storage with it:
+// token, option values and payload move into one fresh buffer (each
+// capacity-capped, so appending to one cannot reach the next). Empty
+// fields stay nil.
+func (m Message) Clone() Message {
+	n := len(m.Token) + len(m.Payload)
+	for _, o := range m.Options {
+		n += len(o.Value)
+	}
+	var buf []byte
+	if n > 0 {
+		buf = make([]byte, 0, n)
+	}
+	own := func(b []byte) []byte {
+		if len(b) == 0 {
+			return nil
+		}
+		start := len(buf)
+		buf = append(buf, b...)
+		return buf[start:len(buf):len(buf)]
+	}
+	c := Message{Type: m.Type, Code: m.Code, MessageID: m.MessageID}
+	c.Token = own(m.Token)
+	c.Payload = own(m.Payload)
+	if len(m.Options) > 0 {
+		c.Options = make([]Option, len(m.Options))
+		for i, o := range m.Options {
+			c.Options[i] = Option{Number: o.Number, Value: own(o.Value)}
+		}
+	}
+	return c
+}
+
+// ParseBorrowed parses a wire-format message without copying: the
+// returned message's Token, option values and Payload alias data, and its
+// Options are appended to opts[:0] (a caller that parses repeatedly passes
+// the previous message's Options back and allocates nothing once warm).
+// The message is valid only while data and opts are left untouched; a
+// caller that keeps any of it uses Decode or Clone.
 //
 //harplint:hotpath
-func Decode(data []byte) (Message, error) {
+func ParseBorrowed(data []byte, opts []Option) (Message, error) {
 	if len(data) < 4 {
 		return Message{}, ErrTruncated
 	}
@@ -292,6 +359,7 @@ func Decode(data []byte) (Message, error) {
 		return Message{}, ErrBadVersion
 	}
 	var m Message
+	options := opts[:0]
 	m.Type = Type((data[0] >> 4) & 0x3)
 	tkl := int(data[0] & 0x0F)
 	if tkl > 8 {
@@ -304,7 +372,7 @@ func Decode(data []byte) (Message, error) {
 		return Message{}, ErrTruncated
 	}
 	if tkl > 0 {
-		m.Token = append([]byte(nil), rest[:tkl]...) //harplint:allow hotpath the decoded message owns its bytes; callers reuse the input buffer
+		m.Token = rest[:tkl:tkl]
 	}
 	rest = rest[tkl:]
 
@@ -314,7 +382,7 @@ func Decode(data []byte) (Message, error) {
 			if len(rest) == 1 {
 				return Message{}, ErrTruncated // payload marker with no payload
 			}
-			m.Payload = append([]byte(nil), rest[1:]...) //harplint:allow hotpath the decoded message owns its bytes; callers reuse the input buffer
+			m.Payload, m.Options = rest[1:], options
 			return m, nil
 		}
 		dn := rest[0] >> 4
@@ -334,10 +402,14 @@ func Decode(data []byte) (Message, error) {
 			return Message{}, ErrTruncated
 		}
 		prev += uint16(delta)
-		//harplint:allow hotpath the decoded message owns its bytes; callers reuse the input buffer
-		m.Options = append(m.Options, Option{Number: prev, Value: append([]byte(nil), rest[:length]...)})
+		var value []byte // an empty value stays nil, as in the owning form
+		if length > 0 {
+			value = rest[:length:length]
+		}
+		options = append(options, Option{Number: prev, Value: value})
 		rest = rest[length:]
 	}
+	m.Options = options
 	return m, nil
 }
 

@@ -276,3 +276,50 @@ func TestAppendToAllocFree(t *testing.T) {
 		t.Errorf("AppendTo = %x, Encode = %x", got, want)
 	}
 }
+
+// TestDecodeFormsAllocations pins the two decoders' cost on a Table I
+// message (token, path, payload): the borrowed parse into warm option
+// storage allocates nothing; the owning Decode allocates twice — one
+// buffer for all the bytes, one option slice — whatever the field count.
+func TestDecodeFormsAllocations(t *testing.T) {
+	m := NewRequest(NonConfirmable, POST, 7, "intf")
+	m.Token = []byte{1, 2}
+	m.Payload = []byte{0, 1, 0, 0, 0, 2}
+	wire, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts []Option
+	parse := func() {
+		got, err := ParseBorrowed(wire, opts)
+		if err != nil || got.MessageID != 7 {
+			t.Fatalf("ParseBorrowed: %+v, %v", got, err)
+		}
+		opts = got.Options
+	}
+	parse()
+	if allocs := testing.AllocsPerRun(1000, parse); allocs != 0 {
+		t.Errorf("ParseBorrowed into warm storage allocates %.2f times, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := Decode(wire); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Errorf("Decode allocates %.2f times, want 2", allocs)
+	}
+}
+
+// TestCloneFieldsCannotReachEachOther: Clone packs every field into one
+// buffer, so each field's capacity must stop at its own end.
+func TestCloneFieldsCannotReachEachOther(t *testing.T) {
+	m := NewRequest(Confirmable, PUT, 9, "part")
+	m.Token = []byte{0xAA}
+	m.Payload = []byte("pay")
+	c := m.Clone()
+	c.Token = append(c.Token, 0xFF)
+	c.Options[0].Value = append(c.Options[0].Value, 'X')
+	if string(c.Payload) != "pay" || c.Path() != "partX" || m.Path() != "part" {
+		t.Errorf("appending to one cloned field reached another: %+v (original %+v)", c, m)
+	}
+}

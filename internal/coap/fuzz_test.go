@@ -2,13 +2,46 @@ package coap
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
+// checkForms holds the two parsers of one wire buffer against each other:
+// ParseBorrowed and the owning Decode must fail with the same error or
+// yield deep-equal messages (also when the borrowed parse reuses option
+// storage), and overwriting the input after an owning Decode must leave
+// that message intact.
+func checkForms(t *testing.T, data []byte) {
+	t.Helper()
+	wire := append([]byte(nil), data...) // the fuzz input itself is not ours to scribble on
+	owned, errOwned := Decode(wire)
+	borrowed, errBorrowed := ParseBorrowed(wire, nil)
+	if errOwned != errBorrowed {
+		t.Fatalf("Decode error %v, ParseBorrowed error %v (% x)", errOwned, errBorrowed, wire)
+	}
+	if errOwned != nil {
+		return
+	}
+	if !reflect.DeepEqual(owned, borrowed) {
+		t.Fatalf("forms differ on % x:\n   owned %+v\nborrowed %+v", wire, owned, borrowed)
+	}
+	reused, err := ParseBorrowed(wire, make([]Option, 3, 8))
+	if err != nil || !reflect.DeepEqual(owned, reused.Clone()) {
+		t.Fatalf("borrowed parse into reused storage differs on % x: %v\n owned %+v\nreused %+v", wire, err, owned, reused)
+	}
+	for i := range wire {
+		wire[i] ^= 0xA5
+	}
+	if again, err := Decode(data); err != nil || !reflect.DeepEqual(owned, again) {
+		t.Fatalf("overwriting the input changed an owning Decode: %+v, want %+v (%v)", owned, again, err)
+	}
+}
+
 // FuzzDecode feeds arbitrary bytes to the wire decoder. Decode must never
-// panic, and any message it accepts must re-encode to a canonical form
-// that decodes to the same bytes again (encode∘decode is a fixpoint on
-// everything Decode accepts).
+// panic, its borrowed and owning forms must agree (checkForms), and any
+// message it accepts must re-encode to a canonical form that decodes to
+// the same bytes again (encode∘decode is a fixpoint on everything Decode
+// accepts).
 func FuzzDecode(f *testing.F) {
 	seeds := [][]byte{
 		{},                       // empty
@@ -27,6 +60,7 @@ func FuzzDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkForms(t, data)
 		msg, err := Decode(data)
 		if err != nil {
 			return
@@ -50,7 +84,8 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzRoundTrip builds structurally valid messages from fuzzed fields and
-// asserts Encode→Decode preserves every field HARP relies on.
+// asserts Encode→Decode preserves every field HARP relies on, in both
+// forms of the decoder.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint8(0x02), uint16(1), []byte{0xab}, "intf", []byte("payload"))
 	f.Add(uint8(1), uint8(0x45), uint16(65535), []byte{}, "part", []byte{})
@@ -68,6 +103,7 @@ func FuzzRoundTrip(f *testing.F) {
 			// a correct refusal, not a bug.
 			return
 		}
+		checkForms(t, wire)
 		got, err := Decode(wire)
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v (% x)", err, wire)

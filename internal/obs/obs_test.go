@@ -307,3 +307,65 @@ func TestRecoveryWindows(t *testing.T) {
 		t.Errorf("window 1 = %+v, want node 7, suspect=dead vt, no adoptions, no readmit", w)
 	}
 }
+
+// TestRegistryCells: a Cell is a cache slot. Holding one (even one resolved
+// earlier) lists nothing; writing through it is the same as writing by
+// key; and a cell resolved before a Reset counts into the fresh counter
+// after it.
+func TestRegistryCells(t *testing.T) {
+	r := NewRegistry()
+	r.Inc(NodeKey(7, MetricNodeRx))
+	before := r.Snapshot()
+	keysBefore := r.CounterKeys()
+
+	var delivered, idle Cell
+	if got := r.Snapshot(); !reflect.DeepEqual(got, before) {
+		t.Errorf("holding unwritten cells changed the snapshot: %+v", got)
+	}
+	if got := r.CounterKeys(); !reflect.DeepEqual(got, keysBefore) {
+		t.Errorf("holding unwritten cells changed CounterKeys: %v", got)
+	}
+
+	k := Key(MetricDelivered)
+	r.AddCell(&delivered, k, 2)
+	r.Inc(k)
+	r.AddCell(&delivered, k, 1)
+	if got := r.Counter(k); got != 4 {
+		t.Errorf("by cell and by key = %d, want 4", got)
+	}
+	// Many other counters (the table grows and is refilled) must not move
+	// what the cell points at.
+	for n := 0; n < 1000; n++ {
+		r.Inc(NodeKey(n, MetricNodeTx))
+	}
+	r.AddCell(&delivered, k, 1)
+	if got := r.Counter(k); got != 5 {
+		t.Errorf("after table growth = %d, want 5", got)
+	}
+	if got := len(r.Nodes(MetricNodeTx)); got != 1000 {
+		t.Errorf("%d tx nodes, want 1000", got)
+	}
+
+	r.Reset()
+	if got := len(r.Snapshot().Counters) + len(r.CounterKeys()); got != 0 {
+		t.Errorf("after Reset %d counters listed, want none (the resolved cell lists nothing)", got)
+	}
+	r.Inc(NodeKey(1, MetricNodeRx)) // takes the slab position the stale cell remembers
+	r.AddCell(&delivered, k, 3)
+	if got := r.Counter(k); got != 3 {
+		t.Errorf("cell taken before Reset counted %d into the fresh counter, want 3", got)
+	}
+	if got := r.Counter(NodeKey(1, MetricNodeRx)); got != 1 {
+		t.Errorf("stale cell wrote into another counter: node_rx = %d, want 1", got)
+	}
+	want := []MetricKey{k, NodeKey(1, MetricNodeRx)}
+	if got := r.CounterKeys(); !reflect.DeepEqual(got, want) {
+		t.Errorf("CounterKeys = %v, want %v (the idle cell's counter is not listed)", got, want)
+	}
+
+	var nilReg *Registry
+	nilReg.AddCell(&idle, k, 1) // no-op, like every method of the nil registry
+	if allocs := testing.AllocsPerRun(100, func() { r.AddCell(&delivered, k, 1) }); allocs != 0 {
+		t.Errorf("AddCell allocates %.1f times per call, want 0", allocs)
+	}
+}

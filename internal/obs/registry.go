@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"hash/maphash"
+	"sort"
+)
 
 // MetricKey identifies one metric series: the node and hierarchy layer
 // the value is attributed to (None for channel- or run-global series)
@@ -136,21 +139,114 @@ const (
 // single-goroutine (all writers run on one virtual clock) and nil-safe:
 // every method is a no-op (or zero) on the nil receiver, so optional
 // consumers need no guards.
+//
+// Counters are reached two ways. Add/Inc/Counter take the key and pay one
+// hash of it per call — fine for the agents' per-adjustment tallies. A
+// site that counts per message keeps a Cell next to the key and goes
+// through AddCell, which after the first call is an index into the
+// counter slab: no hash, no allocation. Both see the same counters.
 type Registry struct {
-	counters map[MetricKey]int64
+	// counters holds every counter written since the last Reset, key and
+	// value side by side, in first-write order. index is the open-addressed
+	// hash table over it: an entry is a slab position plus one (zero is
+	// empty), its length a power of two at least twice len(counters).
+	// A counter's slab position is stable until Reset, which is what a
+	// Cell caches; the values are not boxed one by one.
+	counters []counter
+	index    []uint32
+	seed     maphash.Seed
+	// gen is the generation cells are stamped with. Reset bumps it, so a
+	// cell resolved before a Reset re-resolves (and re-lists its counter)
+	// on its next write. It starts at 1: the zero Cell is unresolved.
+	gen uint32
 	// dists and series are the distribution metrics. Unlike the counters
 	// they are run-cumulative: Reset leaves them alone.
 	dists  map[MetricKey]*Hist
 	series map[MetricKey]*WindowSeries
 }
 
+// counter is one slab entry.
+type counter struct {
+	key MetricKey
+	val int64
+}
+
+// Cell caches where one counter lives in a registry, for sites that count
+// once per message. It is a cache slot, not a handle: the zero Cell is
+// valid (unresolved), holding one costs the registry nothing and does not
+// list the counter, and every use names the key again (AddCell) so the
+// cell can re-resolve after a Reset. A cell must only ever be used with
+// one key on one registry.
+type Cell struct {
+	slot uint32
+	gen  uint32
+}
+
+// minIndex is the hash table's initial length.
+const minIndex = 64
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[MetricKey]int64),
-		dists:    make(map[MetricKey]*Hist),
-		series:   make(map[MetricKey]*WindowSeries),
+		index:  make([]uint32, minIndex),
+		seed:   maphash.MakeSeed(),
+		gen:    1,
+		dists:  make(map[MetricKey]*Hist),
+		series: make(map[MetricKey]*WindowSeries),
 	}
+}
+
+// hash spreads a key over the table. The seed is per registry and random,
+// which is harmless: nothing is ever reported in table order (the slab is
+// in first-write order and every view sorts).
+func (r *Registry) hash(k MetricKey) uint64 {
+	h := maphash.String(r.seed, k.Kind)
+	h ^= uint64(k.Node)*0x9E3779B97F4A7C15 + uint64(k.Layer)*0xC2B2AE3D27D4EB4F
+	return h ^ h>>29
+}
+
+// find returns k's slab position, or -1 if k was not written since the
+// last Reset.
+func (r *Registry) find(k MetricKey) int {
+	mask := uint64(len(r.index) - 1)
+	for i := r.hash(k) & mask; ; i = (i + 1) & mask {
+		e := r.index[i]
+		if e == 0 {
+			return -1
+		}
+		if r.counters[e-1].key == k {
+			return int(e - 1)
+		}
+	}
+}
+
+// slot returns k's slab position, listing the counter (at zero) if k was
+// not written since the last Reset.
+func (r *Registry) slot(k MetricKey) int {
+	if at := r.find(k); at >= 0 {
+		return at
+	}
+	if 2*(len(r.counters)+1) > len(r.index) {
+		// Cold: the table doubles and is refilled from the slab.
+		r.index = make([]uint32, 2*len(r.index)) //harplint:allow hotpath table growth is amortised over the counters it makes room for
+		for at := range r.counters {
+			r.place(at)
+		}
+	}
+	r.counters = append(r.counters, counter{key: k})
+	r.place(len(r.counters) - 1)
+	return len(r.counters) - 1
+}
+
+// place enters slab position at into the first free table entry of its
+// key's probe sequence.
+func (r *Registry) place(at int) {
+	mask := uint64(len(r.index) - 1)
+	i := r.hash(r.counters[at].key) & mask
+	for r.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	r.index[i] = uint32(at + 1)
 }
 
 // Inc adds one to a counter.
@@ -163,7 +259,23 @@ func (r *Registry) Add(k MetricKey, delta int64) {
 	if r == nil {
 		return
 	}
-	r.counters[k] += delta
+	r.counters[r.slot(k)].val += delta
+}
+
+// AddCell adds delta to counter k through c, the cell the caller keeps for
+// k. A cell resolved since the last Reset is a direct index; otherwise
+// (the zero Cell, or the first write after a Reset) it resolves by key
+// first, exactly as Add would.
+//
+//harplint:hotpath
+func (r *Registry) AddCell(c *Cell, k MetricKey, delta int64) {
+	if r == nil {
+		return
+	}
+	if c.gen != r.gen {
+		c.slot, c.gen = uint32(r.slot(k)), r.gen
+	}
+	r.counters[c.slot].val += delta
 }
 
 // Counter returns a counter's value (zero if never written).
@@ -171,7 +283,10 @@ func (r *Registry) Counter(k MetricKey) int64 {
 	if r == nil {
 		return 0
 	}
-	return r.counters[k]
+	if at := r.find(k); at >= 0 {
+		return r.counters[at].val
+	}
+	return 0
 }
 
 // Dist returns the power-of-two histogram for k, creating it on first
@@ -232,8 +347,9 @@ func (r *Registry) SeriesStat(k MetricKey) (width int, vals []int64, ok bool) {
 
 // Reset clears every counter. The co-simulation calls this at a trigger
 // so each adjustment's overhead is measured on its own — note it clears
-// the map wholesale (transport, agent and MAC series alike), exactly as
-// the legacy Bus.ResetCounters cleared all its tallies. The distribution
+// them wholesale (transport, agent and MAC series alike), exactly as
+// the legacy Bus.ResetCounters cleared all its tallies, and outdates every
+// Cell: each re-resolves on its next write. The distribution
 // metrics (Dist, Series) are deliberately NOT cleared: they are
 // run-cumulative — latency histograms and windowed series must span
 // every adjustment of the run to support SLO verdicts and p50/p99 bench
@@ -242,7 +358,9 @@ func (r *Registry) Reset() {
 	if r == nil {
 		return
 	}
-	clear(r.counters)
+	r.counters = r.counters[:0]
+	clear(r.index)
+	r.gen++
 }
 
 // CounterKeys returns every counter key with a non-zero value, sorted by
@@ -252,9 +370,9 @@ func (r *Registry) CounterKeys() []MetricKey {
 		return nil
 	}
 	keys := make([]MetricKey, 0, len(r.counters))
-	for k, v := range r.counters {
-		if v != 0 {
-			keys = append(keys, k)
+	for _, c := range r.counters {
+		if c.val != 0 {
+			keys = append(keys, c.key)
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -275,9 +393,9 @@ func (r *Registry) SumKind(kind string) int64 {
 		return 0
 	}
 	var total int64
-	for k, v := range r.counters {
-		if k.Kind == kind {
-			total += v
+	for _, c := range r.counters {
+		if c.key.Kind == kind {
+			total += c.val
 		}
 	}
 	return total
@@ -294,9 +412,9 @@ func (r *Registry) Nodes(kinds ...string) []int {
 		want[k] = true
 	}
 	seen := make(map[int]bool)
-	for k, v := range r.counters {
-		if v != 0 && k.Node != None && want[k.Kind] {
-			seen[k.Node] = true
+	for _, c := range r.counters {
+		if c.val != 0 && c.key.Node != None && want[c.key.Kind] {
+			seen[c.key.Node] = true
 		}
 	}
 	nodes := make([]int, 0, len(seen))
@@ -358,8 +476,8 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	var s Snapshot
 	s.Counters = make([]CounterSample, 0, len(r.counters))
-	for k, v := range r.counters {
-		s.Counters = append(s.Counters, CounterSample{Key: k, Value: v})
+	for _, c := range r.counters {
+		s.Counters = append(s.Counters, CounterSample{Key: c.key, Value: c.val})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return lessNLK(s.Counters[i].Key, s.Counters[j].Key) })
 	s.Dists = make([]DistSample, 0, len(r.dists))

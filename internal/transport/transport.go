@@ -8,8 +8,19 @@
 // MAC simulator, so control-plane messages and data-plane slots interleave
 // on one timeline (the co-simulation of §VI-C).
 //
-// The bus moves raw bytes: messages are CoAP-encoded on send and decoded
-// at the receiver, so the full codec path is exercised.
+// The bus moves raw bytes: messages are CoAP-encoded on send into a pooled
+// envelope and parsed at the receiver, so the full codec path is exercised.
+// The parse is in place (coap.ParseBorrowed): the message a Handler gets
+// aliases the envelope's wire buffer and is good for that call only — see
+// Handler. In steady state a message costs no allocation and no hash-map
+// operation beyond the two NodeID → slot translations of Send's signature
+// (DESIGN.md, "What a message costs").
+//
+// Per-pair state — the FIFO clock, the NSTART=1 exchange in progress and
+// its backlog — lives with the sender, in a small table sorted by peer
+// (nodeTraffic.peers), as it does on a device; nothing on the bus is keyed
+// by node pair except the scripted link outages. Both ends of a send must
+// therefore be registered.
 //
 // # Fault model
 //
@@ -30,15 +41,16 @@
 //
 // # Observability
 //
-// All counters live in a unified internal/obs registry (Metrics); the
-// legacy accessors are views over it. SetTracer attaches a virtual-time
-// event tracer that records every tx/rx/ACK/retransmission/fault with a
-// causal parent span — see the obs package and DESIGN.md's Observability
-// section. With no tracer attached the hook sites cost one nil check and
-// zero allocations.
+// All counters live in a unified internal/obs registry (Metrics), written
+// through obs.Cell references resolved once; the legacy accessors are views
+// over it. SetTracer attaches a virtual-time event tracer that records
+// every tx/rx/ACK/retransmission/fault with a causal parent span — see the
+// obs package and DESIGN.md's Observability section. With no tracer
+// attached the hook sites cost one nil check and zero allocations.
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -51,7 +63,9 @@ import (
 )
 
 // Handler consumes a delivered message. Implementations may call Send from
-// within Handle.
+// within Handle. msg is borrowed: its Options, Token and Payload alias the
+// bus's wire buffer and are valid only until Handle returns — a handler
+// that keeps any of them copies first (msg.Clone).
 type Handler interface {
 	Handle(from topology.NodeID, msg coap.Message)
 }
@@ -60,7 +74,7 @@ type Handler interface {
 // when one of its confirmable messages was given up on (MAX_RETRANSMIT
 // exhausted, e.g. the peer crashed). msg is the message that was lost; the
 // agent uses this to unwind the state the request had reserved instead of
-// waiting forever for a reply.
+// waiting forever for a reply. Unlike Handle's, this msg owns its bytes.
 type FailureHandler interface {
 	HandleSendFailure(to topology.NodeID, msg coap.Message)
 }
@@ -71,7 +85,8 @@ type Network interface {
 	Send(from, to topology.NodeID, msg coap.Message) error
 }
 
-// ErrUnknownNode is returned by Send for an unregistered destination.
+// ErrUnknownNode is returned by Send and SendBackground when either end was
+// never Registered.
 var ErrUnknownNode = errors.New("transport: unknown node")
 
 // envelope is one in-flight message. Envelopes are pooled: refs counts the
@@ -158,6 +173,10 @@ type busExchange struct {
 	// start is the virtual time the exchange's first copy was sent,
 	// feeding the CON round-trip distribution when the ACK settles it.
 	start float64
+	// backlog queues the confirmable sends the pair made while this
+	// exchange was in progress (NSTART=1), oldest first; the exchange that
+	// succeeds this one inherits the rest.
+	backlog []*envelope
 }
 
 // Bus is the deterministic virtual-time transport. Delivery between any
@@ -186,16 +205,16 @@ type Bus struct {
 	// keep flowing — one bad frame must not blackhole the rest of a run.
 	errs []error
 
-	// lastDelivery enforces per-pair FIFO: the next message on a pair is
-	// delivered strictly after the previous one. Pairs are keyed by the
-	// packed dense-slot pair (see pairKey) — one 8-byte word instead of a
-	// 16-byte NodeID struct.
-	lastDelivery map[uint64]float64
-
 	// linkDown holds the directed pairs whose deliveries are currently
-	// discarded (scripted link flaps / partitions); nil until the first
-	// SetLinkDown so the clean-channel delivery path pays one nil check.
+	// discarded (scripted link flaps / partitions), keyed by the packed
+	// dense-slot pair (see pairKey); nil until the first SetLinkDown so the
+	// clean-channel delivery path pays one nil check.
 	linkDown map[uint64]bool
+
+	// rxOpts is the option storage the delivery path parses into (see
+	// deliver): deliveries are clock events and never nest, so one scratch
+	// serves them all.
+	rxOpts []coap.Option
 
 	// envFree recycles settled envelopes (wire buffers included); see the
 	// envelope type comment.
@@ -231,11 +250,6 @@ type Bus struct {
 	// bgRNG is the background-send latency stream used when reliability is
 	// off (see retxStream); nil until the first background send needs it.
 	bgRNG *rand.Rand
-	// outstanding holds the one in-progress exchange per ordered pair
-	// (NSTART=1); backlog queues further confirmable sends on the pair.
-	// Both are keyed by the packed slot pair.
-	outstanding map[uint64]*busExchange
-	backlog     map[uint64][]*envelope
 
 	// metrics is the unified counter registry (internal/obs); the legacy
 	// accessors — Count, CountKeys, Delivered, ParticipantCount, Faults —
@@ -245,13 +259,31 @@ type Bus struct {
 	// tracer records protocol events; nil (the default) is disabled and
 	// costs one pointer check per hook site.
 	tracer *obs.Tracer
-	// classKinds caches each delivered message class's registry kind
-	// string, keeping the per-delivery tally off the allocator.
-	classKinds map[CountKey]string
-	// classFast indexes the same kinds by (code, single path segment) so
-	// the per-delivery lookup needs no Path() string build: a map index
-	// on string(bytes) does not allocate.
-	classFast map[coap.Code]map[string]string
+	// cells are the bus's own counters, resolved once (see obs.Cell).
+	cells busCells
+	// classes holds one entry per delivered message class, in first-sight
+	// order: a handful (Table I has six), so every lookup is a scan — per
+	// delivery by the method and the path segment's bytes (classOf), for the
+	// accessors and on first sight by key (classIndex).
+	classes []msgClass
+}
+
+// busCells caches where the bus's run-global counters live in the registry.
+type busCells struct {
+	delivered, keepalives                     obs.Cell
+	crashDropped, linkDropped, dropped        obs.Cell
+	duplicated, decodeErrors, retransmissions obs.Cell
+	dupSuppressed, acksDelivered, giveUps     obs.Cell
+}
+
+// msgClass is one message class's tally: its key, its registry kind
+// (formatted once) and the counter's cell. seg is the sole path segment of
+// a single-segment class (every Table I class), nil otherwise.
+type msgClass struct {
+	key  CountKey
+	seg  []byte
+	kind string
+	cell obs.Cell
 }
 
 // busNode is one registered node's transport state, held in a dense slot.
@@ -259,17 +291,96 @@ type busNode struct {
 	id      topology.NodeID
 	handler Handler
 	crashed bool
+	// traffic is the state the node's own messages need, allocated when
+	// it first sends or receives one: most nodes of a large fleet are
+	// silent leaves and carry none.
+	traffic *nodeTraffic
+}
+
+// nodeTraffic is what a node that has sent or received keeps: per-pair
+// state lives here, on the sender, as it does on a device — not in
+// fleet-wide tables.
+type nodeTraffic struct {
+	// peers is the node's state toward each node it has sent to, sorted by
+	// the peer's slot and found by binary search: a tree node talks to its
+	// parent and children, so the table is a few entries long, and a
+	// gateway with thousands of children still looks one up in O(log n).
+	peers []peer
 	// dedup is the node's receiver-side Message-ID cache (reliable mode),
 	// created on first confirmable delivery.
 	dedup *coap.DedupCache
+	// tx and rx are the cells of the node's Table II participant counters.
+	tx, rx obs.Cell
+}
+
+// peer is a sender's state toward one destination.
+type peer struct {
+	slot int32 // the destination's dense slot
+	// last is the FIFO clock: the delivery time of the latest copy queued
+	// toward the peer. The next copy is delivered strictly after it.
+	last float64
+	// ex is the confirmable exchange in progress toward the peer (NSTART=1;
+	// nil when idle). Its backlog holds the sends queued behind it.
+	ex *busExchange
 }
 
 // pairKey packs an ordered (sender slot, receiver slot) pair into one map
 // key word.
 func pairKey(fi, ti int32) uint64 { return uint64(uint32(fi))<<32 | uint64(uint32(ti)) }
 
-// pairFrom recovers the sender slot of a packed pair.
-func pairFrom(k uint64) int32 { return int32(uint32(k >> 32)) }
+// trafficOf returns (allocating on first use) slot i's traffic state.
+func (b *Bus) trafficOf(i int32) *nodeTraffic {
+	t := b.nodes[i].traffic
+	if t == nil {
+		t = &nodeTraffic{} //harplint:allow hotpath a node's first message; every later one finds the state
+		b.nodes[i].traffic = t
+	}
+	return t
+}
+
+// search returns the position of the first peer whose slot is not below
+// the given one.
+func (t *nodeTraffic) search(slot int32) int {
+	lo, hi := 0, len(t.peers)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.peers[mid].slot < slot {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// peerOf returns sender fi's state toward ti, or nil if fi never sent to
+// ti. Like peerFor's, the pointer is good until fi first sends to a new
+// peer (the table may move).
+func (b *Bus) peerOf(fi, ti int32) *peer {
+	t := b.nodes[fi].traffic
+	if t == nil {
+		return nil
+	}
+	if k := t.search(ti); k < len(t.peers) && t.peers[k].slot == ti {
+		return &t.peers[k]
+	}
+	return nil
+}
+
+// peerFor is peerOf that enters the pair on first sight, keeping the table
+// sorted.
+func (b *Bus) peerFor(fi, ti int32) *peer {
+	t := b.trafficOf(fi)
+	k := t.search(ti)
+	if k == len(t.peers) || t.peers[k].slot != ti {
+		// First send on the pair. No copy was queued yet, so the FIFO clock
+		// starts before any delivery time.
+		t.peers = append(t.peers, peer{}) //harplint:allow hotpath first sight of a peer; every later send finds the entry
+		copy(t.peers[k+1:], t.peers[k:])
+		t.peers[k] = peer{slot: ti, last: -1}
+	}
+	return &t.peers[k]
+}
 
 // slot returns the dense slot of a registered node, or -1.
 func (b *Bus) slot(id topology.NodeID) int32 {
@@ -287,7 +398,7 @@ func (b *Bus) takeEnv() *envelope {
 		b.envFree = b.envFree[:n-1]
 		return e
 	}
-	return &envelope{}
+	return &envelope{} //harplint:allow hotpath pool refill; steady state recycles
 }
 
 // retainEnv adds one reference (a scheduled copy or an owning exchange).
@@ -300,9 +411,19 @@ func (b *Bus) releaseEnv(e *envelope) {
 	if e.refs > 0 {
 		return
 	}
+	if debugChecks {
+		poison(e.wire)
+	}
 	wire := e.wire[:0]
 	*e = envelope{wire: wire}
 	b.envFree = append(b.envFree, e)
+}
+
+// poison overwrites a released wire buffer (harpdebug builds only).
+func poison(wire []byte) {
+	for i := range wire {
+		wire[i] = 0xA5
+	}
 }
 
 // NewBus builds a virtual-time bus on a private clock. slotframeSlots sets
@@ -323,14 +444,11 @@ func NewBusOnClock(c *vclock.Clock, slotframeSlots int, seed int64) (*Bus, error
 		return nil, errors.New("transport: nil clock")
 	}
 	b := &Bus{
-		clock:        c,
-		nodeIdx:      make(map[topology.NodeID]int32),
-		rng:          c.RNG(vclock.StreamBus, seed),
-		slotsPerHop:  slotframeSlots,
-		metrics:      obs.NewRegistry(),
-		classKinds:   make(map[CountKey]string),
-		classFast:    make(map[coap.Code]map[string]string),
-		lastDelivery: make(map[uint64]float64),
+		clock:       c,
+		nodeIdx:     make(map[topology.NodeID]int32),
+		rng:         c.RNG(vclock.StreamBus, seed),
+		slotsPerHop: slotframeSlots,
+		metrics:     obs.NewRegistry(),
 	}
 	// Bound once: scheduling a delivery passes these through
 	// vclock.ScheduleArgIn, so the per-message path allocates no closure.
@@ -423,10 +541,6 @@ func (b *Bus) EnableReliabilityWith(p coap.ReliabilityParams, seed int64) {
 	b.reliable = true
 	b.params = p
 	b.retxRNG = b.clock.RNG(vclock.StreamRetx, seed)
-	if b.outstanding == nil {
-		b.outstanding = make(map[uint64]*busExchange)
-		b.backlog = make(map[uint64][]*envelope)
-	}
 }
 
 // Reliable reports whether confirmable-message reliability is on.
@@ -434,7 +548,8 @@ func (b *Bus) Reliable() bool { return b.reliable }
 
 // Crash takes a node off the air: deliveries to it are discarded (counted
 // as CrashDropped) and its own pending sends — outstanding exchanges and
-// backlogged messages — are abandoned, as a reboot loses RAM. Frames it
+// backlogged messages — are abandoned, as a reboot loses RAM: a walk over
+// the node's own peer table, whatever else the bus carries. Frames it
 // already transmitted stay in flight.
 func (b *Bus) Crash(id topology.NodeID) {
 	i := b.slot(id)
@@ -445,21 +560,21 @@ func (b *Bus) Crash(id topology.NodeID) {
 	if tr := b.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindNodeCrash).WithNode(int(id)))
 	}
-	for pair, bx := range b.outstanding {
-		if pairFrom(pair) == i {
-			bx.timer.Cancel()
-			delete(b.outstanding, pair)
-			b.inFlight--
-			b.releaseEnv(bx.env) // the exchange's ownership reference
-		}
+	t := b.nodes[i].traffic
+	if t == nil {
+		return
 	}
-	for pair, q := range b.backlog {
-		if pairFrom(pair) == i {
-			b.inFlight -= len(q)
-			for _, e := range q {
-				b.releaseEnv(e)
-			}
-			delete(b.backlog, pair)
+	for k := range t.peers {
+		bx := t.peers[k].ex
+		if bx == nil {
+			continue
+		}
+		t.peers[k].ex = nil
+		bx.timer.Cancel()
+		b.inFlight -= 1 + len(bx.backlog)
+		b.releaseEnv(bx.env) // the exchange's ownership reference
+		for _, e := range bx.backlog {
+			b.releaseEnv(e)
 		}
 	}
 }
@@ -470,7 +585,9 @@ func (b *Bus) Crash(id topology.NodeID) {
 func (b *Bus) Restart(id topology.NodeID) {
 	if i := b.slot(id); i >= 0 {
 		b.nodes[i].crashed = false
-		b.nodes[i].dedup = nil
+		if t := b.nodes[i].traffic; t != nil {
+			t.dedup = nil
+		}
 	}
 	if tr := b.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindNodeRestart).WithNode(int(id)))
@@ -523,14 +640,14 @@ func (b *Bus) LinkDown(x, y topology.NodeID) bool {
 // management-cell latency. In reliable mode non-confirmable requests are
 // upgraded to confirmable and tracked by an exchange; at most one exchange
 // per ordered pair is in progress (NSTART=1), later ones queue behind it.
+// Both ends must be registered: per-pair state lives with the sender.
 func (b *Bus) Send(from, to topology.NodeID, msg coap.Message) error {
-	ti := b.slot(to)
-	if ti < 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
+	fi, ti, err := b.ends(from, to)
+	if err != nil {
+		return err
 	}
-	fi := b.slot(from)
-	if fi >= 0 && b.nodes[fi].crashed {
-		b.metrics.Inc(obs.Key(obs.MetricCrashDropped))
+	if b.nodes[fi].crashed {
+		b.inc(&b.cells.crashDropped, obs.MetricCrashDropped)
 		if tr := b.tracer; tr.Enabled() {
 			tr.Emit(obs.Ev(obs.KindFaultCrash).WithNode(int(from)).WithPeer(int(to)))
 		}
@@ -539,14 +656,10 @@ func (b *Bus) Send(from, to topology.NodeID, msg coap.Message) error {
 	if b.reliable && msg.Type == coap.NonConfirmable && msg.Code.IsRequest() {
 		msg.Type = coap.Confirmable
 	}
-	e := b.takeEnv()
-	wire, err := msg.AppendTo(e.wire[:0])
+	e, err := b.encode(from, to, fi, ti, msg)
 	if err != nil {
-		e.refs = 1
-		b.releaseEnv(e)
 		return err
 	}
-	e.from, e.to, e.fi, e.ti, e.wire, e.mid = from, to, fi, ti, wire, msg.MessageID
 	if tr := b.tracer; tr.Enabled() {
 		e.span = tr.Emit(obs.Ev(obs.KindCoapTx).WithNode(int(from)).WithPeer(int(to)).
 			WithDetail(msg.Code.String() + " " + msg.Path()))
@@ -555,12 +668,11 @@ func (b *Bus) Send(from, to topology.NodeID, msg coap.Message) error {
 	if b.reliable && msg.Type == coap.Confirmable {
 		e.reliable = true
 		retainEnv(e) // the exchange (or its backlog slot) owns the envelope
-		pair := pairKey(fi, ti)
-		if _, busy := b.outstanding[pair]; busy {
-			b.backlog[pair] = append(b.backlog[pair], e)
+		if bx := b.peerFor(fi, ti).ex; bx != nil {
+			bx.backlog = append(bx.backlog, e)
 			return nil
 		}
-		b.startExchange(pair, e)
+		b.startExchange(e, nil)
 		return nil
 	}
 	b.transmit(e, b.rng)
@@ -574,27 +686,59 @@ func (b *Bus) Send(from, to topology.NodeID, msg coap.Message) error {
 // per-pair FIFO, crash drops, link flaps and injected faults all apply.
 // The failure detector's keepalives use this so enabling detection leaves
 // every protocol-overhead count byte-identical.
+//
+//harplint:hotpath
 func (b *Bus) SendBackground(from, to topology.NodeID, msg coap.Message) error {
-	ti := b.slot(to)
-	if ti < 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
+	fi, ti, err := b.ends(from, to)
+	if err != nil {
+		return err
 	}
-	fi := b.slot(from)
-	if fi >= 0 && b.nodes[fi].crashed {
+	if b.nodes[fi].crashed {
 		return nil // a crashed node transmits nothing (uncounted: control)
 	}
+	e, err := b.encode(from, to, fi, ti, msg)
+	if err != nil {
+		return err
+	}
+	e.control = true
+	b.inc(&b.cells.keepalives, obs.MetricKeepalives)
+	b.transmit(e, b.retxStream())
+	return nil
+}
+
+// ends resolves a send's two endpoints to their dense slots.
+func (b *Bus) ends(from, to topology.NodeID) (fi, ti int32, err error) {
+	if ti = b.slot(to); ti < 0 {
+		return 0, 0, unknownNode(to)
+	}
+	if fi = b.slot(from); fi < 0 {
+		return 0, 0, unknownNode(from)
+	}
+	return fi, ti, nil
+}
+
+// unknownNode is the error of a send to or from an id nobody registered: a
+// mis-deployed fleet, never the steady state.
+func unknownNode(id topology.NodeID) error {
+	return fmt.Errorf("%w: %d", ErrUnknownNode, id) //harplint:allow hotpath error path of a mis-deployed fleet
+}
+
+// encode serialises msg into a pooled envelope addressed from→to. On an
+// encoding error the envelope goes straight back to the pool.
+func (b *Bus) encode(from, to topology.NodeID, fi, ti int32, msg coap.Message) (*envelope, error) {
 	e := b.takeEnv()
 	wire, err := msg.AppendTo(e.wire[:0])
 	if err != nil {
 		e.refs = 1
 		b.releaseEnv(e)
-		return err
+		return nil, err
 	}
-	e.from, e.to, e.fi, e.ti, e.wire, e.mid, e.control = from, to, fi, ti, wire, msg.MessageID, true
-	b.metrics.Inc(obs.Key(obs.MetricKeepalives))
-	b.transmit(e, b.retxStream())
-	return nil
+	e.from, e.to, e.fi, e.ti, e.wire, e.mid = from, to, fi, ti, wire, msg.MessageID
+	return e, nil
 }
+
+// inc adds one to one of the bus's run-global counters through its cell.
+func (b *Bus) inc(c *obs.Cell, kind string) { b.metrics.AddCell(c, obs.Key(kind), 1) }
 
 // retxStream returns the control-copy latency stream: the retx stream when
 // reliability is on, else a lazily-created stream on the detector's name —
@@ -615,50 +759,56 @@ func (b *Bus) shardOf(to topology.NodeID) int {
 	if b.shardRouter == nil {
 		return 0
 	}
-	return b.shardRouter(to)
+	return b.shardRouter(to) //harplint:allow hotpath the co-simulation's router indexes a per-node slice
 }
 
 // transmit queues one copy of an envelope with a management-cell latency
 // drawn from r, preserving per-pair FIFO. The scheduled copy holds one
 // envelope reference, released when deliver finishes with it.
+//
+//harplint:hotpath
 func (b *Bus) transmit(e *envelope, r *rand.Rand) {
 	latency := r.Float64() * float64(b.slotsPerHop)
 	deliverAt := b.clock.Now() + latency
-	pair := pairKey(e.fi, e.ti)
-	if last, ok := b.lastDelivery[pair]; ok && deliverAt <= last {
-		deliverAt = last + 1e-6 // FIFO per pair
+	p := b.peerFor(e.fi, e.ti)
+	if deliverAt <= p.last {
+		deliverAt = p.last + 1e-6 // FIFO per pair
 	}
-	b.lastDelivery[pair] = deliverAt
+	p.last = deliverAt
 	retainEnv(e)
 	b.clock.ScheduleArgIn(b.shardOf(e.to), deliverAt, b.deliverPrimary, e)
 }
 
-// startExchange begins the confirmable exchange for e on pair: transmit
-// the first copy and arm the retransmission timer.
-func (b *Bus) startExchange(pair uint64, e *envelope) {
+// startExchange begins the confirmable exchange for e on its pair, which
+// must be idle: transmit the first copy and arm the retransmission timer.
+// backlog is what is already queued behind it.
+func (b *Bus) startExchange(e *envelope, backlog []*envelope) {
 	jitter := b.retxRNG.Float64()
-	bx := &busExchange{env: e, ex: b.params.NewExchange(e.mid, b.clock.Now(), jitter), start: b.clock.Now()}
-	b.outstanding[pair] = bx
+	bx := &busExchange{
+		env: e, ex: b.params.NewExchange(e.mid, b.clock.Now(), jitter),
+		start: b.clock.Now(), backlog: backlog,
+	}
+	b.peerFor(e.fi, e.ti).ex = bx
 	b.transmit(e, b.rng)
-	bx.timer = b.clock.ScheduleCancelableIn(b.shardOf(e.to), bx.ex.NextAt, func() { b.onRetxTimer(pair, bx) })
+	bx.timer = b.clock.ScheduleCancelableIn(b.shardOf(e.to), bx.ex.NextAt, func() { b.onRetxTimer(bx) })
 }
 
 // onRetxTimer is the clock event of an exchange's retransmission timer.
-func (b *Bus) onRetxTimer(pair uint64, bx *busExchange) {
-	if b.outstanding[pair] != bx || bx.ex.Done() {
-		return // resolved or superseded; timer was stale
+func (b *Bus) onRetxTimer(bx *busExchange) {
+	if p := b.peerOf(bx.env.fi, bx.env.ti); p == nil || p.ex != bx || bx.ex.Done() {
+		return // resolved, or abandoned by a crash of the sender: the timer was stale
 	}
 	if bx.ex.Retransmit(b.clock.Now()) {
-		b.metrics.Inc(obs.Key(obs.MetricRetransmissions))
+		b.inc(&b.cells.retransmissions, obs.MetricRetransmissions)
 		if tr := b.tracer; tr.Enabled() {
 			tr.Emit(obs.Ev(obs.KindCoapRetx).WithNode(int(bx.env.from)).WithPeer(int(bx.env.to)).
 				WithParent(bx.env.span))
 		}
 		b.transmit(bx.env, b.retxRNG)
-		bx.timer = b.clock.ScheduleCancelableIn(b.shardOf(bx.env.to), bx.ex.NextAt, func() { b.onRetxTimer(pair, bx) })
+		bx.timer = b.clock.ScheduleCancelableIn(b.shardOf(bx.env.to), bx.ex.NextAt, func() { b.onRetxTimer(bx) })
 		return
 	}
-	b.metrics.Inc(obs.Key(obs.MetricGiveUps))
+	b.inc(&b.cells.giveUps, obs.MetricGiveUps)
 	if tr := b.tracer; tr.Enabled() {
 		// The give-up span is pushed so the failure handler's unwind (and
 		// any sends it makes) chains off it causally.
@@ -667,15 +817,16 @@ func (b *Bus) onRetxTimer(pair uint64, bx *busExchange) {
 		tr.Push(span)
 		defer tr.Pop()
 	}
-	b.finishExchange(pair, bx, true)
+	b.finishExchange(bx, true)
 }
 
-// finishExchange retires an exchange (resolved or given up), starts the
-// next backlogged exchange on the pair, and on failure notifies the
-// sender's FailureHandler. The backlog is dispatched first so a reentrant
-// Send from the failure handler sees the NSTART=1 invariant intact.
-func (b *Bus) finishExchange(pair uint64, bx *busExchange, failed bool) {
-	delete(b.outstanding, pair)
+// finishExchange retires the exchange in progress on a pair (resolved or
+// given up), starts the next backlogged exchange on the pair, and on
+// failure notifies the sender's FailureHandler. The backlog is dispatched
+// first so a reentrant Send from the failure handler sees the NSTART=1
+// invariant intact.
+func (b *Bus) finishExchange(bx *busExchange, failed bool) {
+	b.peerOf(bx.env.fi, bx.env.ti).ex = nil
 	bx.timer.Cancel()
 	b.inFlight--
 	// Distribution telemetry: RTT of settled exchanges (first copy to
@@ -686,21 +837,14 @@ func (b *Bus) finishExchange(pair uint64, bx *busExchange, failed bool) {
 		b.metrics.Dist(obs.Key(obs.MetricConRttMs)).Observe(int64((b.clock.Now() - bx.start) * 1000))
 	}
 	b.metrics.Dist(obs.Key(obs.MetricConRetx)).Observe(int64(bx.ex.Attempts - 1))
-	if q := b.backlog[pair]; len(q) > 0 {
-		next := q[0]
-		if len(q) == 1 {
-			delete(b.backlog, pair)
-		} else {
-			b.backlog[pair] = q[1:]
-		}
-		b.startExchange(pair, next)
+	if q := bx.backlog; len(q) > 0 {
+		b.startExchange(q[0], q[1:])
 	}
 	if failed {
-		if fi := bx.env.fi; fi >= 0 {
-			if h, ok := b.nodes[fi].handler.(FailureHandler); ok {
-				if msg, err := coap.Decode(bx.env.wire); err == nil {
-					h.HandleSendFailure(bx.env.to, msg)
-				}
+		if h, ok := b.nodes[bx.env.fi].handler.(FailureHandler); ok {
+			// The handler may keep the message, so it gets the owning form.
+			if msg, err := coap.Decode(bx.env.wire); err == nil {
+				h.HandleSendFailure(bx.env.to, msg)
 			}
 		}
 	}
@@ -712,113 +856,44 @@ func (b *Bus) finishExchange(pair uint64, bx *busExchange, failed bool) {
 // control traffic: unreliable, uncounted, but subject to the same channel
 // (latency, FIFO, faults) — a lost ACK is what forces a retransmission.
 func (b *Bus) sendAck(from, to topology.NodeID, fi, ti int32, mid uint16) {
-	ack := coap.EmptyAck(mid)
-	e := b.takeEnv()
-	wire, err := ack.AppendTo(e.wire[:0])
+	e, err := b.encode(from, to, fi, ti, coap.EmptyAck(mid))
 	if err != nil {
-		e.refs = 1
-		b.releaseEnv(e)
 		return
 	}
-	e.from, e.to, e.fi, e.ti, e.wire, e.mid, e.control = from, to, fi, ti, wire, mid, true
+	e.control = true
 	b.transmit(e, b.retxRNG)
 }
 
 // dedupFor returns (creating on demand) a receiver slot's Message-ID cache.
 func (b *Bus) dedupFor(i int32) *coap.DedupCache {
-	c := b.nodes[i].dedup
-	if c == nil {
-		c = coap.NewDedupCache(b.params.ExchangeLifetime())
-		b.nodes[i].dedup = c
+	t := b.trafficOf(i)
+	if t.dedup == nil {
+		t.dedup = coap.NewDedupCache(b.params.ExchangeLifetime())
 	}
-	return c
+	return t.dedup
 }
 
 // deliver is the clock event for one queued copy. primary marks the copy
 // Send/retransmit queued itself, as opposed to a duplication-fault copy.
 // The copy's envelope reference is released on return.
+//
+// The message is parsed in place: what the handler sees aliases the
+// envelope's wire buffer (and the bus's option scratch) and is good for the
+// handler call only — see Handler. Deliveries are clock events and never
+// nest, so one scratch serves them all.
 func (b *Bus) deliver(e *envelope, primary bool) {
 	defer b.releaseEnv(e)
-	if primary && !e.reliable && !e.control {
-		b.inFlight-- // unreliable messages settle at their delivery event
-	}
-	if b.nodes[e.ti].crashed {
-		b.metrics.Inc(obs.Key(obs.MetricCrashDropped))
-		if tr := b.tracer; tr.Enabled() {
-			tr.Emit(obs.Ev(obs.KindFaultCrash).WithNode(int(e.to)).WithPeer(int(e.from)).
-				WithParent(e.span))
-		}
+	msg, ok := b.receive(e, primary)
+	if !ok {
 		return
 	}
-	if b.linkDown != nil && b.linkDown[pairKey(e.fi, e.ti)] {
-		b.metrics.Inc(obs.Key(obs.MetricLinkDropped))
-		if tr := b.tracer; tr.Enabled() {
-			tr.Emit(obs.Ev(obs.KindFaultDrop).WithNode(int(e.to)).WithPeer(int(e.from)).
-				WithParent(e.span))
-		}
+	if b.reliable && !b.receiveReliable(e, msg) {
 		return
-	}
-	if b.faultRNG != nil {
-		if b.faults.Drop > 0 && b.faultRNG.Float64() < b.faults.Drop {
-			b.metrics.Inc(obs.Key(obs.MetricDropped))
-			if tr := b.tracer; tr.Enabled() {
-				tr.Emit(obs.Ev(obs.KindFaultDrop).WithNode(int(e.to)).WithPeer(int(e.from)).
-					WithParent(e.span))
-			}
-			return
-		}
-		if b.faults.Dup > 0 && primary && b.faultRNG.Float64() < b.faults.Dup {
-			b.metrics.Inc(obs.Key(obs.MetricDuplicated))
-			if tr := b.tracer; tr.Enabled() {
-				tr.Emit(obs.Ev(obs.KindFaultDup).WithNode(int(e.to)).WithPeer(int(e.from)).
-					WithParent(e.span))
-			}
-			delay := b.faultRNG.Float64() * float64(b.slotsPerHop)
-			retainEnv(e)
-			b.clock.ScheduleArgIn(b.shardOf(e.to), b.clock.Now()+delay, b.deliverDup, e)
-		}
-	}
-	msg, err := coap.Decode(e.wire)
-	if err != nil {
-		b.metrics.Inc(obs.Key(obs.MetricDecodeErrors))
-		if tr := b.tracer; tr.Enabled() {
-			tr.Emit(obs.Ev(obs.KindCoapErr).WithNode(int(e.to)).WithPeer(int(e.from)).
-				WithParent(e.span))
-		}
-		b.errs = append(b.errs, fmt.Errorf("transport: decoding message %d->%d: %w", e.from, e.to, err))
-		return
-	}
-	if b.reliable {
-		switch msg.Type {
-		case coap.Acknowledgement:
-			b.metrics.Inc(obs.Key(obs.MetricAcksDelivered))
-			pair := pairKey(e.ti, e.fi) // the exchange the ACK settles
-			if bx, ok := b.outstanding[pair]; ok && bx.ex.Ack(msg.MessageID) {
-				if tr := b.tracer; tr.Enabled() {
-					tr.Emit(obs.Ev(obs.KindCoapAck).WithNode(int(e.to)).WithPeer(int(e.from)).
-						WithParent(bx.env.span))
-				}
-				b.finishExchange(pair, bx, false)
-			}
-			return
-		case coap.Confirmable:
-			// Acknowledge every copy (§4.2: retransmitted CONs are re-ACKed),
-			// then suppress duplicates before they reach the handler (§4.5).
-			b.sendAck(e.to, e.from, e.ti, e.fi, msg.MessageID)
-			if b.dedupFor(e.ti).Observe(uint64(e.from), msg.MessageID, b.clock.Now()) {
-				b.metrics.Inc(obs.Key(obs.MetricDupSuppressed))
-				if tr := b.tracer; tr.Enabled() {
-					tr.Emit(obs.Ev(obs.KindCoapDup).WithNode(int(e.to)).WithPeer(int(e.from)).
-						WithParent(e.span))
-				}
-				return
-			}
-		}
 	}
 	if !e.control {
 		// Background sends (keepalives) are control traffic: delivered to
 		// the handler but never tallied, like ACKs.
-		b.count(msg, e.from, e.to)
+		b.count(msg, e)
 	}
 	if tr := b.tracer; tr.Enabled() {
 		// The rx span stays current while the handler runs, so every
@@ -834,6 +909,106 @@ func (b *Bus) deliver(e *envelope, primary bool) {
 	}
 }
 
+// receive is the channel's half of a delivery: the copy settles its
+// in-flight slot, is lost to a crashed receiver, a downed link or an
+// injected drop (ok false), may spawn a duplicate, and is parsed in place.
+// On a clean channel it is a few comparisons and the parse.
+//
+//harplint:hotpath
+func (b *Bus) receive(e *envelope, primary bool) (msg coap.Message, ok bool) {
+	if primary && !e.reliable && !e.control {
+		b.inFlight-- // unreliable messages settle at their delivery event
+	}
+	if b.nodes[e.ti].crashed {
+		b.inc(&b.cells.crashDropped, obs.MetricCrashDropped)
+		if tr := b.tracer; tr.Enabled() {
+			tr.Emit(obs.Ev(obs.KindFaultCrash).WithNode(int(e.to)).WithPeer(int(e.from)).
+				WithParent(e.span))
+		}
+		return msg, false
+	}
+	if b.linkDown != nil && b.linkDown[pairKey(e.fi, e.ti)] {
+		b.inc(&b.cells.linkDropped, obs.MetricLinkDropped)
+		if tr := b.tracer; tr.Enabled() {
+			tr.Emit(obs.Ev(obs.KindFaultDrop).WithNode(int(e.to)).WithPeer(int(e.from)).
+				WithParent(e.span))
+		}
+		return msg, false
+	}
+	if b.faultRNG != nil {
+		if b.faults.Drop > 0 && b.faultRNG.Float64() < b.faults.Drop {
+			b.inc(&b.cells.dropped, obs.MetricDropped)
+			if tr := b.tracer; tr.Enabled() {
+				tr.Emit(obs.Ev(obs.KindFaultDrop).WithNode(int(e.to)).WithPeer(int(e.from)).
+					WithParent(e.span))
+			}
+			return msg, false
+		}
+		if b.faults.Dup > 0 && primary && b.faultRNG.Float64() < b.faults.Dup {
+			b.inc(&b.cells.duplicated, obs.MetricDuplicated)
+			if tr := b.tracer; tr.Enabled() {
+				tr.Emit(obs.Ev(obs.KindFaultDup).WithNode(int(e.to)).WithPeer(int(e.from)).
+					WithParent(e.span))
+			}
+			delay := b.faultRNG.Float64() * float64(b.slotsPerHop)
+			retainEnv(e)
+			b.clock.ScheduleArgIn(b.shardOf(e.to), b.clock.Now()+delay, b.deliverDup, e)
+		}
+	}
+	msg, err := coap.ParseBorrowed(e.wire, b.rxOpts)
+	if err != nil {
+		b.decodeError(e, err)
+		return msg, false
+	}
+	b.rxOpts = msg.Options[:0] // keep what the scratch grew to
+	return msg, true
+}
+
+// receiveReliable is the reliability layer's half of a delivery (RFC 7252
+// §4.2–4.5): an ACK settles the exchange it answers and goes no further;
+// a confirmable message is acknowledged, every copy of it, and reaches
+// the handler (true) only the first time.
+func (b *Bus) receiveReliable(e *envelope, msg coap.Message) bool {
+	switch msg.Type {
+	case coap.Acknowledgement:
+		b.inc(&b.cells.acksDelivered, obs.MetricAcksDelivered)
+		// The exchange the ACK settles is the receiver's, toward the sender.
+		if p := b.peerOf(e.ti, e.fi); p != nil && p.ex != nil && p.ex.ex.Ack(msg.MessageID) {
+			if tr := b.tracer; tr.Enabled() {
+				tr.Emit(obs.Ev(obs.KindCoapAck).WithNode(int(e.to)).WithPeer(int(e.from)).
+					WithParent(p.ex.env.span))
+			}
+			b.finishExchange(p.ex, false)
+		}
+		return false
+	case coap.Confirmable:
+		// Acknowledge every copy (§4.2: retransmitted CONs are re-ACKed),
+		// then suppress duplicates before they reach the handler (§4.5).
+		b.sendAck(e.to, e.from, e.ti, e.fi, msg.MessageID)
+		if b.dedupFor(e.ti).Observe(uint64(e.from), msg.MessageID, b.clock.Now()) {
+			b.inc(&b.cells.dupSuppressed, obs.MetricDupSuppressed)
+			if tr := b.tracer; tr.Enabled() {
+				tr.Emit(obs.Ev(obs.KindCoapDup).WithNode(int(e.to)).WithPeer(int(e.from)).
+					WithParent(e.span))
+			}
+			return false
+		}
+	}
+	return true
+}
+
+// decodeError records a delivery whose wire bytes did not parse; deliveries
+// keep flowing.
+func (b *Bus) decodeError(e *envelope, err error) {
+	b.inc(&b.cells.decodeErrors, obs.MetricDecodeErrors)
+	if tr := b.tracer; tr.Enabled() {
+		tr.Emit(obs.Ev(obs.KindCoapErr).WithNode(int(e.to)).WithPeer(int(e.from)).
+			WithParent(e.span))
+	}
+	//harplint:allow hotpath a corrupt frame is never the steady state
+	b.errs = append(b.errs, fmt.Errorf("transport: decoding message %d->%d: %w", e.from, e.to, err))
+}
+
 // Run delivers messages in timestamp order until the clock drains,
 // returning the virtual time (slots) when the last event ran. Handlers
 // may send further messages; those are delivered too. On a shared clock
@@ -846,49 +1021,78 @@ func (b *Bus) Run() (float64, error) {
 
 // count tallies one delivered message in the registry: the global total,
 // the message class, and the per-node endpoints that define the Table II
-// participant set. The class kind string is cached per CountKey so the
-// per-delivery path formats nothing.
-func (b *Bus) count(msg coap.Message, from, to topology.NodeID) {
-	b.metrics.Inc(obs.Key(obs.MetricDelivered))
-	b.metrics.Inc(obs.Key(b.classKind(msg)))
-	b.metrics.Inc(obs.NodeKey(int(from), obs.MetricNodeTx))
-	b.metrics.Inc(obs.NodeKey(int(to), obs.MetricNodeRx))
+// participant set — each through a cell, so a warm delivery hashes nothing.
+func (b *Bus) count(msg coap.Message, e *envelope) {
+	class := b.classOf(msg)
+	if class < 0 {
+		class = b.newClass(msg)
+	}
+	b.tally(class, e)
 }
 
-// classKind resolves the message class's cached registry kind. Warm
-// single-segment classes (every Table I message) resolve through the
-// byte-keyed fast map without allocating; the slow path formats the kind
-// once and primes both caches.
-func (b *Bus) classKind(msg coap.Message) string {
-	if seg, ok := msg.PathSegment(); ok {
-		if kind, ok := b.classFast[msg.Code][string(seg)]; ok {
-			return kind
+// tally is count once the class is known.
+//
+//harplint:hotpath
+func (b *Bus) tally(class int, e *envelope) {
+	b.inc(&b.cells.delivered, obs.MetricDelivered)
+	cl := &b.classes[class]
+	b.metrics.AddCell(&cl.cell, obs.Key(cl.kind), 1)
+	b.metrics.AddCell(&b.trafficOf(e.fi).tx, obs.NodeKey(int(e.from), obs.MetricNodeTx), 1)
+	b.metrics.AddCell(&b.trafficOf(e.ti).rx, obs.NodeKey(int(e.to), obs.MetricNodeRx), 1)
+}
+
+// classOf finds the message's class in b.classes by comparing bytes, or
+// returns -1: a class not seen yet, or a multi-segment path (no Table I
+// message has one).
+//
+//harplint:hotpath
+func (b *Bus) classOf(msg coap.Message) int {
+	seg, single := msg.PathSegment()
+	if !single {
+		return -1
+	}
+	for i := range b.classes {
+		if c := &b.classes[i]; c.key.Code == msg.Code && c.seg != nil && bytes.Equal(c.seg, seg) {
+			return i
 		}
 	}
-	path := msg.Path()
-	ck := CountKey{Code: msg.Code, Path: path}
-	kind, ok := b.classKinds[ck]
-	if !ok {
-		kind = obs.MetricClassPrefix + ck.String()
-		b.classKinds[ck] = kind
+	return -1
+}
+
+// newClass is count's slow path: it enters a class on first sight
+// (formatting its kind string once) and resolves multi-segment paths by
+// their joined string.
+func (b *Bus) newClass(msg coap.Message) int {
+	ck := CountKey{Code: msg.Code, Path: msg.Path()}
+	i := b.classIndex(ck)
+	if i < 0 {
+		i = len(b.classes)
+		b.classes = append(b.classes, msgClass{key: ck, kind: obs.MetricClassPrefix + ck.String()})
 	}
 	if _, single := msg.PathSegment(); single {
-		if b.classFast[msg.Code] == nil {
-			b.classFast[msg.Code] = make(map[string]string)
-		}
-		b.classFast[msg.Code][path] = kind
+		b.classes[i].seg = []byte(ck.Path)
 	}
-	return kind
+	return i
+}
+
+// classIndex finds a class by its key, or returns -1.
+func (b *Bus) classIndex(ck CountKey) int {
+	for i := range b.classes {
+		if b.classes[i].key == ck {
+			return i
+		}
+	}
+	return -1
 }
 
 // Count returns the delivered tally of one message class — a view over
 // the registry's per-class counter.
 func (b *Bus) Count(code coap.Code, path string) int {
-	kind, ok := b.classKinds[CountKey{Code: code, Path: path}]
-	if !ok {
+	i := b.classIndex(CountKey{Code: code, Path: path})
+	if i < 0 {
 		return 0
 	}
-	return int(b.metrics.Counter(obs.Key(kind)))
+	return int(b.metrics.Counter(obs.Key(b.classes[i].kind)))
 }
 
 // Delivered returns the total number of delivered application messages
@@ -930,10 +1134,10 @@ func (b *Bus) ResetCounters() {
 // CountKeys returns the delivered class keys formatted as "METHOD path"
 // and sorted, for deterministic reporting.
 func (b *Bus) CountKeys() []string {
-	keys := make([]string, 0, len(b.classKinds))
-	for k, kind := range b.classKinds {
-		if b.metrics.Counter(obs.Key(kind)) > 0 {
-			keys = append(keys, k.String())
+	keys := make([]string, 0, len(b.classes))
+	for _, c := range b.classes {
+		if b.metrics.Counter(obs.Key(c.kind)) > 0 {
+			keys = append(keys, c.key.String())
 		}
 	}
 	sort.Strings(keys)

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/topology"
@@ -20,7 +21,7 @@ type recorder struct {
 }
 
 func (r *recorder) Handle(from topology.NodeID, msg coap.Message) {
-	r.msgs = append(r.msgs, msg)
+	r.msgs = append(r.msgs, msg.Clone()) // msg is borrowed: keep a copy
 	r.from = append(r.from, from)
 	echo := r.echoTo
 	if echo != 0 && msg.Path() != "echoed" {
@@ -119,19 +120,17 @@ func TestBusTimeMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var times []float64
 	h := &recorder{}
 	bus.Register(1, h)
+	bus.Register(2, &recorder{})
 	for i := 0; i < 20; i++ {
 		if err := bus.Send(2, 1, coap.NewRequest(coap.NonConfirmable, coap.POST, uint16(i), "t")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bus.Register(2, &recorder{})
 	if _, err := bus.Run(); err != nil {
 		t.Fatal(err)
 	}
-	_ = times
 	if h.count() != 20 {
 		t.Fatalf("deliveries = %d", h.count())
 	}
@@ -204,16 +203,22 @@ func TestBusOnSharedClockRunUntil(t *testing.T) {
 	}
 }
 
-// nopHandler discards deliveries, so alloc measurements see only the
+// nopHandler looks at a delivery the way a router does — method, path
+// segment, payload — and keeps nothing, so alloc measurements see only the
 // transport's own path.
 type nopHandler struct{}
 
-func (nopHandler) Handle(topology.NodeID, coap.Message) {}
+func (nopHandler) Handle(_ topology.NodeID, msg coap.Message) {
+	if seg, ok := msg.PathSegment(); ok && msg.Code == coap.POST && len(seg) > 0 {
+		_ = msg.Payload
+	}
+}
 
-// TestBusEnvelopePoolZeroAllocs pins the pooled envelope path: once the
-// pool and the metric/class caches are warm, an unreliable send and its
-// delivery recycle one envelope (wire buffer included) and schedule onto
-// pooled clock events — zero allocations per message.
+// TestBusEnvelopePoolZeroAllocs pins the per-message ledger of a plain bus:
+// once the pools, the peer tables and the counter cells are warm, a real
+// Table I message (path and payload) and a /ka background probe each cost
+// zero allocations from Send to the handler's return — pooled envelope and
+// clock event, message parsed in place, every tally through a cell.
 func TestBusEnvelopePoolZeroAllocs(t *testing.T) {
 	bus, err := NewBus(100, 1)
 	if err != nil {
@@ -221,32 +226,137 @@ func TestBusEnvelopePoolZeroAllocs(t *testing.T) {
 	}
 	bus.Register(1, nopHandler{})
 	bus.Register(2, nopHandler{})
-	// A pathless message: coap.Decode copies option bytes so the decoded
-	// message owns them (the codec's documented 2 allocs for a path
-	// option); leaving the path empty isolates the transport's own path,
-	// which must be allocation-free.
-	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, 7)
-	// Warm the envelope pool, wire buffer, clock event pool, FIFO entry
-	// and metric counters.
-	for i := 0; i < 4; i++ {
-		if err := bus.Send(1, 2, msg); err != nil {
+	report := coap.NewRequest(coap.NonConfirmable, coap.POST, 7, "intf")
+	report.Payload = []byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0}
+	probe := coap.NewRequest(coap.NonConfirmable, coap.POST, 8, "ka")
+	exchange := func() {
+		if err := bus.Send(1, 2, report); err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.SendBackground(2, 1, probe); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := bus.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		if err := bus.Send(1, 2, msg); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bus.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Errorf("send+deliver allocates %.1f times per message, want 0 (pooled envelopes)", allocs)
+	for i := 0; i < 4; i++ {
+		exchange() // warm the pools, the peer entries, the class table and the cells
+	}
+	if allocs := testing.AllocsPerRun(200, exchange); allocs != 0 {
+		t.Errorf("a Table I message plus a keepalive allocate %.1f times from send to handled, want 0", allocs)
 	}
 	if n := len(bus.envFree); n < 1 {
 		t.Errorf("envelope pool empty after quiescence, want the recycled envelope back")
+	}
+	if got := bus.Count(coap.POST, "intf"); got != 204+1 {
+		t.Errorf("POST intf tally = %d, want one per exchange run (205)", got)
+	}
+}
+
+// TestBusReliableExchangeAllocs pins what a confirmable exchange still
+// allocates once the codec's share is gone: the exchange record and its
+// RFC 7252 state machine, and the retransmission timer (closure, clock
+// event, cancel handle). The CON copy, its ACK and both parses are free.
+// The count may fall, never grow.
+func TestBusReliableExchangeAllocs(t *testing.T) {
+	bus, err := NewBus(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.EnableReliability(1)
+	bus.Register(1, nopHandler{})
+	bus.Register(2, nopHandler{})
+	report := coap.NewRequest(coap.NonConfirmable, coap.POST, 0, "intf")
+	report.Payload = []byte{0, 1, 0, 0}
+	mid := uint16(0)
+	exchange := func() {
+		mid++
+		report.MessageID = mid
+		if err := bus.Send(1, 2, report); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bus.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		exchange() // also fills the receiver's dedup cache to its steady size
+	}
+	const perExchange = 5 // busExchange, coap.Exchange, timer closure, timer event, timer handle
+	allocs := testing.AllocsPerRun(200, exchange)
+	t.Logf("confirmable exchange: %.2f allocations", allocs)
+	if allocs > perExchange {
+		t.Errorf("a confirmable exchange allocates %.1f times, want at most %d", allocs, perExchange)
+	}
+	if f := bus.Faults(); f.GiveUps != 0 || f.Retransmissions != 0 {
+		t.Errorf("clean channel retried or gave up: %+v", f)
+	}
+}
+
+// TestBusUnregisteredSender: per-pair state lives with the sender, so a
+// sender nobody registered has nowhere to keep it — both send calls refuse
+// it exactly as they refuse an unregistered destination.
+func TestBusUnregisteredSender(t *testing.T) {
+	bus, err := NewBus(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus.Register(1, nopHandler{})
+	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")
+	if err := bus.Send(9, 1, msg); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("Send from an unregistered node: want ErrUnknownNode, got %v", err)
+	}
+	if err := bus.SendBackground(9, 1, msg); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("SendBackground from an unregistered node: want ErrUnknownNode, got %v", err)
+	}
+	if bus.Pending() != 0 || bus.Clock().Pending() != 0 {
+		t.Errorf("a refused send left Pending=%d, clock events=%d", bus.Pending(), bus.Clock().Pending())
+	}
+}
+
+// TestBusStarSenderScales: a gateway with thousands of children is one
+// sender with thousands of peers. Its peer lookups must not scan: the same
+// number of sends costs about the same toward 2 000 peers as toward 125
+// (a binary search takes 11 steps instead of 7; a linear scan would take
+// 16 times longer).
+func TestBusStarSenderScales(t *testing.T) {
+	const sends = 40_000
+	star := func(children int) time.Duration {
+		bus, err := NewBus(100, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := 0; id <= children; id++ {
+			bus.Register(topology.NodeID(id), nopHandler{})
+		}
+		probe := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "ka")
+		round := func() {
+			for c := 1; c <= children; c++ {
+				if err := bus.SendBackground(0, topology.NodeID(c), probe); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := bus.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round() // first sight of every peer, pools warm
+		best := time.Duration(1<<63 - 1)
+		for trial := 0; trial < 5; trial++ {
+			t0 := time.Now()
+			for n := 0; n < sends; n += children {
+				round()
+			}
+			if d := time.Since(t0); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := star(125), star(2000)
+	t.Logf("%d sends: %v toward 125 peers, %v toward 2000", sends, small, large)
+	if large > 4*small {
+		t.Errorf("%d sends take %v toward 2000 peers but %v toward 125: the peer lookup scans", sends, large, small)
 	}
 }

@@ -8,6 +8,10 @@
 // single radio timeline does — management traffic and data traffic
 // contending for the same slotframe (§VI-A/§VI-C).
 //
+// A heap slot carries the event's (time, seq) key inline next to the event
+// pointer, so sifting compares words of the heap array and never
+// dereferences an event.
+//
 // The heap is sharded for scale: events live in per-shard min-heaps
 // (callers route related work — e.g. one root subtree — to one shard) and
 // each Step pops the globally earliest head across shards. Because every
@@ -30,21 +34,21 @@ import (
 	"math/rand"
 )
 
-// event is one scheduled callback. A cancelled event keeps its heap slot
-// (removal from the middle of a heap is O(n)) but carries nil callbacks;
-// the pop path discards it without running anything or advancing time.
-// poolable marks events eligible for the clock's free list: only plain
-// Schedule/ScheduleArgIn events, never ScheduleCancelable ones — a Handle
-// outlives its event's dispatch, and recycling the event under a live
-// Handle would let a late Cancel withdraw an unrelated future event.
+// event is one scheduled callback. Its (time, seq) key is not here: the
+// key lives in the heap slot that points at the event (see heapSlot). A
+// cancelled event keeps its heap slot (removal from the middle of a heap is
+// O(n)) but carries nil callbacks; the pop path discards it without running
+// anything or advancing time. poolable marks events eligible for the
+// clock's free list: only plain Schedule/ScheduleArgIn events, never
+// ScheduleCancelable ones — a Handle outlives its event's dispatch, and
+// recycling the event under a live Handle would let a late Cancel withdraw
+// an unrelated future event.
 //
 // An event carries either fn (a closure) or afn+arg (a prebound function
 // applied to one argument — the allocation-free path: callers store the
 // function value once and pass per-event state through arg, so scheduling
 // allocates nothing beyond the pooled event itself).
 type event struct {
-	at       float64
-	seq      uint64
 	fn       func()
 	afn      func(any)
 	arg      any
@@ -54,69 +58,77 @@ type event struct {
 // live reports whether the event still has a callback to run.
 func (e *event) live() bool { return e.fn != nil || e.afn != nil }
 
+// heapSlot is one heap entry: the event's (at, seq) key inline next to the
+// event pointer, so sift-up/down compares neighbouring array words and
+// never dereferences an event.
+type heapSlot struct {
+	at  float64
+	seq uint64
+	ev  *event
+}
+
 // eventHeap is a min-heap on (at, seq), maintained by heapPush/heapPop
 // below rather than container/heap: the interface-method dispatch and
 // any-boxing of the stdlib driver are measurable at millions of events and
 // would defeat the hot-path allocation audit.
-type eventHeap []*event
+type eventHeap []heapSlot
 
 // before is the heap order: earliest time first, schedule order (seq)
 // breaking ties. seq is globally unique, so this is a total order — which
 // is what makes the sharded pop sequence independent of the shard count.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (s *heapSlot) before(o *heapSlot) bool {
+	if s.at != o.at {
+		return s.at < o.at
 	}
-	return e.seq < o.seq
+	return s.seq < o.seq
 }
 
-// heapPush inserts e, sifting up.
+// heapPush inserts s, sifting up.
 //
 //harplint:hotpath
-func heapPush(h *eventHeap, e *event) {
-	*h = append(*h, e)
+func heapPush(h *eventHeap, s heapSlot) {
+	*h = append(*h, s)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !q[i].before(q[p]) {
+		if !s.before(&q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = s
 }
 
-// heapPop removes and returns the minimum event, sifting down.
+// heapPop removes and returns the minimum slot, sifting down.
 //
 //harplint:hotpath
-func heapPop(h *eventHeap) *event {
+func heapPop(h *eventHeap) heapSlot {
 	q := *h
-	n := len(q)
+	n := len(q) - 1
 	top := q[0]
-	last := q[n-1]
-	q[n-1] = nil
-	q = q[:n-1]
+	last := q[n]
+	q[n] = heapSlot{}
+	q = q[:n]
 	*h = q
-	n--
 	if n > 0 {
-		q[0] = last
 		i := 0
 		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < n && q[l].before(q[m]) {
-				m = l
-			}
-			if r < n && q[r].before(q[m]) {
-				m = r
-			}
-			if m == i {
+			m := 2*i + 1
+			if m >= n {
 				break
 			}
-			q[i], q[m] = q[m], q[i]
+			if r := m + 1; r < n && q[r].before(&q[m]) {
+				m = r
+			}
+			if !q[m].before(&last) {
+				break
+			}
+			q[i] = q[m]
 			i = m
 		}
+		q[i] = last
 	}
 	return top
 }
@@ -217,8 +229,8 @@ func (c *Clock) Dispatched() uint64 { return c.dispatched }
 // pruneShard discards cancelled events sitting at the top of shard si.
 func (c *Clock) pruneShard(si int) {
 	s := &c.shards[si]
-	for len(s.heap) > 0 && !s.heap[0].live() {
-		e := heapPop(&s.heap)
+	for len(s.heap) > 0 && !s.heap[0].ev.live() {
+		e := heapPop(&s.heap).ev
 		s.cancelled--
 		c.cancelled--
 		c.queued--
@@ -243,7 +255,7 @@ func (c *Clock) minShard() int {
 		if len(c.shards[si].heap) == 0 {
 			continue
 		}
-		if best < 0 || c.shards[si].heap[0].before(c.shards[best].heap[0]) {
+		if best < 0 || c.shards[si].heap[0].before(&c.shards[best].heap[0]) {
 			best = si
 		}
 	}
@@ -294,9 +306,9 @@ func (c *Clock) ScheduleIn(si int, at float64, fn func()) {
 	}
 	c.seq++
 	e := c.take()
-	e.at, e.seq, e.fn = at, c.seq, fn
+	e.fn = fn
 	e.poolable = true
-	heapPush(&c.shards[c.clampShard(si)].heap, e)
+	heapPush(&c.shards[c.clampShard(si)].heap, heapSlot{at: at, seq: c.seq, ev: e})
 	c.queued++
 }
 
@@ -313,9 +325,9 @@ func (c *Clock) ScheduleArgIn(si int, at float64, prebound func(any), arg any) {
 	}
 	c.seq++
 	e := c.take()
-	e.at, e.seq, e.afn, e.arg = at, c.seq, prebound, arg
+	e.afn, e.arg = prebound, arg
 	e.poolable = true
-	heapPush(&c.shards[c.clampShard(si)].heap, e)
+	heapPush(&c.shards[c.clampShard(si)].heap, heapSlot{at: at, seq: c.seq, ev: e})
 	c.queued++
 }
 
@@ -334,9 +346,9 @@ func (c *Clock) ScheduleCancelableIn(si int, at float64, fn func()) *Handle {
 		at = c.now
 	}
 	c.seq++
-	e := &event{at: at, seq: c.seq, fn: fn}
+	e := &event{fn: fn}
 	si = c.clampShard(si)
-	heapPush(&c.shards[si].heap, e)
+	heapPush(&c.shards[si].heap, heapSlot{at: at, seq: c.seq, ev: e})
 	c.queued++
 	return &Handle{c: c, ev: e, si: int32(si)}
 }
@@ -348,11 +360,11 @@ func (c *Clock) Step() bool {
 	if si < 0 {
 		return false
 	}
-	e := heapPop(&c.shards[si].heap)
+	slot := heapPop(&c.shards[si].heap)
 	c.queued--
-	c.now = e.at
+	c.now = slot.at
+	e, seq := slot.ev, slot.seq
 	fn, afn, arg := e.fn, e.afn, e.arg
-	seq := e.seq
 	// A Cancel after the event ran must be a no-op.
 	e.fn, e.afn, e.arg = nil, nil, nil
 	if e.poolable {

@@ -309,3 +309,66 @@ func TestScheduleArgInReusesPool(t *testing.T) {
 		t.Fatalf("steady-state ScheduleArgIn/Step allocates %.1f per cycle, want 0", allocs)
 	}
 }
+
+// TestHeapPopsInKeyOrderUnderTiesAndCancels: 10^5 events at a handful of
+// distinct times (heavy ties), a third of them cancelable and a random
+// half of those cancelled, spread over 1, 3 and 9 shards. The survivors
+// must run in ascending (time, schedule order) — the order the inline
+// (at, seq) heap keys define — and identically at every shard count.
+func TestHeapPopsInKeyOrderUnderTiesAndCancels(t *testing.T) {
+	const events = 100_000
+	type ran struct {
+		at float64
+		n  int // schedule order
+	}
+	run := func(shards int) []ran {
+		c := New()
+		c.SetShards(shards)
+		rng := NewStream(StreamSweep, 42)
+		var got []ran
+		record := func(x any) { got = append(got, ran{c.Now(), x.(int)}) }
+		var handles []*Handle
+		for n := 0; n < events; n++ {
+			at := float64(rng.Intn(64)) / 4 // 64 distinct times: ~1500 ties each
+			shard := rng.Intn(shards)
+			switch rng.Intn(3) {
+			case 0:
+				handles = append(handles, c.ScheduleCancelableIn(shard, at, func() { got = append(got, ran{c.Now(), n}) }))
+			case 1:
+				c.ScheduleIn(shard, at, func() { got = append(got, ran{c.Now(), n}) })
+			default:
+				c.ScheduleArgIn(shard, at, record, n)
+			}
+		}
+		cancelled := 0
+		for _, h := range handles {
+			if rng.Intn(2) == 0 {
+				h.Cancel()
+				cancelled++
+			}
+		}
+		if c.Pending() != events-cancelled {
+			t.Fatalf("%d shards: Pending = %d, want %d", shards, c.Pending(), events-cancelled)
+		}
+		c.Run()
+		if len(got) != events-cancelled {
+			t.Fatalf("%d shards: %d events ran, want %d", shards, len(got), events-cancelled)
+		}
+		return got
+	}
+	want := run(1)
+	for i := 1; i < len(want); i++ {
+		a, b := want[i-1], want[i]
+		if a.at > b.at || (a.at == b.at && a.n >= b.n) {
+			t.Fatalf("dispatch %d out of order: (%v, #%d) before (%v, #%d)", i, a.at, a.n, b.at, b.n)
+		}
+	}
+	for _, shards := range []int{3, 9} {
+		got := run(shards)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d shards: dispatch %d = %+v, want %+v", shards, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -10,7 +10,6 @@
 //	harpbench -workers 1      # force the serial path (0 = GOMAXPROCS)
 //	harpbench -json out.json  # also write the machine-readable results record
 //	harpbench -trace t.jsonl  # record the fig10 co-simulation's protocol trace
-//	harpbench -http :8080     # live read-only inspection endpoint while the bench runs
 //	harpbench -cpuprofile p   # write a pprof CPU profile of the run
 //	harpbench -memprofile p   # write a pprof heap profile at exit
 //
@@ -74,7 +73,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("harpbench", flag.ContinueOnError)
 	only := fs.String("only", "", "run a single experiment (table1, fig7d, fig9, fig10, table2, fig11a, fig11b, fig12, churn, ablations, losssweep, scale, chaos)")
 	scaleSizes := fs.String("scale-sizes", "", "comma-separated fleet sizes for the scale study (default 1000,10000,50000)")
@@ -82,7 +81,6 @@ func run(args []string, stdout io.Writer) error {
 	workers := fs.Int("workers", 0, "worker count for the parallel sweep engine (0 = GOMAXPROCS, 1 = serial)")
 	jsonPath := fs.String("json", "", "write the machine-readable results record to this path")
 	tracePath := fs.String("trace", "", "record the fig10 co-simulation's protocol trace to this JSONL path")
-	httpAddr := fs.String("http", "", "serve the live inspection endpoint (/healthz, /metrics, /series, /debug/pprof) on this address while the bench runs")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this path at exit")
 	if err := fs.Parse(args); err != nil {
@@ -145,38 +143,31 @@ func run(args []string, stdout io.Writer) error {
 	// in-process caller (the tests) is left as it was.
 	defer parallel.SetWorkers(parallel.SetWorkers(*workers))
 
+	// Both profile files are created before any experiment runs, so a bad
+	// path fails fast; their write and close errors become run's error.
 	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
+		f, createErr := os.Create(*cpuProfile)
+		if createErr != nil {
+			return createErr
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
+		if startErr := pprof.StartCPUProfile(f); startErr != nil {
+			f.Close() //harplint:allow errcheck the start error takes precedence over close-on-error
+			return startErr
 		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "harpbench: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			//harplint:allow errcheck
-			_ = pprof.WriteHeapProfile(f)
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
 		}()
 	}
-	if *httpAddr != "" {
-		ins := obs.NewInspector()
-		addr, err := ins.Serve(*httpAddr)
-		if err != nil {
-			return err
+	if *memProfile != "" {
+		f, createErr := os.Create(*memProfile)
+		if createErr != nil {
+			return createErr
 		}
-		fmt.Fprintf(stdout, "live inspection endpoint on http://%s\n", addr)
-		runner.inspect = ins
+		defer func() {
+			runtime.GC()
+			err = errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
+		}()
 	}
 
 	rep := report{Schema: reportSchema, Quick: *quick}
@@ -219,9 +210,6 @@ type runner struct {
 	trace string
 	// scaleSizes overrides the scale study's fleet sizes (-scale-sizes).
 	scaleSizes []int
-	// inspect is the -http endpoint's snapshot sink (nil without -http);
-	// the co-simulated experiments publish their telemetry into it.
-	inspect *obs.Inspector
 }
 
 func (r *runner) table1() (map[string]float64, error) {
@@ -274,7 +262,6 @@ func (r *runner) fig10() (map[string]float64, error) {
 	// the real CoAP exchange committed its schedule on the shared clock.
 	mcfg := experiments.DefaultFig10()
 	mcfg.Trace = r.trace != ""
-	mcfg.Inspect = r.inspect
 	measured, err := experiments.Fig10(mcfg)
 	if err != nil {
 		return nil, err
@@ -428,9 +415,7 @@ func (r *runner) churn() (map[string]float64, error) {
 }
 
 func (r *runner) losssweep() (map[string]float64, error) {
-	cfg := experiments.DefaultLossSweep()
-	cfg.Inspect = r.inspect
-	res, err := experiments.LossSweep(cfg)
+	res, err := experiments.LossSweep(experiments.DefaultLossSweep())
 	if err != nil {
 		return nil, err
 	}
@@ -483,9 +468,7 @@ func (r *runner) scale() (map[string]float64, error) {
 }
 
 func (r *runner) chaos() (map[string]float64, error) {
-	cfg := experiments.DefaultChaosExp()
-	cfg.Inspect = r.inspect
-	res, err := experiments.ChaosExp(cfg)
+	res, err := experiments.ChaosExp(experiments.DefaultChaosExp())
 	if err != nil {
 		return nil, err
 	}

@@ -137,3 +137,14 @@ func TestFlagValidation(t *testing.T) {
 		t.Errorf("rejected -trace still touched %s (stat err %v)", trace, err)
 	}
 }
+
+// TestProfileErrors: a profile that cannot be written fails the run (exit
+// status 1), rather than printing to stderr and exiting 0.
+func TestProfileErrors(t *testing.T) {
+	unwritable := filepath.Join(t.TempDir(), "missing-dir", "p")
+	for _, flag := range []string{"-memprofile", "-cpuprofile"} {
+		if err := run([]string{"-only", "table1", flag, unwritable}, io.Discard); err == nil {
+			t.Errorf("%s %s: run returned nil", flag, unwritable)
+		}
+	}
+}

@@ -258,8 +258,8 @@ func resolveInterfaceMethods(g *CallGraph, units []*Unit, used map[*types.Func]b
 
 // funcDirective reports whether the function declaration carries a
 // //harplint:<name> annotation, either in its doc comment or as a trailing
-// comment on the declaration line. This is the lookup behind the locked,
-// realtime and hotpath annotations.
+// comment on the declaration line. This is the lookup behind the realtime
+// and hotpath annotations.
 func funcDirective(u *Unit, fn *ast.FuncDecl, name string) bool {
 	marker := "harplint:" + name
 	if fn.Doc != nil {

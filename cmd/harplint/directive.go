@@ -115,34 +115,6 @@ func (idx *directiveIndex) allows(pass string, pos token.Position) bool {
 	return false
 }
 
-// hasLockedDirective reports whether the function declaration carries a
-// //harplint:locked annotation — in its doc comment or on the declaration
-// line — marking it as "callers hold the receiver's mutex".
-func hasLockedDirective(u *Unit, fn *ast.FuncDecl) bool {
-	if fn.Doc != nil {
-		for _, c := range fn.Doc.List {
-			if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), "harplint:locked") {
-				return true
-			}
-		}
-	}
-	declLine := u.Fset.Position(fn.Pos()).Line
-	for _, f := range u.Files {
-		if u.Fset.Position(f.Pos()).Filename != u.Fset.Position(fn.Pos()).Filename {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if u.Fset.Position(c.Pos()).Line == declLine &&
-					strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), "harplint:locked") {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // sortFindings orders findings by file, line, column, then pass name for
 // stable output.
 func sortFindings(fs []Finding) {

@@ -169,63 +169,6 @@ func Allowed() {
 	wantFindings(t, msgs)
 }
 
-func TestLocksFlagsCopiesAndUnlockedAccess(t *testing.T) {
-	msgs := lintFixture(t, "locks", map[string]string{
-		"fx/fx.go": `// Package fx is a fixture.
-package fx
-
-import "sync"
-
-// Counter is a mutex-guarded fixture.
-type Counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-// ByValue copies the lock.
-func ByValue(c Counter) int { return c.n }
-
-// Bad touches a guarded field without locking.
-func (c *Counter) Bad() { c.n++ }
-
-// Good locks first.
-func (c *Counter) Good() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.n++
-}
-
-//harplint:locked — fixture: callers hold c.mu.
-func (c *Counter) Annotated() int { return c.n }
-`,
-	})
-	wantFindings(t, msgs,
-		"parameter of ByValue copies a type containing a sync lock",
-		"guarded field n without holding mu",
-	)
-}
-
-func TestLocksFlagsDereferenceCopy(t *testing.T) {
-	msgs := lintFixture(t, "locks", map[string]string{
-		"fx/fx.go": `// Package fx is a fixture.
-package fx
-
-import "sync"
-
-// Guarded is a fixture with an embedded lock.
-type Guarded struct {
-	mu sync.Mutex
-}
-
-// Snapshot copies the lock through a dereference.
-func Snapshot(g *Guarded) Guarded { x := *g; return x }
-`,
-	})
-	if len(msgs) == 0 || !strings.Contains(msgs[0], "dereference copies a value containing a sync lock") {
-		t.Fatalf("want dereference-copy finding, got: %v", msgs)
-	}
-}
-
 func TestDocsFlagsUndocumentedExports(t *testing.T) {
 	msgs := lintFixture(t, "docs", map[string]string{
 		"fx/fx.go": `package fx

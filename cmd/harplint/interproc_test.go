@@ -99,7 +99,7 @@ func TestBaselineFiltersAndRotGuard(t *testing.T) {
 		// baseline entries match on (file, pass, message) only.
 		{File: "a/a.go", Line: 99, Pass: "vtime", Message: "old finding"},
 		// Matches nothing: must surface as a stale-entry finding.
-		{File: "c/c.go", Pass: "locks", Message: "gone finding"},
+		{File: "c/c.go", Pass: "docs", Message: "gone finding"},
 	}}
 	out := bl.apply(root, findings)
 	if len(out) != 2 {

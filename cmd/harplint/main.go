@@ -1,15 +1,12 @@
 // Command harplint is the HARP repo's project-specific static analyzer.
 // It type-checks the module with nothing but the standard library (go/ast,
 // go/parser, go/types and a custom module loader — no go/packages), builds
-// a conservative whole-module call graph, and runs eight passes tuned to
+// a conservative whole-module call graph, and runs seven passes tuned to
 // this codebase's correctness contract:
 //
 //	determinism — no wall-clock reads, no global math/rand, no map
 //	              iteration order leaking into scheduling decisions;
 //	errcheck    — no discarded error returns anywhere under internal/;
-//	locks       — no copied sync locks, and mutex-guarded struct fields
-//	              only touched under the lock or behind an explicit
-//	              //harplint:locked caller-holds-lock annotation;
 //	docs        — every exported identifier documented;
 //	output      — no fmt.Print*/log.Print* terminal output in runtime
 //	              (non-main) packages; observability goes through
@@ -60,7 +57,6 @@ type pass struct {
 var allPasses = []pass{
 	{name: passDeterminism, run: runDeterminism},
 	{name: passErrcheck, run: runErrcheck},
-	{name: passLocks, run: runLocks},
 	{name: passDocs, run: runDocs},
 	{name: passOutput, run: runOutput},
 	{name: passVtime, global: runVtime},

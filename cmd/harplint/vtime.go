@@ -17,8 +17,8 @@ import (
 // chain, one finding per call site that leaks toward a sink, so the
 // offending path is visible file by file.
 //
-// Functions that legitimately deal in wall time — the HTTP inspection
-// endpoint, profiling helpers, bench wall-time reporting — carry a
+// Functions that legitimately deal in wall time — profiling helpers,
+// bench wall-time reporting — carry a
 // //harplint:realtime annotation on their declaration. An annotated
 // function is exempt and, critically, does not taint its callers: the
 // annotation is the audited boundary between the virtual and the real

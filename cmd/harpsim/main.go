@@ -8,7 +8,7 @@
 //	harpsim -nodes 50 -layers 5 -scheduler msf -rate 3 -channels 8
 //	harpsim -topology-file net.json -scheduler ldsf -seed 7
 //	harpsim -topology fig1 -cosim -trace trace.jsonl  # record a protocol trace
-//	harpsim -topology fig1 -cosim -http :8080  # live /healthz, /metrics, /series, pprof
+//	harpsim -topology fig1 -cosim -metrics run.prom  # final Prometheus exposition
 package main
 
 import (
@@ -18,8 +18,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"github.com/harpnet/harp/internal/agent"
@@ -96,7 +94,7 @@ func run(args []string, stdout io.Writer) error {
 		seed       = fs.Int64("seed", 1, "random seed")
 		cosimFlag  = fs.Bool("cosim", false, "co-simulate the distributed HARP protocol with the MAC on one shared clock: agents build the schedule over real CoAP exchanges, and a mid-run traffic change measures the disruption window (ignores -scheduler)")
 		tracePath  = fs.String("trace", "", "with -cosim: record the protocol event trace to this JSONL path (analyse with harptrace)")
-		httpAddr   = fs.String("http", "", "with -cosim: serve the live read-only inspection endpoint (/healthz, /metrics, /series, /debug/pprof) on this address; after the run the final snapshot is served until interrupted")
+		metricsOut = fs.String("metrics", "", "with -cosim: write the run's final metrics as a Prometheus text exposition to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -126,13 +124,13 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *cosimFlag {
-		return runCoSim(stdout, tree, frame, tasks, demand, *slotframes, *pdr, *seed, *tracePath, *httpAddr)
+		return runCoSim(stdout, tree, frame, tasks, demand, *slotframes, *pdr, *seed, *tracePath, *metricsOut)
 	}
 	if *tracePath != "" {
 		return fmt.Errorf("-trace requires -cosim (only the protocol co-simulation is traced)")
 	}
-	if *httpAddr != "" {
-		return fmt.Errorf("-http requires -cosim (only the protocol co-simulation publishes telemetry)")
+	if *metricsOut != "" {
+		return fmt.Errorf("-metrics requires -cosim (only the protocol co-simulation keeps a metrics registry)")
 	}
 
 	sched, err := pickScheduler(*schedName)
@@ -190,25 +188,13 @@ func run(args []string, stdout io.Writer) error {
 // window is the measured gap between the traffic change and the slot the
 // protocol commits the adjusted schedule.
 func runCoSim(stdout io.Writer, tree *topology.Tree, frame schedule.Slotframe, tasks *traffic.Set,
-	demand *traffic.Demand, slotframes int, pdr float64, seed int64, tracePath, httpAddr string) error {
-	var ins *obs.Inspector
-	if httpAddr != "" {
-		ins = obs.NewInspector()
-		addr, err := ins.Serve(httpAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "live inspection endpoint on http://%s\n", addr)
-	}
+	demand *traffic.Demand, slotframes int, pdr float64, seed int64, tracePath, metricsOut string) error {
 	cs, err := cosim.New(cosim.Config{
 		Tree: tree, Frame: frame, Tasks: tasks, Demand: demand,
 		PDR: pdr, Seed: seed, Trace: tracePath != "",
 	})
 	if err != nil {
 		return err
-	}
-	if ins != nil {
-		cs.AttachInspector(ins)
 	}
 	fmt.Fprintf(stdout, "topology: %d nodes, %d layers; distributed HARP fleet on a shared virtual clock\n",
 		tree.Len(), tree.MaxLayer())
@@ -269,7 +255,6 @@ func runCoSim(stdout io.Writer, tree *topology.Tree, frame schedule.Slotframe, t
 	if err := health.WriteText(stdout); err != nil {
 		return err
 	}
-	cs.PublishState(true, &health)
 	if tracePath != "" {
 		events := cs.Tracer.Events()
 		if err := obs.WriteJSONLFile(tracePath, events); err != nil {
@@ -277,13 +262,24 @@ func runCoSim(stdout io.Writer, tree *topology.Tree, frame schedule.Slotframe, t
 		}
 		fmt.Fprintf(stdout, "protocol trace written to %s (%d events)\n", tracePath, len(events))
 	}
-	if ins != nil {
-		// Keep serving the final snapshot so scrapers (and the metrics-smoke
-		// CI target) can read the completed run; SIGINT/SIGTERM ends it.
-		fmt.Fprintln(stdout, "run complete; serving final snapshot until interrupted")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
+	if metricsOut != "" {
+		if err := writeMetrics(metricsOut, cs.Bus.Metrics().Snapshot()); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "final metrics written to %s\n", metricsOut)
 	}
 	return nil
+}
+
+// writeMetrics writes snap's Prometheus text exposition to path.
+func writeMetrics(path string, snap obs.Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := obs.WritePrometheus(f, snap); err != nil {
+		f.Close() //harplint:allow errcheck the write error takes precedence over close-on-error
+		return err
+	}
+	return f.Close()
 }

@@ -28,3 +28,24 @@ func TestCoSimTraceMatchesGolden(t *testing.T) {
 		t.Errorf("trace (%d bytes) differs from cmd/harptrace/testdata/smoke.jsonl (%d bytes); run `make trace-smoke` for the diff", len(got), len(want))
 	}
 }
+
+// TestCoSimMetricsMatchGolden: the same run's final Prometheus exposition
+// (-metrics) must equal the committed golden byte for byte. The exposition
+// carries no timestamps, so it is a pure function of the seeds.
+func TestCoSimMetricsMatchGolden(t *testing.T) {
+	prom := filepath.Join(t.TempDir(), "metrics.prom")
+	if err := run([]string{"-topology", "fig1", "-cosim", "-slotframes", "30", "-metrics", prom}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "metrics_smoke.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("metrics (%d bytes) differ from testdata/metrics_smoke.prom (%d bytes)", len(got), len(want))
+	}
+}

@@ -186,16 +186,10 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintln(stdout)
 		}
 	case "chrome":
-		dst := stdout
 		if *out != "" {
-			fd, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer fd.Close()
-			dst = fd
+			return obs.WriteChromeFile(*out, filtered)
 		}
-		if err := obs.WriteChrome(dst, filtered); err != nil {
+		if err := obs.WriteChrome(stdout, filtered); err != nil {
 			return err
 		}
 	case "cat":

@@ -8,13 +8,15 @@
 // planner (core.Compose, core.AllocateRoot, core.SplitPartition,
 // core.AssignCells, core.AdjustLayout), so the distributed execution
 // provably converges to the same schedules (asserted by integration tests).
+//
+// Node, Fleet and Detector are not safe for concurrent use: every agent is a
+// plain handler driven from the goroutine that runs the shared virtual clock.
 package agent
 
 import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/core"
@@ -145,8 +147,6 @@ type demandSnapshot struct {
 
 // Node is one HARP protocol agent.
 type Node struct {
-	mu sync.Mutex
-
 	id       topology.NodeID
 	parent   topology.NodeID
 	children []topology.NodeID // sorted
@@ -190,29 +190,22 @@ type giveUpKey struct {
 	report bool
 }
 
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) dir(d topology.Direction) *dirState { return &n.dirs[d] }
 
 // ID returns the node's identifier.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) ID() topology.NodeID { return n.id }
 
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) nextMsgID() uint16 {
 	n.msgID++
 	return n.msgID
 }
 
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) isGateway() bool { return n.parent == topology.None }
 
 // reject counts an adjustment the node could not satisfy, in both the
 // fleet tally (Fleet.Rejections) and the metrics registry.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) reject() {
-	n.sh.rejections.Add(1)
+	n.sh.rejections++
 	n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricRejections))
 }
 
@@ -275,8 +268,6 @@ func resolve(msg coap.Message) route {
 
 // send builds and transmits a CoAP request carrying a HARP payload; path is
 // one of the prebuilt option slices above.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) send(to topology.NodeID, method coap.Code, path []coap.Option, payload []byte) {
 	msg := coap.Message{
 		Type: coap.NonConfirmable, Code: method, MessageID: n.nextMsgID(),
@@ -292,13 +283,11 @@ func (n *Node) send(to topology.NodeID, method coap.Code, path []coap.Option, pa
 // borrowed from the transport for the call; the proto decoders copy what
 // the handlers keep.
 func (n *Node) Handle(from topology.NodeID, msg coap.Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if h := n.sh.hooks.Load(); h != nil && h.heard != nil {
+	if heard := n.sh.hooks.heard; heard != nil {
 		// Any delivered message is liveness evidence for the detector;
 		// keepalive probes (POST /ka) carry nothing else and resolve to no
 		// route below.
-		h.heard(from)
+		heard(from)
 	}
 	switch resolve(msg) {
 	case routeReport:
@@ -339,8 +328,6 @@ func (n *Node) Handle(from topology.NodeID, msg coap.Message) {
 // Downward traffic (grants, notices) is simply dropped — a crashed child
 // re-syncs through the Join path when it returns.
 func (n *Node) HandleSendFailure(to topology.NodeID, msg coap.Message) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	switch resolve(msg) {
 	case routeAdjust:
 		if m, err := proto.DecodeAdjustRequest(msg.Payload); err == nil {
@@ -364,8 +351,6 @@ func (n *Node) HandleSendFailure(to topology.NodeID, msg coap.Message) {
 
 // degradeOnce counts a rejection for the (peer, adjustment) key unless it
 // already degraded since the peer last proved reachable.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) degradeOnce(key giveUpKey) {
 	if n.giveUps[key] {
 		return
@@ -379,26 +364,22 @@ func (n *Node) degradeOnce(key giveUpKey) {
 
 // stampPending records that layer's escalation left at virtual time now and
 // counts it into the fleet's in-flight tally (Fleet.PendingAdjustments).
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) stampPending(st *dirState, layer int, now float64) {
 	if st.pendingSince == nil {
 		st.pendingSince = make(map[int]float64)
 	}
 	if _, stamped := st.pendingSince[layer]; !stamped {
-		n.sh.pending.Add(1)
+		n.sh.pending++
 	}
 	st.pendingSince[layer] = now
 }
 
 // clearPending drops layer's escalation stamp (committed, unwound or
 // aborted) and takes it out of the fleet's in-flight tally.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) clearPending(st *dirState, layer int) {
 	if _, stamped := st.pendingSince[layer]; stamped {
 		delete(st.pendingSince, layer)
-		n.sh.pending.Add(-1)
+		n.sh.pending--
 	}
 }
 
@@ -408,8 +389,6 @@ func (n *Node) clearPending(st *dirState, layer int) {
 // deferred behind the escalation replay immediately. Shared by the
 // transport give-up path (HandleSendFailure) and the adjustment watchdog
 // (abortStale) — both end an escalation whose grant will never come.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) unwindPending(d topology.Direction, layer int) {
 	st := n.dir(d)
 	if layer == n.ownLayer {
@@ -451,8 +430,6 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 // timer fires at the child. Called by the failure detector's sweep; now is
 // the current virtual time. Returns the number of aborted adjustments.
 func (n *Node) abortStale(now, deadline float64) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	aborted := 0
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
@@ -490,23 +467,11 @@ func (n *Node) abortStale(now, deadline float64) int {
 	return aborted
 }
 
-// dropDeadChild removes a child the failure detector declared dead, as if
-// a DELETE /intf had arrived from it: its demand and components disappear
-// and the own-layer schedule shrinks. Idempotent (an unknown child is a
-// no-op).
-func (n *Node) dropDeadChild(c topology.NodeID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.onChildLeave(c)
-}
-
 // now reads the deployment's virtual clock; ok is false while none is bound
 // (no detector, no BindVirtualTime), and stamping is then skipped.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) now() (t float64, ok bool) {
-	if h := n.sh.hooks.Load(); h != nil && h.vnow != nil {
-		return h.vnow(), true
+	if vnow := n.sh.hooks.vnow; vnow != nil {
+		return vnow(), true
 	}
 	return 0, false
 }
@@ -514,8 +479,6 @@ func (n *Node) now() (t float64, ok bool) {
 // start kicks off the static phase at this node: non-leaf nodes whose
 // children are all leaves can compute and report immediately.
 func (n *Node) start() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if len(n.children) == 0 {
 		return // leaves report nothing; parents hold their link demands
 	}
@@ -528,8 +491,6 @@ func (n *Node) start() {
 // have reported, this node composes its own interface and forwards it (or
 // allocates, at the gateway). A report from a node that is not a child is
 // dropped.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) onInterfaceReport(m proto.InterfaceReport) {
 	if !containsNode(n.children, m.Owner) {
 		// Not a child here: this node dropped the sender as dead (or never
@@ -559,8 +520,6 @@ func (n *Node) onInterfaceReport(m proto.InterfaceReport) {
 
 // computeAndForwardInterface runs interface generation (§IV-B) for both
 // directions, then reports upward or allocates at the gateway.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) computeAndForwardInterface() {
 	for _, d := range topology.Directions() {
 		n.computeInterface(d)
@@ -589,7 +548,6 @@ func (n *Node) computeAndForwardInterface() {
 	n.send(n.parent, coap.POST, optsInterface, proto.EncodeInterfaceReport(report))
 }
 
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) computeInterface(d topology.Direction) {
 	st := n.dir(d)
 	comps := make([]core.Component, 0, n.maxLayer-n.ownLayer+1)
@@ -625,8 +583,6 @@ func (n *Node) computeInterface(d topology.Direction) {
 }
 
 // allocateRoot is the gateway's partition allocation (§IV-C).
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) allocateRoot() {
 	up := core.Interface{Owner: n.id, FirstLayer: n.dir(topology.Uplink).iface.FirstLayer, Comps: n.dir(topology.Uplink).iface.Comps}
 	down := core.Interface{Owner: n.id, FirstLayer: n.dir(topology.Downlink).iface.FirstLayer, Comps: n.dir(topology.Downlink).iface.Comps}
@@ -644,8 +600,6 @@ func (n *Node) allocateRoot() {
 // settle consumes this node's partitions: RM assignment at the own layer,
 // splitting and dissemination at deeper layers (one POST /part per
 // non-leaf child).
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) settle() {
 	type grant struct {
 		entries []proto.PartitionEntry
@@ -704,8 +658,6 @@ func (n *Node) settle() {
 // continues the top-down phase. A duplicated delivery (every entry equal to
 // the installed partition) is dropped: re-running settle would re-send the
 // whole subtree's PartitionSets and amplify one duplicate into a flood.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) onPartitionSet(m proto.PartitionSet) {
 	if n.settledOnce {
 		dup := true
@@ -730,8 +682,6 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 
 // assignOwn runs RM assignment inside the own-layer partition and notifies
 // children whose cells changed.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) assignOwn(d topology.Direction) {
 	st := n.dir(d)
 	region, ok := st.parts[n.ownLayer]
@@ -809,8 +759,6 @@ func (n *Node) assignOwn(d topology.Direction) {
 // view, replacing what this node published for d before. It runs after
 // every write to dirState.assignment, so the view equals a walk over all
 // agents at every instant and Fleet.BuildSchedule never visits a node.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) publish(d topology.Direction) {
 	var links []linkCells
 	for child, cells := range n.dir(d).assignment {
@@ -825,9 +773,7 @@ func (n *Node) publish(d topology.Direction) {
 // debugCheckAssignments validates that every non-empty own-layer cell
 // assignment sits inside the own-layer partition, in both directions. This
 // must hold at every quiescent point of the protocol, even mid-adjustment.
-// Compiled out unless built with -tags harpdebug; callers hold n.mu.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+// Compiled out unless built with -tags harpdebug.
 func (n *Node) debugCheckAssignments(op string) {
 	if !debugChecks {
 		return
@@ -858,10 +804,7 @@ func (n *Node) debugCheckAssignments(op string) {
 // at that layer, and the regions pairwise disjoint. Only the layer just
 // modified is checked — grants at other layers are a send-dedup cache and
 // may legitimately be stale until that layer's own partition update
-// arrives. Compiled out unless built with -tags harpdebug; callers hold
-// n.mu.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+// arrives. Compiled out unless built with -tags harpdebug.
 func (n *Node) debugCheckGrants(op string, d topology.Direction, layer int) {
 	if !debugChecks {
 		return
@@ -928,8 +871,6 @@ func sortedLayers(m map[int]schedule.Region) []int {
 // affected link updates the requirement and performs local schedule update,
 // or escalates a partition adjustment.
 func (n *Node) SetChildDemand(child topology.NodeID, d topology.Direction, cells int, topRate float64) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if !containsNode(n.children, child) {
 		return fmt.Errorf("agent: node %d has no child %d", n.id, child)
 	}
@@ -940,9 +881,7 @@ func (n *Node) SetChildDemand(child topology.NodeID, d topology.Direction, cells
 	return nil
 }
 
-// applyChildDemand is SetChildDemand's body; callers hold n.mu.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+// applyChildDemand is SetChildDemand's body, after validation.
 func (n *Node) applyChildDemand(child topology.NodeID, d topology.Direction, cells int, topRate float64) {
 	st := n.dir(d)
 	old := st.demand[child]
@@ -977,8 +916,6 @@ func (n *Node) applyChildDemand(child topology.NodeID, d topology.Direction, cel
 
 // escalate requests a grown component at the given layer from the parent,
 // or — at the gateway — widens its own layer partition in place.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) escalate(d topology.Direction, layer int, comp core.Component) {
 	n.sh.metrics.Inc(obs.LayerKey(int(n.id), layer, obs.MetricEscalations))
 	if n.isGateway() {
@@ -1008,8 +945,6 @@ func (n *Node) escalate(d topology.Direction, layer int, comp core.Component) {
 // parent, which absorbs it locally or escalates. cells is the requested
 // demand of this node's own link in the given direction.
 func (n *Node) RequestDemand(d topology.Direction, cells int) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.isGateway() {
 		return fmt.Errorf("agent: gateway has no own link")
 	}
@@ -1028,8 +963,6 @@ func (n *Node) RequestDemand(d topology.Direction, cells int) error {
 // onAdjustRequest handles a child's PUT /intf: feasibility test (Problem 2)
 // plus the cost-aware adjustment (Alg. 2), escalating when the local
 // partition cannot host the increase.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) onAdjustRequest(from topology.NodeID, m proto.AdjustRequest) {
 	layer := m.Layer
 	if layer == n.ownLayer && containsNode(n.children, from) {
@@ -1045,8 +978,6 @@ func (n *Node) onAdjustRequest(from topology.NodeID, m proto.AdjustRequest) {
 // at one layer: Alg. 2 inside the current partition when possible,
 // otherwise minimal extension and escalation (or in-place extension at the
 // gateway).
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, layer int, comp core.Component) {
 	st := n.dir(d)
 	if cur, ok := st.childComps[layer][from]; ok && cur == comp {
@@ -1121,9 +1052,9 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 // onChildLeave handles DELETE /intf: the child (and its subtree) detached —
 // the release case of §V. Its components disappear from every layer; the
 // freed cells stay idle inside this branch's partitions, and the own-layer
-// schedule shrinks.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
+// schedule shrinks. It also drops a child the failure detector declared
+// dead, as if the DELETE had arrived. Idempotent (an unknown child is a
+// no-op).
 func (n *Node) onChildLeave(from topology.NodeID) {
 	if !containsNode(n.children, from) {
 		return
@@ -1155,8 +1086,6 @@ func (n *Node) onChildLeave(from topology.NodeID) {
 // attached under this node after a topology change. Every layer of the
 // reported interface is hosted through the ordinary adjustment machinery,
 // then the new link's demand is absorbed like a traffic change.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) onChildJoin(m proto.InterfaceReport) {
 	// A Join from a node already in children is a crashed child rejoining
 	// (a reparented node arrives unknown): after hosting it, re-send the
@@ -1215,8 +1144,6 @@ func (n *Node) onChildJoin(m proto.InterfaceReport) {
 // (sentRegions, the cellsEqual check) see no change and would stay silent;
 // the child's duplicate guards make the re-sends safe if it did not
 // actually reboot.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) resyncChild(child topology.NodeID) {
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
@@ -1264,15 +1191,11 @@ func insertNode(ids []topology.NodeID, id topology.NodeID) []topology.NodeID {
 // adjustment fits.
 
 // rootParts returns the gateway's current layer partitions per direction.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) rootParts() [2]map[int]schedule.Region {
 	return [2]map[int]schedule.Region{n.dir(topology.Uplink).parts, n.dir(topology.Downlink).parts}
 }
 
 // rootWiden grows the gateway's own-layer partition to the requested width.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) bool {
 	placements, ok := core.ReflowRoot(n.rootParts(), core.DirLayer{Direction: d, Layer: layer}, comp, n.sh.frame)
 	if !ok {
@@ -1286,8 +1209,6 @@ func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) b
 
 // rootHost extends the gateway's layer partition just enough to host a
 // grown child component, keeping that layer's other children in place.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, curComp core.Component) bool {
 	st := n.dir(d)
 	newLayout, placements, ok := core.RootHost(n.rootParts(), core.DirLayer{Direction: d, Layer: layer},
@@ -1322,8 +1243,6 @@ func (n *Node) onPartitionUpdate(m proto.PartitionUpdate) {
 
 // applyPartition installs a new partition at one layer, committing any
 // pending recomposition, and pushes the consequences downward.
-//
-//harplint:locked — caller holds n.mu (Handle/Deploy own the critical section).
 func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.Region) {
 	st := n.dir(d)
 	// The parent's grant is authoritative even at a node whose maps are nil:
@@ -1402,8 +1321,6 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 // DELETE /intf of a parent switch) without touching local state; the fleet
 // rewires the structure afterwards.
 func (n *Node) Leave() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if n.isGateway() {
 		return
 	}
@@ -1413,8 +1330,6 @@ func (n *Node) Leave() {
 // setStructure installs recomputed tree coordinates after a topology
 // change.
 func (n *Node) setStructure(parent topology.NodeID, ownLayer, maxLayer int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if parent != n.parent {
 		// A new parent means past degradations no longer describe the
 		// current uplink.
@@ -1428,14 +1343,12 @@ func (n *Node) setStructure(parent topology.NodeID, ownLayer, maxLayer int) {
 // resetResources clears all layer-keyed resource state (used when a moved
 // subtree re-joins at a different depth). Link demands are preserved.
 func (n *Node) resetResources() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
 		// Wipe everything but the configured link demands (reloaded by the
 		// caller) and the granted own-link cells; a leaf drops back to all-nil
 		// maps, a parent gets fresh empty ones.
-		n.sh.pending.Add(-int64(len(st.pendingSince)))
+		n.sh.pending -= int64(len(st.pendingSince))
 		*st = dirState{demand: st.demand, topRate: st.topRate, myCells: st.myCells}
 		n.publish(d)
 		if len(n.children) > 0 {
@@ -1450,8 +1363,6 @@ func (n *Node) resetResources() {
 // the Join flag and the given own-link demands, and nodes whose children
 // are all leaves recompute immediately (deeper subtrees report bottom-up).
 func (n *Node) startJoin(upDemand, downDemand int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.joining = true
 	n.joinDemand[topology.Uplink] = upDemand
 	n.joinDemand[topology.Downlink] = downDemand
@@ -1465,8 +1376,6 @@ func (n *Node) startJoin(upDemand, downDemand int) {
 // Assignment returns the node's RM cell assignment for its child links in
 // one direction.
 func (n *Node) Assignment(d topology.Direction) map[topology.NodeID][]schedule.Cell {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	out := make(map[topology.NodeID][]schedule.Cell, len(n.dir(d).assignment))
 	for c, cells := range n.dir(d).assignment {
 		out[c] = append([]schedule.Cell(nil), cells...)
@@ -1476,16 +1385,12 @@ func (n *Node) Assignment(d topology.Direction) map[topology.NodeID][]schedule.C
 
 // Partition returns the node's granted partition at a layer.
 func (n *Node) Partition(d topology.Direction, layer int) (schedule.Region, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	r, ok := n.dir(d).parts[layer]
 	return r, ok
 }
 
 // MyCells returns the cells granted by the parent for this node's own link.
 func (n *Node) MyCells(d topology.Direction) []schedule.Cell {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return append([]schedule.Cell(nil), n.dir(d).myCells...)
 }
 

@@ -106,9 +106,8 @@ const (
 // isolate a node completely for longer than DeadAfter cause an honest
 // false positive, healed by readmission when the link returns.
 //
-// All state transitions happen inside clock events, so the detector
-// needs no lock of its own; it must only be driven through the shared
-// virtual clock (Bus, CoSim).
+// All state transitions happen inside clock events: the detector must only
+// be driven through the shared virtual clock (Bus, CoSim).
 //
 // A keepalive is the commonest message a fleet carries (two per tree link
 // per period), so the per-node state is three slices indexed by the tree's
@@ -274,7 +273,6 @@ func (d *Detector) DeadOrCrashed(id topology.NodeID) bool {
 	return d.stateOf(id) == liveDead || d.net.Crashed(id)
 }
 
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) scheduleSweep() {
 	// Jitter the period ±10% so detector timers never beat exactly against
 	// slot boundaries; the draw comes from the detector's own stream.
@@ -392,7 +390,6 @@ func (d *Detector) sweep() {
 
 // probe sends one sweep's keepalives along the cached walk.
 //
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 //harplint:hotpath
 func (d *Detector) probe() {
 	tree, w := d.fleet.Tree, &d.walk
@@ -412,7 +409,6 @@ func (d *Detector) probe() {
 	}
 }
 
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) suspect(id topology.NodeID, now float64) {
 	i := d.fleet.Tree.Index(id)
 	d.state[i] = liveSuspect
@@ -429,8 +425,6 @@ func (d *Detector) suspect(id topology.NodeID, now float64) {
 // drops the dead child, every live orphan is adopted, and the dead agent's
 // resource state is wiped so its stale assignments cannot pollute the
 // fleet schedule while it is gone.
-//
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) declareDead(id topology.NodeID, now float64) {
 	i := d.fleet.Tree.Index(id)
 	rec := DeathRecord{Node: id, SuspectedAt: d.suspectedAt[i], DeclaredAt: now}
@@ -453,7 +447,7 @@ func (d *Detector) declareDead(id topology.NodeID, now float64) {
 		return
 	}
 	if p := d.fleet.node(parent); p != nil && !d.DeadOrCrashed(parent) {
-		p.dropDeadChild(id)
+		p.onChildLeave(id) // as if the dead child's DELETE /intf had arrived
 	}
 
 	// Adopt the live orphans. Children returns a copy, so the adoptions'
@@ -480,8 +474,6 @@ func (d *Detector) declareDead(id topology.NodeID, now float64) {
 
 // adopt re-homes one live orphan of deadParent under the deterministic
 // candidate and records it.
-//
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) adopt(orphan, deadParent topology.NodeID, now float64) bool {
 	candidate := d.adoptiveParent(deadParent)
 	if candidate == topology.None {
@@ -511,8 +503,6 @@ func (d *Detector) adopt(orphan, deadParent topology.NodeID, now float64) bool {
 // ancestor itself when it has no other live children. Deterministic, and
 // never inside the orphan's own subtree — the candidates are siblings (or
 // ancestors) of the dead parent, all strictly outside it.
-//
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) adoptiveParent(dead topology.NodeID) topology.NodeID {
 	anchor, err := d.fleet.Tree.Parent(dead)
 	if err != nil {
@@ -542,8 +532,6 @@ func (d *Detector) adoptiveParent(dead topology.NodeID) topology.NodeID {
 // scripted restart (or a healed false positive). The node re-attaches
 // with wiped volatile state through the restart machinery — under its
 // unchanged parent when that parent is live, else through adoption.
-//
-//harplint:locked — single-threaded on the virtual clock (sweep events).
 func (d *Detector) readmit(id topology.NodeID, now float64) {
 	i := d.fleet.Tree.Index(id)
 	d.state[i] = liveAlive

@@ -60,7 +60,7 @@ func TestDetectorStopKeepsVirtualTimeBound(t *testing.T) {
 	fleet, bus, det := deployWithDetector(t, tree, testFrame(), demand)
 	det.Start()
 	det.Stop()
-	if h := fleet.sh.hooks.Load(); h == nil || h.heard != nil || h.vnow == nil {
+	if h := fleet.sh.hooks; h.heard != nil || h.vnow == nil {
 		t.Fatalf("after Stop the hooks are %+v, want no delivery hook and the clock still bound", h)
 	}
 

@@ -270,7 +270,7 @@ func (f *Fleet) Adopt(orphan, newParent topology.NodeID, newDemand *traffic.Dema
 		return nil // already re-homed: duplicate adoption is idempotent
 	}
 	if op := f.node(oldParent); op != nil {
-		op.dropDeadChild(orphan)
+		op.onChildLeave(orphan)
 	}
 	return f.rehome(orphan, newParent, newDemand, skipDemandAt)
 }
@@ -310,7 +310,6 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 		n.setStructure(parent, ownLayer, maxLayers[i])
 	}
 	np := f.node(newParent)
-	np.mu.Lock()
 	if !containsNode(np.children, node) {
 		np.children = insertNode(np.children, node)
 		if !f.Tree.IsLeaf(node) {
@@ -320,7 +319,6 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 	// The new parent may have been a leaf until now; give it its maps.
 	np.dirs[0].ensure()
 	np.dirs[1].ensure()
-	np.mu.Unlock()
 
 	// 3. Reset the moved subtree's resource state and load the post-change
 	// demands of its internal links into the owning parents.
@@ -329,7 +327,6 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 	}
 	for _, id := range subtree {
 		agentNode := f.node(id)
-		agentNode.mu.Lock()
 		for _, c := range agentNode.children {
 			for _, d := range topology.Directions() {
 				l := topology.Link{Child: c, Direction: d}
@@ -340,7 +337,6 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 				}
 			}
 		}
-		agentNode.mu.Unlock()
 	}
 
 	// 4. Trigger the subtree's bottom-up re-report; the moved node's report
@@ -353,11 +349,9 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 			continue
 		}
 		agentNode := f.node(id)
-		agentNode.mu.Lock()
 		if len(agentNode.children) > 0 && len(agentNode.nonLeaf) == 0 {
 			agentNode.computeAndForwardInterface()
 		}
-		agentNode.mu.Unlock()
 	}
 
 	// 5. Forwarding-path demand shifts outside the subtree go through the
@@ -378,16 +372,12 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 			continue
 		}
 		pa := f.node(parent)
-		pa.mu.Lock()
-		known := containsNode(pa.children, l.Child)
-		current := pa.dir(l.Direction).demand[l.Child]
-		pa.mu.Unlock()
-		if !known {
+		if !containsNode(pa.children, l.Child) {
 			// The child was dropped as dead at this parent (or has not yet
 			// re-attached); its demand re-registers through the Join path.
 			continue
 		}
-		if current == newDemand.Cells(l) {
+		if pa.dir(l.Direction).demand[l.Child] == newDemand.Cells(l) {
 			continue
 		}
 		flows := newDemand.Flows(l)
@@ -417,10 +407,7 @@ func (f *Fleet) RestartNode(id topology.NodeID, demand *traffic.Demand) error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	gateway := n.parent == topology.None
-	n.mu.Unlock()
-	if gateway {
+	if n.isGateway() {
 		return fmt.Errorf("agent: gateway restart is not supported")
 	}
 	// Sync the agent's child lists with the current tree before the reset:
@@ -429,7 +416,6 @@ func (f *Fleet) RestartNode(id topology.NodeID, demand *traffic.Demand) error {
 	// links that no longer exist. A no-op when the topology is unchanged.
 	f.syncFromTree(id)
 	n.resetResources()
-	n.mu.Lock()
 	nonLeaf := append([]topology.NodeID(nil), n.nonLeaf...)
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
@@ -443,15 +429,12 @@ func (f *Fleet) RestartNode(id topology.NodeID, demand *traffic.Demand) error {
 			}
 		}
 	}
-	n.mu.Unlock()
 	upLink := topology.Link{Child: id, Direction: topology.Uplink}
 	downLink := topology.Link{Child: id, Direction: topology.Downlink}
 	n.startJoin(demand.Cells(upLink), demand.Cells(downLink))
 	for _, c := range nonLeaf {
 		child := f.node(c)
-		child.mu.Lock()
 		child.computeAndForwardInterface()
-		child.mu.Unlock()
 	}
 	return nil
 }
@@ -472,7 +455,6 @@ func (f *Fleet) syncFromTree(id topology.NodeID) {
 			treeNonLeaf = append(treeNonLeaf, c)
 		}
 	}
-	n.mu.Lock()
 	n.children = treeChildren
 	n.nonLeaf = treeNonLeaf
 	for _, d := range topology.Directions() {
@@ -484,12 +466,11 @@ func (f *Fleet) syncFromTree(id topology.NodeID) {
 			}
 		}
 	}
-	n.mu.Unlock()
 }
 
 // Rejections returns the adjustment rejections across all agents: an O(1)
 // read of the tally every Node.reject counts into.
-func (f *Fleet) Rejections() int { return int(f.sh.rejections.Load()) }
+func (f *Fleet) Rejections() int { return int(f.sh.rejections) }
 
 // BindVirtualTime gives the deployment a virtual-clock reading so
 // escalations are stamped (pendingSince) and escalation→commit latency
@@ -497,28 +478,15 @@ func (f *Fleet) Rejections() int { return int(f.sh.rejections.Load()) }
 // and leaves it bound when it stops; binding here means stamping also
 // works on runs without a detector. Behaviour-neutral: the stamps are read
 // only by the watchdog and the latency telemetry.
-func (f *Fleet) BindVirtualTime(vnow func() float64) {
-	hooks := clockHooks{vnow: vnow}
-	if cur := f.sh.hooks.Load(); cur != nil {
-		hooks.heard = cur.heard
-	}
-	f.sh.hooks.Store(&hooks)
-}
+func (f *Fleet) BindVirtualTime(vnow func() float64) { f.sh.hooks.vnow = vnow }
 
 // setHeard wires (or, with nil, unwires) the failure detector's delivery
-// hook for every agent at once. Like BindVirtualTime it replaces its own
-// half of the hooks and keeps the other: a stopping detector must not
-// blind the stamps.
-func (f *Fleet) setHeard(heard func(topology.NodeID)) {
-	hooks := clockHooks{heard: heard}
-	if cur := f.sh.hooks.Load(); cur != nil {
-		hooks.vnow = cur.vnow
-	}
-	f.sh.hooks.Store(&hooks)
-}
+// hook for every agent at once. It leaves the clock reading bound: a
+// stopping detector must not blind the stamps.
+func (f *Fleet) setHeard(heard func(topology.NodeID)) { f.sh.hooks.heard = heard }
 
 // PendingAdjustments returns the fleet's in-flight adjustments: layers
 // holding a stamped escalation whose grant has not committed yet. The
 // telemetry layer samples it at window boundaries; it is an O(1) read of
 // the tally the agents keep at their stamp and clear sites.
-func (f *Fleet) PendingAdjustments() int { return int(f.sh.pending.Load()) }
+func (f *Fleet) PendingAdjustments() int { return int(f.sh.pending) }

@@ -14,18 +14,19 @@ import (
 
 // deployBytesCeiling is the committed per-node memory budget for a deployed
 // 10k fleet (agents + transport registration, excluding the tree itself).
-// Measured 1176 bytes/node with the per-fleet constants behind one shared
-// pointer: the Node struct itself (512 B size class), the bus slot and index
+// Measured 1145 bytes/node with the per-fleet constants behind one shared
+// pointer: the Node struct itself (480 B size class), the bus slot and index
 // entry, and the protocol maps of the ~40% of nodes that host children. The
 // ceiling is the measurement + 10 % for runtime variance, not for
 // re-introducing per-leaf map allocations (24 map headers per leaf alone
 // would blow it).
-const deployBytesCeiling = 1294
+const deployBytesCeiling = 1260
 
-// nodeSizeCeiling keeps Node inside the 512-byte allocation class: per-fleet
-// constants belong in shared, per-host view records in scheduleView — a
-// field added to every one of 50 000 mostly-leaf agents has to earn it.
-const nodeSizeCeiling = 512
+// nodeSizeCeiling pins Node at its measured size (the 480-byte allocation
+// class): per-fleet constants belong in shared, per-host view records in
+// scheduleView, and an agent carries no lock — a field added to every one
+// of 50 000 mostly-leaf agents has to earn it.
+const nodeSizeCeiling = 480
 
 func TestNodeStructSize(t *testing.T) {
 	if got := unsafe.Sizeof(Node{}); got > nodeSizeCeiling {

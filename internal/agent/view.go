@@ -2,8 +2,6 @@ package agent
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/harpnet/harp/internal/obs"
 	"github.com/harpnet/harp/internal/schedule"
@@ -14,8 +12,8 @@ import (
 // shared is the part of a deployment every agent reaches through one
 // pointer: the per-fleet constants, the clock hooks, and the maintained
 // fleet views — the published cell assignments and the fleet-wide tallies.
-// The views are written at the agents' own write sites (under n.mu), so the
-// Fleet accessors over them cost what changed, not what the fleet contains.
+// The views are written at the agents' own write sites, so the Fleet
+// accessors over them cost what changed, not what the fleet contains.
 type shared struct {
 	frame   schedule.Slotframe
 	rootGap int // gateway only: idle slots between layer partitions
@@ -27,15 +25,14 @@ type shared struct {
 	tracer  *obs.Tracer
 	metrics *obs.Registry
 
-	// hooks is the deployment's virtual-clock wiring (nil until bound),
-	// swapped as a whole so handlers read a consistent pair.
-	hooks atomic.Pointer[clockHooks]
+	// hooks is the deployment's virtual-clock wiring (zero until bound).
+	hooks clockHooks
 
 	// pending counts the stamped in-flight escalations (the sum of every
 	// agent's len(pendingSince)); rejections counts the adjustments some
 	// agent could not satisfy.
-	pending    atomic.Int64
-	rejections atomic.Int64
+	pending    int64
+	rejections int64
 
 	view scheduleView
 }
@@ -43,9 +40,9 @@ type shared struct {
 // clockHooks is what the failure detector and the co-simulation bind into
 // a deployment.
 type clockHooks struct {
-	// heard is called (under the receiving node's mu) for every delivered
-	// message — any traffic from a peer is liveness evidence, keepalives
-	// included. nil when detection is off.
+	// heard is called for every delivered message — any traffic from a
+	// peer is liveness evidence, keepalives included. nil when detection
+	// is off.
 	heard func(from topology.NodeID)
 	// vnow reads the shared virtual clock so escalations can be stamped
 	// for the adjustment watchdog and the latency telemetry.
@@ -64,18 +61,14 @@ type linkCells struct {
 // recomputed: each agent that hosts cells keeps its current own-layer
 // assignment, per direction, published here (Node.publish). Only hosting
 // agents have an entry, so the view's size follows the links that own
-// cells. mu is a leaf lock: agents take it while holding n.mu (lock order
-// n.mu → view.mu) and nothing is called while it is held.
+// cells.
 type scheduleView struct {
-	mu    sync.Mutex
 	hosts map[topology.NodeID][2][]linkCells
 }
 
 // set replaces what node id publishes in direction d; an agent left with
 // nothing in either direction drops out of the view.
 func (v *scheduleView) set(id topology.NodeID, d topology.Direction, links []linkCells) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	h := v.hosts[id]
 	h[d] = links
 	if len(h[0]) == 0 && len(h[1]) == 0 {
@@ -90,8 +83,6 @@ func (v *scheduleView) set(id topology.NodeID, d topology.Direction, links []lin
 // parent processed the leave) gets both cell runs, lower agent first,
 // exactly as a walk over all agents in tree order would collect them.
 func (v *scheduleView) appendTo(s *schedule.Schedule) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	ids := make([]topology.NodeID, 0, len(v.hosts))
 	for id := range v.hosts {
 		ids = append(ids, id)

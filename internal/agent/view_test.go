@@ -60,11 +60,9 @@ func referencePending(f *Fleet) int {
 		if n == nil {
 			continue
 		}
-		n.mu.Lock()
 		for _, d := range topology.Directions() {
 			total += len(n.dir(d).pendingSince)
 		}
-		n.mu.Unlock()
 	}
 	return total
 }

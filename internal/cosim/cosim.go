@@ -175,9 +175,6 @@ type CoSim struct {
 	// complete schedule (always true unless TolerateStaticLoss absorbed a
 	// failure).
 	StaticConverged bool
-	// inspect, when attached, receives a telemetry snapshot at every
-	// slotframe-window boundary and a final one at experiment end.
-	inspect *obs.Inspector
 	// tolerateLoss relaxes the commit-time validation panic: under loss an
 	// adjustment can die with a give-up, and the commit then records the
 	// (still valid) pre-adjustment schedule.
@@ -496,39 +493,12 @@ func (cs *CoSim) EnableSelfHealing(cfg agent.DetectorConfig, tasks *traffic.Set)
 
 // onWindow runs when virtual time first crosses a slotframe-window
 // boundary (vclock.SetWindowHook): it samples the gauge-style window
-// series for the window just completed and refreshes the live
-// inspector. With event-driven slot skipping a quiet stretch may cross
-// several boundaries at once; the intermediate windows stay zero, which
-// is truthful — nothing was queued or pending while the MAC slept.
+// series for the window just completed. With event-driven slot skipping
+// a quiet stretch may cross several boundaries at once; the intermediate
+// windows stay zero, which is truthful — nothing was queued or pending
+// while the MAC slept.
 func (cs *CoSim) onWindow(window int64, at float64) {
 	m := cs.Bus.Metrics()
 	m.Series(obs.Key(obs.MetricWinQueueDepth), cs.frame.Slots).Set(window-1, int64(cs.Sim.PendingPackets()))
 	m.Series(obs.Key(obs.MetricWinPending), cs.frame.Slots).Set(window-1, int64(cs.Fleet.PendingAdjustments()))
-	cs.PublishState(false, nil)
-}
-
-// AttachInspector starts publishing read-only telemetry snapshots to
-// ins: one per slotframe window plus whatever the harness publishes
-// explicitly through PublishState. The inspector only ever sees
-// immutable copies, so serving them over HTTP cannot perturb the run.
-func (cs *CoSim) AttachInspector(ins *obs.Inspector) {
-	cs.inspect = ins
-	cs.PublishState(false, nil)
-}
-
-// PublishState renders the current registry into the attached inspector
-// (a no-op without one). done marks the final snapshot of a run; a
-// non-nil health report rides along for /healthz.
-func (cs *CoSim) PublishState(done bool, health *obs.HealthReport) {
-	if cs.inspect == nil {
-		return
-	}
-	now := cs.Clock.Now()
-	cs.inspect.Publish(&obs.InspectState{
-		VT:       now,
-		Window:   int64(now) / int64(cs.frame.Slots),
-		Done:     done,
-		Snapshot: cs.Bus.Metrics().Snapshot(),
-		Health:   health,
-	})
 }

@@ -47,9 +47,6 @@ type ChaosExpConfig struct {
 	// Trace enables protocol tracing; the causal event trace lands in
 	// ChaosExpResult.Trace.
 	Trace bool
-	// Inspect, when non-nil, receives live telemetry snapshots (one per
-	// slotframe window plus a final one carrying the health report).
-	Inspect *obs.Inspector
 }
 
 // DefaultChaosExp returns the committed 1000-node scenario: 12% of the
@@ -88,6 +85,8 @@ type ChaosExpResult struct {
 	// Trace is the causal protocol event trace (with ChaosExpConfig.Trace
 	// set; nil otherwise).
 	Trace []obs.Event
+	// Metrics is the run's final metrics registry snapshot.
+	Metrics obs.Snapshot
 }
 
 // ChaosExp runs the study.
@@ -132,9 +131,6 @@ func ChaosExp(cfg ChaosExpConfig) (ChaosExpResult, error) {
 	})
 	if err != nil {
 		return ChaosExpResult{}, err
-	}
-	if cfg.Inspect != nil {
-		cs.AttachInspector(cfg.Inspect)
 	}
 	sf := float64(frame.Slots)
 	det, err := cs.EnableSelfHealing(agent.DetectorConfig{
@@ -197,7 +193,7 @@ func ChaosExp(cfg ChaosExpConfig) (ChaosExpResult, error) {
 	}
 	health := obs.EvalHealth(reg, cs.Quiesced(), res.OrphansRemaining, obs.DefaultBudgets(frame.Slots))
 	res.Health = &health
-	cs.PublishState(true, res.Health)
+	res.Metrics = reg.Snapshot()
 	if res.OrphansRemaining != 0 {
 		return ChaosExpResult{}, fmt.Errorf("chaos: %d orphans remain after the heal", res.OrphansRemaining)
 	}

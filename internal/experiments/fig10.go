@@ -32,10 +32,6 @@ type Fig10Config struct {
 	// Trace enables protocol tracing; the causal event trace lands in
 	// Fig10Result.Trace.
 	Trace bool
-	// Inspect, when non-nil, receives live read-only telemetry snapshots
-	// (one per slotframe window plus a final one carrying the health
-	// report) for the -http inspection endpoint.
-	Inspect *obs.Inspector
 }
 
 // DefaultFig10 returns the paper's scenario.
@@ -85,6 +81,8 @@ type Fig10Result struct {
 	EscCommit obs.Hist
 	// Health is the end-of-run SLO verdict against the default budgets.
 	Health *obs.HealthReport
+	// Metrics is the run's final metrics registry snapshot.
+	Metrics obs.Snapshot
 }
 
 // fig10Provisioning returns the scenario's task set and provisioned
@@ -149,9 +147,6 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	})
 	if err != nil {
 		return Fig10Result{}, err
-	}
-	if cfg.Inspect != nil {
-		cs.AttachInspector(cfg.Inspect)
 	}
 
 	// provisioned tracks each link's current allocation so a step requests
@@ -231,7 +226,7 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	converged := cs.StaticConverged && cs.Quiesced() && len(cs.Commits) == len(steps)
 	health := obs.EvalHealth(reg, converged, 0, obs.DefaultBudgets(frame.Slots))
 	res.Health = &health
-	cs.PublishState(true, res.Health)
+	res.Metrics = reg.Snapshot()
 	return res, nil
 }
 

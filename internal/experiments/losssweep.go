@@ -40,11 +40,6 @@ type LossSweepConfig struct {
 	// LossSweepResult.Trace concatenated in PDR order, so the bytes are
 	// independent of the worker count.
 	Trace bool
-	// Inspect, when non-nil, receives live telemetry snapshots from every
-	// point of the sweep. Points run in parallel, so the published state
-	// is whichever point wrote last — each snapshot is still internally
-	// consistent.
-	Inspect *obs.Inspector
 }
 
 // DefaultLossSweep returns the committed baseline scenario.
@@ -132,9 +127,6 @@ func lossSweepRun(cfg LossSweepConfig, pdr float64) (LossSweepPoint, *schedule.S
 	if err != nil {
 		return LossSweepPoint{}, nil, nil, err
 	}
-	if cfg.Inspect != nil {
-		cs.AttachInspector(cfg.Inspect)
-	}
 	static := cs.Bus.Faults()
 	pt := LossSweepPoint{
 		PDR:                   pdr,
@@ -188,7 +180,6 @@ func lossSweepRun(cfg LossSweepConfig, pdr float64) (LossSweepPoint, *schedule.S
 	if h, ok := cs.Bus.Metrics().DistStat(obs.Key(obs.MetricConRttMs)); ok {
 		pt.ConRtt = h
 	}
-	cs.PublishState(true, nil)
 	sched, err := cs.Fleet.BuildSchedule()
 	if err != nil {
 		// A non-converged endpoint has no comparable schedule; the point

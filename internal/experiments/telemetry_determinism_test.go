@@ -14,17 +14,16 @@ import (
 // count. These tests run the traced experiments serial and parallel and
 // compare every exported surface.
 
-// promText renders an inspector's final snapshot through the same
-// exposition the /metrics endpoint serves — a byte-level digest of
-// every counter, gauge, histogram bucket and window.
-func promText(t *testing.T, ins *obs.Inspector) string {
+// promText renders a run's final metrics snapshot through the same
+// exposition harpsim -metrics writes — a byte-level digest of every
+// counter, gauge, histogram bucket and window.
+func promText(t *testing.T, snap obs.Snapshot) string {
 	t.Helper()
-	st := ins.State()
-	if st == nil || !st.Done {
-		t.Fatal("inspector never saw the final publication")
+	if len(snap.Counters) == 0 {
+		t.Fatal("run recorded no final metrics")
 	}
 	var sb strings.Builder
-	if err := obs.WritePrometheus(&sb, st.Snapshot); err != nil {
+	if err := obs.WritePrometheus(&sb, snap); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()
@@ -43,11 +42,9 @@ func traceText(t *testing.T, events []obs.Event) string {
 }
 
 func TestFig10TelemetryWorkerCountInvariant(t *testing.T) {
-	runAt := func(workers int) (Fig10Result, *obs.Inspector) {
+	runAt := func(workers int) Fig10Result {
 		cfg := DefaultFig10()
 		cfg.Trace = true
-		ins := obs.NewInspector()
-		cfg.Inspect = ins
 		var res Fig10Result
 		withWorkers(t, workers, func() {
 			r, err := Fig10(cfg)
@@ -56,10 +53,9 @@ func TestFig10TelemetryWorkerCountInvariant(t *testing.T) {
 			}
 			res = r
 		})
-		return res, ins
+		return res
 	}
-	serial, insS := runAt(1)
-	parallel4, insP := runAt(4)
+	serial, parallel4 := runAt(1), runAt(4)
 
 	if serial.EscCommit != parallel4.EscCommit {
 		t.Errorf("escalation->commit histograms differ:\nserial:   %+v\nparallel: %+v",
@@ -77,12 +73,12 @@ func TestFig10TelemetryWorkerCountInvariant(t *testing.T) {
 	if s, p := traceText(t, serial.Trace), traceText(t, parallel4.Trace); s != p {
 		t.Error("protocol traces differ between worker counts")
 	}
-	if s, p := promText(t, insS), promText(t, insP); s != p {
+	if s, p := promText(t, serial.Metrics), promText(t, parallel4.Metrics); s != p {
 		t.Errorf("final metric snapshots differ between worker counts:\n%s\nvs\n%s", s, p)
 	}
 	// The snapshot must include the windowed series the MAC and agents fed.
 	var kinds []string
-	for _, w := range insS.State().Snapshot.Series {
+	for _, w := range serial.Metrics.Series {
 		kinds = append(kinds, w.Key.Kind)
 	}
 	for _, want := range []string{obs.MetricWinQueueDepth, obs.MetricWinPending} {
@@ -99,11 +95,9 @@ func TestFig10TelemetryWorkerCountInvariant(t *testing.T) {
 }
 
 func TestChaosTelemetryWorkerCountInvariant(t *testing.T) {
-	runAt := func(workers int) (ChaosExpResult, *obs.Inspector) {
+	runAt := func(workers int) ChaosExpResult {
 		cfg := DefaultChaosExp()
 		cfg.Trace = true
-		ins := obs.NewInspector()
-		cfg.Inspect = ins
 		var res ChaosExpResult
 		withWorkers(t, workers, func() {
 			r, err := ChaosExp(cfg)
@@ -112,10 +106,9 @@ func TestChaosTelemetryWorkerCountInvariant(t *testing.T) {
 			}
 			res = r
 		})
-		return res, ins
+		return res
 	}
-	serial, insS := runAt(1)
-	parallel4, insP := runAt(4)
+	serial, parallel4 := runAt(1), runAt(4)
 
 	if serial.DetectAdopt != parallel4.DetectAdopt {
 		t.Errorf("detect->adopt histograms differ:\nserial:   %+v\nparallel: %+v",
@@ -130,7 +123,7 @@ func TestChaosTelemetryWorkerCountInvariant(t *testing.T) {
 	if s, p := traceText(t, serial.Trace), traceText(t, parallel4.Trace); s != p {
 		t.Error("protocol traces differ between worker counts")
 	}
-	if s, p := promText(t, insS), promText(t, insP); s != p {
+	if s, p := promText(t, serial.Metrics), promText(t, parallel4.Metrics); s != p {
 		t.Error("final metric snapshots differ between worker counts")
 	}
 }

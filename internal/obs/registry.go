@@ -459,8 +459,7 @@ type SeriesSample struct {
 
 // Snapshot is a point-in-time copy of a registry, with every section
 // sorted by (node, layer, kind). It shares no storage with the registry,
-// so it can be handed to another goroutine (the HTTP inspector) while
-// the run keeps writing.
+// so it stays valid while the run keeps writing.
 type Snapshot struct {
 	Counters []CounterSample
 	Dists    []DistSample

@@ -157,9 +157,9 @@ type Clock struct {
 	stepHook func(at float64, seq uint64)
 	// windowHook, if set, fires once whenever a dispatch crosses into a
 	// new fixed-width virtual-time window (window = floor(now/width));
-	// the telemetry layer samples gauges and publishes inspection
-	// snapshots from it. Dispatch order is worker- and shard-blind, so
-	// the firing sequence is a pure function of the seeds.
+	// the telemetry layer samples gauges from it. Dispatch order is
+	// worker- and shard-blind, so the firing sequence is a pure function
+	// of the seeds.
 	windowHook  func(window int64, at float64)
 	windowWidth float64
 	window      int64 // highest window index the hook has fired for

@@ -30,7 +30,10 @@ race:
 # audited real-time boundary is benchmark/'s span recorder). The second
 # grep keeps the runtime lock-free and serverless: outside
 # internal/parallel, whose locks go vet's copylocks check covers, no
-# non-test file under internal/ imports sync, sync/atomic or net/http.
+# non-test file under internal/ imports sync, sync/atomic or net/http. The
+# third keeps agent state dense: per-node protocol state is per-layer and
+# per-child records, so no non-test file under internal/agent declares a
+# layer-keyed map[int].
 NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments internal/obs
 lint:
 	$(GO) run ./cmd/harplint -baseline harplint.baseline.json ./...
@@ -38,6 +41,8 @@ lint:
 		echo "harplint exemptions are not allowed in: $(NO_EXEMPT_PKGS)"; exit 1; fi
 	@if grep -rlE --include='*.go' --exclude='*_test.go' '"(sync|sync/atomic|net/http)"' internal | grep -v '^internal/parallel/'; then \
 		echo "only internal/parallel may import sync, sync/atomic or net/http under internal/"; exit 1; fi
+	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[int]' internal/agent; then \
+		echo "agent state is per-layer records: no map[int] in internal/agent"; exit 1; fi
 
 lint-json:
 	$(GO) run ./cmd/harplint -format json -baseline harplint.baseline.json ./...
@@ -73,7 +78,7 @@ bench:
 # worker counts — the report is a pure function of the seeds, so the two
 # files must be identical.
 faultsoak:
-	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab|FleetViews|FleetConcurrent|EnvelopePool|Unregistered|PairMapModel|StarSender|Borrowed|KeepaliveLedger' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
+	$(GO) test -race -tags harpdebug -run 'Fault|Crash|Dup|Loss|Reliab|FleetViews|FleetConcurrent|EnvelopePool|Unregistered|PairMapModel|StarSender|Borrowed|KeepaliveLedger|LeaveDuring' ./internal/transport/ ./internal/agent/ ./internal/cosim/ ./internal/experiments/
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w1.json -workers 1
 	$(GO) run ./cmd/harpbench -quick -only losssweep -json /tmp/losssweep_w4.json -workers 4
 	cmp /tmp/losssweep_w1.json /tmp/losssweep_w4.json

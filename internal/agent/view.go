@@ -28,8 +28,8 @@ type shared struct {
 	// hooks is the deployment's virtual-clock wiring (zero until bound).
 	hooks clockHooks
 
-	// pending counts the stamped in-flight escalations (the sum of every
-	// agent's len(pendingSince)); rejections counts the adjustments some
+	// pending counts the stamped in-flight escalations (every agent's
+	// stamped layer records); rejections counts the adjustments some
 	// agent could not satisfy.
 	pending    int64
 	rejections int64
@@ -50,7 +50,7 @@ type clockHooks struct {
 }
 
 // linkCells is one published link: the child end and the cells its parent
-// assigned it. cells aliases the owning agent's dirState.assignment slice,
+// assigned it. cells aliases the owning agent's childState.cells slice,
 // which is immutable once stored.
 type linkCells struct {
 	child topology.NodeID

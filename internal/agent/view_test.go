@@ -61,7 +61,11 @@ func referencePending(f *Fleet) int {
 			continue
 		}
 		for _, d := range topology.Directions() {
-			total += len(n.dir(d).pendingSince)
+			for _, ls := range n.dir(d).layers {
+				if ls.stamped {
+					total++
+				}
+			}
 		}
 	}
 	return total

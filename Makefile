@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint lint-json fmt vet fuzz bench faultsoak trace-smoke scale-smoke chaos-soak check clean
+.PHONY: all build test race lint fmt vet fuzz bench faultsoak trace-smoke scale-smoke chaos-soak check clean
 
 all: build
 
@@ -20,32 +20,26 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -tags harpdebug ./internal/core/ ./internal/agent/ ./internal/invariant/ ./internal/transport/ ./internal/cosim/
 
-# The baseline is committed and empty; any entry added there must still
-# fire (stale entries are findings), so it can only be burned down.
+# harplint always lints the whole module and takes no package arguments.
 #
 # The simulation core runs on one virtual clock and is driven from one
 # goroutine, and every experiment and telemetry fold reports virtual-time
-# results only, so none of them carries a wall-clock or determinism
-# exemption at all; the first grep keeps that count at zero (the one
-# audited real-time boundary is benchmark/'s span recorder). The second
-# grep keeps the runtime lock-free and serverless: outside
-# internal/parallel, whose locks go vet's copylocks check covers, no
-# non-test file under internal/ imports sync, sync/atomic or net/http. The
-# third keeps agent state dense: per-node protocol state is per-layer and
-# per-child records, so no non-test file under internal/agent declares a
-# layer-keyed map[int].
+# results only, so none of them carries a determinism exemption at all;
+# the first grep keeps that count at zero. The second grep keeps the
+# runtime lock-free and serverless: outside internal/parallel, whose locks
+# go vet's copylocks check covers, no non-test file under internal/
+# imports sync, sync/atomic or net/http. The third keeps agent state
+# dense: per-node protocol state is per-layer and per-child records, so no
+# non-test file under internal/agent declares a layer-keyed map[int].
 NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments internal/obs
 lint:
-	$(GO) run ./cmd/harplint -baseline harplint.baseline.json ./...
-	@if grep -rnE 'harplint:(realtime|allow determinism)' $(NO_EXEMPT_PKGS); then \
+	$(GO) run ./cmd/harplint
+	@if grep -rnF 'harplint:allow determinism' $(NO_EXEMPT_PKGS); then \
 		echo "harplint exemptions are not allowed in: $(NO_EXEMPT_PKGS)"; exit 1; fi
 	@if grep -rlE --include='*.go' --exclude='*_test.go' '"(sync|sync/atomic|net/http)"' internal | grep -v '^internal/parallel/'; then \
 		echo "only internal/parallel may import sync, sync/atomic or net/http under internal/"; exit 1; fi
 	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[int]' internal/agent; then \
 		echo "agent state is per-layer records: no map[int] in internal/agent"; exit 1; fi
-
-lint-json:
-	$(GO) run ./cmd/harplint -format json -baseline harplint.baseline.json ./...
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

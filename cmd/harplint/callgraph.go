@@ -8,9 +8,9 @@ import (
 	"strings"
 )
 
-// This file is the interprocedural engine underneath the vtime, rngstream
-// and hotpath passes: a whole-module static call graph built from the
-// type-checked units. The graph is deliberately conservative:
+// This file is the interprocedural engine underneath the hotpath pass: a
+// whole-module static call graph built from the type-checked units. The
+// graph is deliberately conservative:
 //
 //   - every *use* of a function identifier inside a body becomes an edge,
 //     whether it is a direct call, a `go`/`defer` statement, or a function
@@ -22,37 +22,17 @@ import (
 //     under-approximated;
 //   - calls through plain func-typed variables cannot be resolved
 //     statically and produce no edge — the hotpath pass flags them
-//     instead of silently trusting them, and the vtime/rngstream passes
-//     accept the gap (their sinks are package-level functions that are
-//     always reached through identifiers).
+//     instead of silently trusting them.
 //
-// Precision degrades gracefully with partial loads: callees living in
-// module packages outside the matched pattern set have no body in the
-// graph and are treated as opaque, exactly like the standard library. CI
-// always runs `harplint ./...`, where the graph covers the whole module.
-
-// edgeKind classifies how a callee is reached from a caller's body.
-type edgeKind int
-
-const (
-	// edgeCall is a syntactic call expression.
-	edgeCall edgeKind = iota
-	// edgeGo is a `go` statement spawning the callee.
-	edgeGo
-	// edgeRef is a function value referenced outside call position
-	// (assigned, passed, stored) and assumed to eventually run.
-	edgeRef
-	// edgeIface fans an interface method out to a concrete implementation.
-	edgeIface
-)
+// harplint always loads the whole module, so every module callee has a
+// body in the graph; only the standard library is opaque.
 
 // cgEdge is one caller→callee edge, anchored at the source position the
-// callee is mentioned (edgeIface edges are anchored at the interface
-// method's mention in the caller).
+// callee is mentioned (an interface fan-out edge is anchored at the
+// interface method's declaration).
 type cgEdge struct {
 	callee *types.Func
 	pos    token.Pos
-	kind   edgeKind
 }
 
 // cgNode is one function in the graph. Abstract interface methods get a
@@ -73,8 +53,7 @@ type CallGraph struct {
 	order []*cgNode
 }
 
-// node returns the graph node for fn, or nil if fn is outside the module
-// (or was not matched by the load patterns).
+// node returns the graph node for fn, or nil if fn is outside the module.
 func (g *CallGraph) node(fn *types.Func) *cgNode { return g.nodes[fn] }
 
 // ensure returns (creating if needed) a node for fn. Created-on-demand
@@ -114,8 +93,7 @@ func buildCallGraph(units []*Unit) *CallGraph {
 	}
 
 	// Pass 2: edges. Every identifier resolving to a *types.Func inside a
-	// body is an out-edge of the enclosing declaration; the edge kind
-	// records how it was reached.
+	// body is an out-edge of the enclosing declaration.
 	usedIfaceMethods := make(map[*types.Func]bool)
 	for _, n := range g.order {
 		if n.decl == nil {
@@ -134,57 +112,32 @@ func buildCallGraph(units []*Unit) *CallGraph {
 
 // collectEdges walks one declaration body and records its out-edges.
 func collectEdges(g *CallGraph, n *cgNode, usedIfaceMethods map[*types.Func]bool) {
-	u := n.unit
-	// callFuns maps the expression in call position to its kind, so the
-	// identifier walk below can label edges as calls vs references.
-	callFuns := make(map[ast.Expr]edgeKind)
-	ast.Inspect(n.decl, func(node ast.Node) bool {
-		switch s := node.(type) {
-		case *ast.CallExpr:
-			if _, seen := callFuns[s.Fun]; !seen {
-				callFuns[s.Fun] = edgeCall
-			}
-		case *ast.GoStmt:
-			callFuns[s.Call.Fun] = edgeGo
-		}
-		return true
-	})
 	seen := make(map[cgEdge]bool)
-	add := func(fn *types.Func, pos token.Pos, kind edgeKind) {
-		e := cgEdge{callee: fn, pos: pos, kind: kind}
+	ast.Inspect(n.decl, func(node ast.Node) bool {
+		// A selector's Sel is recorded before its receiver expression is
+		// walked; Inspect visits it again as a bare ident, which seen drops.
+		var id *ast.Ident
+		switch e := node.(type) {
+		case *ast.SelectorExpr:
+			id = e.Sel
+		case *ast.Ident:
+			id = e
+		default:
+			return true
+		}
+		fn, ok := n.unit.Info.Uses[id].(*types.Func)
+		if !ok {
+			return true
+		}
+		e := cgEdge{callee: fn, pos: id.Pos()}
 		if seen[e] {
-			return
+			return true
 		}
 		seen[e] = true
 		n.out = append(n.out, e)
 		g.ensure(fn)
 		if isInterfaceMethod(fn) {
 			usedIfaceMethods[fn] = true
-		}
-	}
-	kindAt := func(e ast.Expr) edgeKind {
-		if k, ok := callFuns[e]; ok {
-			return k
-		}
-		return edgeRef
-	}
-	// Selector Sel idents are visited twice by Inspect (as part of the
-	// SelectorExpr and as bare idents); record them so the Ident case
-	// below does not re-add the edge with the wrong kind.
-	selIdents := make(map[*ast.Ident]bool)
-	ast.Inspect(n.decl, func(node ast.Node) bool {
-		switch e := node.(type) {
-		case *ast.SelectorExpr:
-			selIdents[e.Sel] = true
-			if fn, ok := u.Info.Uses[e.Sel].(*types.Func); ok {
-				add(fn, e.Sel.Pos(), kindAt(e))
-			}
-		case *ast.Ident:
-			// Bare identifiers: package-level functions of the same
-			// package, or local closures bound to named funcs.
-			if fn, ok := u.Info.Uses[e].(*types.Func); ok && !selIdents[e] {
-				add(fn, e.Pos(), kindAt(e))
-			}
 		}
 		return true
 	})
@@ -200,7 +153,7 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return ok
 }
 
-// resolveInterfaceMethods adds edgeIface edges from each used interface
+// resolveInterfaceMethods adds fan-out edges from each used interface
 // method to the matching concrete method of every module type that
 // implements the interface.
 func resolveInterfaceMethods(g *CallGraph, units []*Unit, used map[*types.Func]bool) {
@@ -250,7 +203,7 @@ func resolveInterfaceMethods(g *CallGraph, units []*Unit, used map[*types.Func]b
 			if !ok || impl == m {
 				continue
 			}
-			an.out = append(an.out, cgEdge{callee: impl, pos: m.Pos(), kind: edgeIface})
+			an.out = append(an.out, cgEdge{callee: impl, pos: m.Pos()})
 			g.ensure(impl)
 		}
 	}
@@ -258,8 +211,8 @@ func resolveInterfaceMethods(g *CallGraph, units []*Unit, used map[*types.Func]b
 
 // funcDirective reports whether the function declaration carries a
 // //harplint:<name> annotation, either in its doc comment or as a trailing
-// comment on the declaration line. This is the lookup behind the realtime
-// and hotpath annotations.
+// comment on the declaration line. This is the lookup behind the hotpath
+// annotation.
 func funcDirective(u *Unit, fn *ast.FuncDecl, name string) bool {
 	marker := "harplint:" + name
 	if fn.Doc != nil {
@@ -319,8 +272,3 @@ func shortPkg(path string) string {
 	}
 	return path
 }
-
-// isRuntimeUnit reports whether the unit is subject to the virtual-time
-// and RNG-stream discipline: every module package except commands
-// (package main owns process wiring, flags and wall-clock reporting).
-func isRuntimeUnit(u *Unit) bool { return !u.IsMain() }

@@ -10,20 +10,27 @@ import (
 // schedule divergences between the centralized planner and the agent fleet
 // are debuggable by replay. Three things break that contract:
 //
-//  1. wall-clock reads (time.Now and friends) feeding logic;
+//  1. wall-clock reads and waits (time.Now, time.Sleep, timers and
+//     tickers) feeding logic;
 //  2. the global math/rand source, which is process-seeded;
 //  3. map iteration order leaking into scheduling decisions — ranging over
 //     a map while appending to an outer slice that is never sorted, or
 //     while emitting protocol messages.
 //
-// Commands (package main) are exempt: their job is wiring and timing.
+// Rules 1 and 2 are per call site, and that is enough at any call depth:
+// a chain of module functions that reaches the wall clock or the global
+// source ends in a direct call, which this pass flags wherever it sits.
+// Commands (package main) are exempt: their job is wiring and timing, and
+// nothing can import them.
 const passDeterminism = "determinism"
 
-var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// globalRandExempt lists math/rand functions that do not consume the
-// global source.
-var globalRandExempt = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
+// wallClockFuncs are the time-package entry points that read or wait on
+// the wall clock. Date/Parse/Unix constructors are pure and not listed.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Since": true, "Until": true,
+	"Sleep": true, "After": true, "AfterFunc": true,
+	"NewTimer": true, "NewTicker": true, "Tick": true,
+}
 
 // runDeterminism applies the determinism pass to one unit.
 func runDeterminism(u *Unit, report func(Finding)) {
@@ -54,37 +61,25 @@ func checkDeterminismFunc(u *Unit, fn *ast.FuncDecl, report func(Finding)) {
 	})
 }
 
-// checkNondeterministicCall flags time.Now/Since/Until and global
-// math/rand calls.
+// checkNondeterministicCall flags wall-clock calls and global math/rand
+// calls.
 func checkNondeterministicCall(u *Unit, call *ast.CallExpr, report func(Finding)) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pkgName, ok := u.Info.Uses[ident].(*types.PkgName)
-	if !ok {
-		return
-	}
-	switch pkgName.Imported().Path() {
+	switch path, name := u.pkgCall(call); path {
 	case "time":
-		if wallClockFuncs[sel.Sel.Name] {
+		if wallClockFuncs[name] {
 			report(Finding{
 				Pos:  u.Fset.Position(call.Pos()),
 				Pass: passDeterminism,
-				Message: "time." + sel.Sel.Name + " breaks deterministic replay; " +
+				Message: "time." + name + " breaks deterministic replay; " +
 					"thread a clock or timestamp through the call chain",
 			})
 		}
 	case "math/rand", "math/rand/v2":
-		if !globalRandExempt[sel.Sel.Name] {
+		if !randCtorFuncs[name] {
 			report(Finding{
 				Pos:  u.Fset.Position(call.Pos()),
 				Pass: passDeterminism,
-				Message: "global math/rand." + sel.Sel.Name + " is process-seeded; " +
+				Message: "global math/rand." + name + " is process-seeded; " +
 					"thread an explicit seeded *rand.Rand instead",
 			})
 		}
@@ -101,16 +96,7 @@ func collectSortTargets(u *Unit, body *ast.BlockStmt) map[types.Object]bool {
 		if !ok {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		ident, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pkgName, ok := u.Info.Uses[ident].(*types.PkgName)
-		if !ok || pkgName.Imported().Path() != "sort" && pkgName.Imported().Path() != "slices" {
+		if path, _ := u.pkgCall(call); path != "sort" && path != "slices" {
 			return true
 		}
 		// Collect every identifier mentioned in the arguments: covers

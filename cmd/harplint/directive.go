@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -20,99 +19,38 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Pass, f.Message)
 }
 
-// directiveIndex records where //harplint:allow comments appear so findings
-// can be suppressed at the offending line. Two scopes exist:
+// allowKey is one (file, line, pass) silenced by a comment of the form
 //
-//	//harplint:allow pass[,pass...] [reason]   — same line or the line above
-//	//harplint:file-allow pass [reason]        — anywhere in the file, whole file
+//	//harplint:allow pass[,pass...] [reason]
 //
-// The pass list may also be the wildcard "all".
-type directiveIndex struct {
-	// line maps filename -> line -> set of allowed passes on that line.
-	line map[string]map[int]map[string]bool
-	// file maps filename -> set of passes allowed for the whole file.
-	file map[string]map[string]bool
+// which covers its own line and the line below it.
+type allowKey struct {
+	file string
+	line int
+	pass string
 }
 
-// collectDirectives scans every comment in the unit's files.
-func collectDirectives(u *Unit) *directiveIndex {
-	idx := &directiveIndex{
-		line: make(map[string]map[int]map[string]bool),
-		file: make(map[string]map[string]bool),
-	}
-	for _, f := range u.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				idx.record(u.Fset, c)
+// collectAllows scans every comment in the units for allow directives.
+func collectAllows(units []*Unit) map[allowKey]bool {
+	allowed := make(map[allowKey]bool)
+	for _, u := range units {
+		for _, f := range u.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					rest, ok := strings.CutPrefix(c.Text, "//harplint:allow")
+					fields := strings.Fields(rest)
+					if !ok || len(fields) == 0 {
+						continue
+					}
+					pos := u.Fset.Position(c.Pos())
+					for _, pass := range strings.Split(fields[0], ",") {
+						allowed[allowKey{pos.Filename, pos.Line, strings.TrimSpace(pass)}] = true
+					}
+				}
 			}
 		}
 	}
-	return idx
-}
-
-func (idx *directiveIndex) record(fset *token.FileSet, c *ast.Comment) {
-	text := strings.TrimPrefix(c.Text, "//")
-	fileWide := false
-	var rest string
-	switch {
-	case strings.HasPrefix(text, "harplint:allow"):
-		rest = strings.TrimPrefix(text, "harplint:allow")
-	case strings.HasPrefix(text, "harplint:file-allow"):
-		rest = strings.TrimPrefix(text, "harplint:file-allow")
-		fileWide = true
-	default:
-		return
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return
-	}
-	pos := fset.Position(c.Pos())
-	for _, pass := range strings.Split(fields[0], ",") {
-		pass = strings.TrimSpace(pass)
-		if pass == "" {
-			continue
-		}
-		if fileWide {
-			m := idx.file[pos.Filename]
-			if m == nil {
-				m = make(map[string]bool)
-				idx.file[pos.Filename] = m
-			}
-			m[pass] = true
-			continue
-		}
-		lines := idx.line[pos.Filename]
-		if lines == nil {
-			lines = make(map[int]map[string]bool)
-			idx.line[pos.Filename] = lines
-		}
-		m := lines[pos.Line]
-		if m == nil {
-			m = make(map[string]bool)
-			lines[pos.Line] = m
-		}
-		m[pass] = true
-	}
-}
-
-// allows reports whether a finding of the given pass at pos is suppressed:
-// by a file-wide allow, or by a line allow on the same line or the line
-// directly above.
-func (idx *directiveIndex) allows(pass string, pos token.Position) bool {
-	if m := idx.file[pos.Filename]; m != nil && (m[pass] || m["all"]) {
-		return true
-	}
-	lines := idx.line[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	for _, l := range [2]int{pos.Line, pos.Line - 1} {
-		if m := lines[l]; m != nil && (m[pass] || m["all"]) {
-			return true
-		}
-	}
-	return false
+	return allowed
 }
 
 // sortFindings orders findings by file, line, column, then pass name for

@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// loadFixture materialises files as a throwaway module and runs the full
-// loader over it, so fixtures exercise the same parse/type-check path as
-// real invocations.
-func loadFixture(t *testing.T, files map[string]string) []*Unit {
+// lintFixture materialises files as a throwaway module and runs one pass
+// over it, returning the finding messages.
+func lintFixture(t *testing.T, passName string, files map[string]string) []string {
 	t.Helper()
 	root := t.TempDir()
 	files["go.mod"] = "module fixture\n\ngo 1.22\n"
@@ -23,17 +22,18 @@ func loadFixture(t *testing.T, files map[string]string) []*Unit {
 			t.Fatal(err)
 		}
 	}
-	units, err := Load(root, []string{"./..."})
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	return units
+	return lintModule(t, root, passName)
 }
 
-// lintFixture runs one pass over a fixture and returns the finding
-// messages.
-func lintFixture(t *testing.T, passName string, files map[string]string) []string {
+// lintModule runs the full loader over the module at root, so fixtures
+// exercise the same parse/type-check path as real invocations, then runs
+// the named pass and returns the finding messages.
+func lintModule(t *testing.T, root, passName string) []string {
 	t.Helper()
+	units, err := Load(root)
+	if err != nil {
+		t.Fatalf("loading %s: %v", root, err)
+	}
 	var selected []pass
 	for _, p := range allPasses {
 		if p.name == passName {
@@ -43,7 +43,7 @@ func lintFixture(t *testing.T, passName string, files map[string]string) []strin
 	if len(selected) == 0 {
 		t.Fatalf("unknown pass %q", passName)
 	}
-	findings := Lint(loadFixture(t, files), selected)
+	findings := Lint(units, selected)
 	msgs := make([]string, len(findings))
 	for i, f := range findings {
 		msgs[i] = f.String()
@@ -82,8 +82,39 @@ func Roll() int { return rand.Intn(6) }
 // Seeded threads an explicit source and is fine.
 func Seeded(r *rand.Rand) int { return r.Intn(6) }
 `,
+		// A wait two calls below the exported entry point is flagged once,
+		// at the direct call; timers and tickers are wall-clock waits too.
+		"internal/core/core.go": `// Package core is a fixture.
+package core
+
+import "time"
+
+// Top reaches the wall clock two calls deep.
+func Top() { mid() }
+
+func mid() { wait() }
+
+func wait() { time.Sleep(time.Millisecond) }
+
+// Arm is a seeded violation.
+func Arm() *time.Timer { return time.NewTimer(time.Second) }
+
+// Beat is a seeded violation.
+func Beat() <-chan time.Time { return time.Tick(time.Second) }
+`,
+		// Building a v2 generator from an explicit seed does not touch the
+		// process-seeded source.
+		"internal/vclock/vclock.go": `// Package vclock is a fixture.
+package vclock
+
+import "math/rand/v2"
+
+// NewStream is fine.
+func NewStream(s uint64) *rand.Rand { return rand.New(rand.NewPCG(s, s)) }
+`,
 	})
-	wantFindings(t, msgs, "time.Now", "global math/rand.Intn")
+	wantFindings(t, msgs, "time.Now", "global math/rand.Intn",
+		"time.Sleep", "time.NewTimer", "time.Tick")
 }
 
 func TestDeterminismFlagsMapOrderLeaks(t *testing.T) {
@@ -212,17 +243,21 @@ func PrevLine() int64 {
 	return time.Now().Unix()
 }
 `,
-		"fw/fw.go": `// Package fw is a fixture with a file-wide allow.
-//harplint:file-allow determinism
-package fw
-
-import "time"
-
-// Anywhere is suppressed file-wide.
-func Anywhere() int64 { return time.Now().Unix() }
-`,
 	})
 	wantFindings(t, msgs)
+}
+
+func TestRunRejectsPositionalArguments(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"./internal/core"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit code = %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "usage: harplint") {
+		t.Errorf("stderr lacks a usage message:\n%s", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
 }
 
 func TestHarplintCleanOnOwnModule(t *testing.T) {
@@ -233,7 +268,7 @@ func TestHarplintCleanOnOwnModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := Load(cwd, []string{"./..."})
+	units, err := Load(cwd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,12 +197,10 @@ func checkHotCall(u *Unit, call *ast.CallExpr, owned map[types.Object]bool, rep 
 			return
 		}
 	case *ast.SelectorExpr:
-		if ident, ok := f.X.(*ast.Ident); ok {
-			if pkgName, ok := u.Info.Uses[ident].(*types.PkgName); ok && pkgName.Imported().Path() == "fmt" {
-				rep(call.Pos(), "fmt."+f.Sel.Name+" allocates (interface boxing and formatting); "+
-					"precompute the string or emit structured fields")
-				return
-			}
+		if path, _ := u.pkgCall(call); path == "fmt" {
+			rep(call.Pos(), "fmt."+f.Sel.Name+" allocates (interface boxing and formatting); "+
+				"precompute the string or emit structured fields")
+			return
 		}
 		if _, isVar := u.Info.Uses[f.Sel].(*types.Var); isVar {
 			rep(call.Pos(), "dynamic call through func-valued field "+f.Sel.Name+" cannot be proven allocation-free; "+

@@ -22,7 +22,6 @@ import (
 // dependency-free and fast to bootstrap in CI.
 type Unit struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Pkg        *types.Package
@@ -32,10 +31,27 @@ type Unit struct {
 // IsMain reports whether the unit is a command (package main).
 func (u *Unit) IsMain() bool { return u.Pkg.Name() == "main" }
 
+// pkgCall returns the import path and function name of a package-qualified
+// call such as time.Now(), or two empty strings for any other call.
+func (u *Unit) pkgCall(call *ast.CallExpr) (path, name string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	ident, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", ""
+	}
+	pkgName, ok := u.Info.Uses[ident].(*types.PkgName)
+	if !ok {
+		return "", ""
+	}
+	return pkgName.Imported().Path(), sel.Sel.Name
+}
+
 // parsedPkg is a package after parsing but before type-checking.
 type parsedPkg struct {
 	importPath string
-	dir        string
 	files      []*ast.File
 	imports    []string // module-local imports only
 }
@@ -62,47 +78,6 @@ func moduleRoot(dir string) (string, string, error) {
 			return "", "", fmt.Errorf("harplint: no go.mod above %s", abs)
 		}
 	}
-}
-
-// expandPatterns resolves command-line package patterns ("./...", "./dir",
-// "dir/...") into package directories under the module root.
-func expandPatterns(root string, patterns []string) ([]string, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	seen := make(map[string]bool)
-	var dirs []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
-			dirs = append(dirs, d)
-		}
-	}
-	for _, pat := range patterns {
-		switch {
-		case pat == "./..." || pat == "...":
-			walked, err := walkPackageDirs(root)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		case strings.HasSuffix(pat, "/..."):
-			base := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(strings.TrimSuffix(pat, "/..."), "./")))
-			walked, err := walkPackageDirs(base)
-			if err != nil {
-				return nil, err
-			}
-			for _, d := range walked {
-				add(d)
-			}
-		default:
-			add(filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pat, "./"))))
-		}
-	}
-	sort.Strings(dirs)
-	return dirs, nil
 }
 
 // walkPackageDirs lists every directory under base that contains at least
@@ -202,7 +177,7 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*parsedPkg, error
 	if err != nil {
 		return nil, err
 	}
-	p := &parsedPkg{importPath: importPath, dir: dir}
+	p := &parsedPkg{importPath: importPath}
 	importSet := make(map[string]bool)
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
@@ -254,58 +229,27 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	return m.std.ImportFrom(path, "", 0)
 }
 
-// Load parses and type-checks the packages matched by patterns, returning
-// one Unit per matched package in dependency order. Module-local
-// dependencies of matched packages are type-checked too (they must be, for
-// go/types to resolve cross-package references) but yield no Unit.
-func Load(startDir string, patterns []string) ([]*Unit, error) {
+// Load parses and type-checks every package of the module enclosing
+// startDir, returning one Unit per package in dependency order.
+func Load(startDir string) ([]*Unit, error) {
 	root, modPath, err := moduleRoot(startDir)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := expandPatterns(root, patterns)
+	dirs, err := walkPackageDirs(root)
 	if err != nil {
 		return nil, err
 	}
 
 	fset := token.NewFileSet()
 	byPath := make(map[string]*parsedPkg)
-	matched := make(map[string]bool)
 	for _, dir := range dirs {
 		p, err := parseDir(fset, root, modPath, dir)
 		if err != nil {
 			return nil, err
 		}
-		if p == nil {
-			continue
-		}
-		byPath[p.importPath] = p
-		matched[p.importPath] = true
-	}
-
-	// Pull in unmatched module-local dependencies transitively.
-	queue := make([]string, 0, len(byPath))
-	for path := range byPath {
-		queue = append(queue, path)
-	}
-	sort.Strings(queue)
-	for len(queue) > 0 {
-		path := queue[0]
-		queue = queue[1:]
-		for _, dep := range byPath[path].imports {
-			if _, ok := byPath[dep]; ok {
-				continue
-			}
-			rel := strings.TrimPrefix(strings.TrimPrefix(dep, modPath), "/")
-			p, err := parseDir(fset, root, modPath, filepath.Join(root, filepath.FromSlash(rel)))
-			if err != nil {
-				return nil, err
-			}
-			if p == nil {
-				return nil, fmt.Errorf("harplint: cannot locate module package %s", dep)
-			}
-			byPath[dep] = p
-			queue = append(queue, dep)
+		if p != nil {
+			byPath[p.importPath] = p
 		}
 	}
 
@@ -334,16 +278,13 @@ func Load(startDir string, patterns []string) ([]*Unit, error) {
 			return nil, fmt.Errorf("harplint: type-checking %s: %w", path, err)
 		}
 		imp.local[path] = pkg
-		if matched[path] {
-			units = append(units, &Unit{
-				ImportPath: path,
-				Dir:        p.dir,
-				Fset:       fset,
-				Files:      p.files,
-				Pkg:        pkg,
-				Info:       info,
-			})
-		}
+		units = append(units, &Unit{
+			ImportPath: path,
+			Fset:       fset,
+			Files:      p.files,
+			Pkg:        pkg,
+			Info:       info,
+		})
 	}
 	return units, nil
 }
@@ -373,10 +314,11 @@ func topoSort(byPath map[string]*parsedPkg) ([]string, error) {
 		}
 		state[p] = grey
 		for _, dep := range byPath[p].imports {
-			if _, present := byPath[dep]; present {
-				if err := visit(dep); err != nil {
-					return err
-				}
+			if _, present := byPath[dep]; !present {
+				return fmt.Errorf("harplint: cannot locate module package %s", dep)
+			}
+			if err := visit(dep); err != nil {
+				return err
 			}
 		}
 		state[p] = black

@@ -1,52 +1,44 @@
 // Command harplint is the HARP repo's project-specific static analyzer.
-// It type-checks the module with nothing but the standard library (go/ast,
-// go/parser, go/types and a custom module loader — no go/packages), builds
-// a conservative whole-module call graph, and runs seven passes tuned to
-// this codebase's correctness contract:
+// It type-checks the whole module with nothing but the standard library
+// (go/ast, go/parser, go/types and a custom module loader — no
+// go/packages), builds a conservative whole-module call graph, and runs
+// six passes tuned to this codebase's correctness contract:
 //
-//	determinism — no wall-clock reads, no global math/rand, no map
-//	              iteration order leaking into scheduling decisions;
+//	determinism — no wall-clock reads or waits (time.Now/Sleep/NewTimer/...),
+//	              no global math/rand, no map iteration order leaking
+//	              into scheduling decisions;
 //	errcheck    — no discarded error returns anywhere under internal/;
 //	docs        — every exported identifier documented;
 //	output      — no fmt.Print*/log.Print* terminal output in runtime
 //	              (non-main) packages; observability goes through
 //	              internal/obs instead;
-//	vtime       — no runtime-package function transitively reaches the
-//	              wall clock (time.Now/Sleep/NewTimer/...), at any call
-//	              depth, unless annotated //harplint:realtime;
 //	rngstream   — rand generators are constructed only inside
-//	              internal/vclock, stream names are registry constants,
-//	              and no runtime function transitively consumes the
-//	              global math/rand source;
+//	              internal/vclock, and stream names are registry constants;
 //	hotpath     — functions annotated //harplint:hotpath, and everything
 //	              they transitively call, are free of locally-provable
 //	              heap allocations.
 //
 // Findings are suppressed in place with `//harplint:allow <pass>` on the
-// offending (or preceding) line, or `//harplint:file-allow <pass>` for a
-// whole file. Pre-existing findings can instead be parked in a committed
-// baseline (-baseline harplint.baseline.json) and burned down over time;
-// baseline entries that no longer fire fail the run so the file cannot
-// rot. Exit status is 1 if any finding survives, 0 otherwise.
+// offending (or preceding) line. Exit status is 1 if any finding
+// survives, 2 on a usage or load error, 0 otherwise.
 //
-// Usage:
+// Usage, from anywhere inside the module:
 //
-//	harplint [-pass determinism,...] [-format text|json|github]
-//	         [-baseline harplint.baseline.json] [packages]
-//
-// Packages default to ./... relative to the enclosing module.
+//	harplint [-format text|github]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 )
 
 // pass couples a pass name with its implementation. Per-unit passes set
-// run; interprocedural passes set global and receive every unit plus the
-// module call graph.
+// run; hotpath sets global and receives every unit plus the module call
+// graph.
 type pass struct {
 	name   string
 	run    func(*Unit, func(Finding))
@@ -59,8 +51,7 @@ var allPasses = []pass{
 	{name: passErrcheck, run: runErrcheck},
 	{name: passDocs, run: runDocs},
 	{name: passOutput, run: runOutput},
-	{name: passVtime, global: runVtime},
-	{name: passRngstream, global: runRngstream},
+	{name: passRngstream, run: runRngstream},
 	{name: passHotpath, global: runHotpath},
 }
 
@@ -69,35 +60,25 @@ func main() {
 }
 
 // run is the testable entry point; it returns the process exit code.
-func run(args []string, stdout, stderr *os.File) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("harplint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	passList := fs.String("pass", "", "comma-separated subset of passes to run (default: all)")
-	format := fs.String("format", "text", "findings output format: text, json, or github")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings (JSON); stale entries fail the run")
+	format := fs.String("format", "text", "findings output format: text or github")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: harplint [-format text|github]  (lints the whole enclosing module)")
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *format != "text" && *format != "json" && *format != "github" {
-		fmt.Fprintf(stderr, "harplint: unknown format %q\n", *format)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "harplint: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
 		return 2
 	}
-
-	selected := allPasses
-	if *passList != "" {
-		byName := make(map[string]pass, len(allPasses))
-		for _, p := range allPasses {
-			byName[p.name] = p
-		}
-		selected = nil
-		for _, name := range strings.Split(*passList, ",") {
-			p, ok := byName[strings.TrimSpace(name)]
-			if !ok {
-				fmt.Fprintf(stderr, "harplint: unknown pass %q\n", name)
-				return 2
-			}
-			selected = append(selected, p)
-		}
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(stderr, "harplint: unknown format %q\n", *format)
+		return 2
 	}
 
 	cwd, err := os.Getwd()
@@ -110,25 +91,14 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	units, err := Load(cwd, fs.Args())
+	units, err := Load(root)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
-	findings := Lint(units, selected)
-	if *baselinePath != "" {
-		bl, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "harplint:", err)
-			return 2
-		}
-		findings = bl.apply(root, findings)
-	}
-	if err := writeFindings(stdout, *format, root, findings); err != nil {
-		fmt.Fprintln(stderr, "harplint:", err)
-		return 2
-	}
+	findings := Lint(units, allPasses)
+	writeFindings(stdout, *format, root, findings)
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "harplint: %d finding(s)\n", len(findings))
 		return 1
@@ -136,46 +106,71 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// Lint runs the selected passes over the units and returns the surviving
-// (non-suppressed) findings in stable order. The call graph is built once
-// and shared by all interprocedural passes; suppression directives from
-// every unit apply to every pass, so an interprocedural finding is
-// silenced by an allow comment in the file it points at.
+// Lint runs the given passes over the units and returns the surviving
+// (non-suppressed) findings in stable order. The call graph is built only
+// if a pass needs it. A finding is silenced by an allow comment on its own
+// line or the line above, in whichever file it points at.
 func Lint(units []*Unit, passes []pass) []Finding {
-	perUnit := make(map[*Unit]*directiveIndex, len(units))
-	for _, u := range units {
-		perUnit[u] = collectDirectives(u)
-	}
-	allows := func(pass string, f Finding) bool {
-		for _, idx := range perUnit {
-			if idx.allows(pass, f.Pos) {
-				return true
-			}
-		}
-		return false
-	}
-
+	allowed := collectAllows(units)
 	var findings []Finding
-	var graph *CallGraph
 	for _, p := range passes {
-		p := p
 		report := func(f Finding) {
-			if !allows(p.name, f) {
+			if !allowed[allowKey{f.Pos.Filename, f.Pos.Line, p.name}] &&
+				!allowed[allowKey{f.Pos.Filename, f.Pos.Line - 1, p.name}] {
 				findings = append(findings, f)
 			}
 		}
-		switch {
-		case p.run != nil:
-			for _, u := range units {
-				p.run(u, report)
-			}
-		case p.global != nil:
-			if graph == nil {
-				graph = buildCallGraph(units)
-			}
-			p.global(units, graph, report)
+		if p.global != nil {
+			p.global(units, buildCallGraph(units), report)
+			continue
+		}
+		for _, u := range units {
+			p.run(u, report)
 		}
 	}
 	sortFindings(findings)
 	return findings
+}
+
+// writeFindings renders the findings as file:line:col text or as GitHub
+// Actions error annotations pinned to module-relative paths.
+func writeFindings(w io.Writer, format, root string, findings []Finding) {
+	for _, f := range findings {
+		if format != "github" {
+			fmt.Fprintln(w, f)
+			continue
+		}
+		// https://docs.github.com/actions/reference/workflow-commands —
+		// commas and colons in properties and newlines in the message
+		// must be escaped.
+		fmt.Fprintf(w, "::error file=%s,line=%d,col=%d::%s\n",
+			githubEscapeProp(moduleRel(root, f.Pos.Filename)), f.Pos.Line, f.Pos.Column,
+			githubEscape(fmt.Sprintf("[%s] %s", f.Pass, f.Message)))
+	}
+}
+
+// moduleRel rewrites an absolute path relative to the module root with
+// forward slashes; paths outside the root are returned unchanged.
+func moduleRel(root, path string) string {
+	rel, err := filepath.Rel(root, path)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return path
+	}
+	return filepath.ToSlash(rel)
+}
+
+// githubEscape escapes a workflow-command message value.
+func githubEscape(s string) string {
+	s = strings.ReplaceAll(s, "%", "%25")
+	s = strings.ReplaceAll(s, "\r", "%0D")
+	s = strings.ReplaceAll(s, "\n", "%0A")
+	return s
+}
+
+// githubEscapeProp escapes a workflow-command property value.
+func githubEscapeProp(s string) string {
+	s = githubEscape(s)
+	s = strings.ReplaceAll(s, ":", "%3A")
+	s = strings.ReplaceAll(s, ",", "%2C")
+	return s
 }

@@ -1,9 +1,6 @@
 package main
 
-import (
-	"go/ast"
-	"go/types"
-)
+import "go/ast"
 
 // The output pass forbids ad-hoc terminal output in runtime packages:
 // fmt.Print/Printf/Println and the log package's printers bypass the
@@ -45,34 +42,22 @@ func runOutput(u *Unit, report func(Finding)) {
 
 // checkOutputCall flags fmt.Print* and log.Print*/Fatal*/Panic* calls.
 func checkOutputCall(u *Unit, call *ast.CallExpr, report func(Finding)) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pkgName, ok := u.Info.Uses[ident].(*types.PkgName)
-	if !ok {
-		return
-	}
-	switch pkgName.Imported().Path() {
+	switch path, name := u.pkgCall(call); path {
 	case "fmt":
-		if outputFmtFuncs[sel.Sel.Name] {
+		if outputFmtFuncs[name] {
 			report(Finding{
 				Pos:  u.Fset.Position(call.Pos()),
 				Pass: passOutput,
-				Message: "fmt." + sel.Sel.Name + " writes to the terminal from a runtime package; " +
+				Message: "fmt." + name + " writes to the terminal from a runtime package; " +
 					"emit an obs event/metric or return the value to the command layer",
 			})
 		}
 	case "log":
-		if outputLogFuncs[sel.Sel.Name] {
+		if outputLogFuncs[name] {
 			report(Finding{
 				Pos:  u.Fset.Position(call.Pos()),
 				Pass: passOutput,
-				Message: "log." + sel.Sel.Name + " bypasses the obs registry in a runtime package; " +
+				Message: "log." + name + " bypasses the obs registry in a runtime package; " +
 					"emit an obs event/metric or return an error instead",
 			})
 		}

@@ -9,7 +9,7 @@ import (
 // The rngstream pass enforces the module's randomness discipline: all
 // randomness flows through internal/vclock's named, seeded streams, so a
 // run is a pure function of its seeds and adding a consumer never
-// perturbs another's draws. Three rules, the third interprocedural:
+// perturbs another's draws. Two rules, both checked per call site:
 //
 //  1. rand.New / rand.NewSource (and the v2 generators) may only be
 //     constructed inside internal/vclock — everywhere else in runtime
@@ -17,126 +17,66 @@ import (
 //  2. the stream-name argument of vclock.NewStream / Clock.RNG must be a
 //     constant declared in internal/vclock, the single registry of stream
 //     names — a string literal at the call site is an unregistered
-//     stream;
-//  3. no runtime function may reach the process-seeded global math/rand
-//     source at any call depth. The determinism pass flags the direct
-//     call; this pass walks the call graph and flags every call site
-//     whose callee transitively consumes the global source.
+//     stream.
 //
-// Commands (package main) are exempt from rules 1 and 3 — their job is
-// wiring — but rule 2 applies everywhere: the registry is only
-// authoritative if nothing bypasses it.
+// The global math/rand source is the determinism pass's rule. Commands
+// (package main) are exempt from rule 1 — their job is wiring — but rule
+// 2 applies everywhere: the registry is only authoritative if nothing
+// bypasses it.
 const passRngstream = "rngstream"
 
-// randCtorFuncs are the generator constructors that must live in vclock.
+// randCtorFuncs are the math/rand and math/rand/v2 functions that build a
+// generator from an explicit seed or source instead of drawing from the
+// process-global one. The determinism pass lets them through; this pass
+// confines them to internal/vclock.
 var randCtorFuncs = map[string]bool{
-	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true,
+	"New": true, "NewSource": true, "NewPCG": true, "NewChaCha8": true, "NewZipf": true,
 }
 
 // vclockStreamFuncs are the blessed stream accessors whose first argument
 // is a registered stream name.
 var vclockStreamFuncs = map[string]bool{"NewStream": true, "RNG": true}
 
-// isVclockUnit reports whether the unit is internal/vclock itself — the
-// one place generator construction is allowed.
-func isVclockUnit(u *Unit) bool {
-	return strings.HasSuffix(u.ImportPath, "internal/vclock")
-}
-
 // isVclockPkg reports whether a types package is internal/vclock.
 func isVclockPkg(p *types.Package) bool {
 	return p != nil && strings.HasSuffix(p.Path(), "internal/vclock")
 }
 
-// runRngstream applies the rngstream pass over the whole module.
-func runRngstream(units []*Unit, g *CallGraph, report func(Finding)) {
-	// Rules 1 and 2: per-call-site checks.
-	for _, u := range units {
-		for _, file := range u.Files {
-			ast.Inspect(file, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
+// runRngstream applies the rngstream pass to one unit.
+func runRngstream(u *Unit, report func(Finding)) {
+	if isVclockPkg(u.Pkg) {
+		return // the registry package constructs generators and plumbs names through parameters
+	}
+	for _, file := range u.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if !u.IsMain() {
+					checkRandConstructor(u, call, report)
 				}
-				checkRandConstructor(u, call, report)
 				checkStreamName(u, call, report)
-				return true
-			})
-		}
-	}
-
-	// Rule 3: transitive reach of the global math/rand source.
-	sinks := make(map[*types.Func]string)
-	for _, n := range g.order {
-		if n.decl == nil {
-			continue
-		}
-		if name, ok := firstGlobalRandCall(n.unit, n.decl); ok {
-			sinks[n.fn] = name
-		}
-	}
-	state := propagateTaint(g, nil, func(fn *types.Func) (string, bool) {
-		name, ok := sinks[fn]
-		return name, ok
-	})
-	for _, n := range g.order {
-		if n.decl == nil || !isRuntimeUnit(n.unit) {
-			continue
-		}
-		for _, e := range n.out {
-			st := state[e.callee]
-			if st == nil || !st.tainted {
-				continue
 			}
-			// The direct call inside the callee is the determinism pass's
-			// finding; this pass owns the edges above it.
-			report(Finding{
-				Pos:  n.unit.Fset.Position(e.pos),
-				Pass: passRngstream,
-				Message: "call to " + funcDisplayName(e.callee) + " transitively consumes the global math/rand source (" +
-					taintChain(state, e.callee, 8) + "); thread a vclock stream through the chain instead",
-			})
-		}
+			return true
+		})
 	}
 }
 
-// checkRandConstructor flags generator construction outside vclock in
-// runtime packages (rule 1).
+// checkRandConstructor flags generator construction outside vclock
+// (rule 1).
 func checkRandConstructor(u *Unit, call *ast.CallExpr, report func(Finding)) {
-	if !isRuntimeUnit(u) || isVclockUnit(u) {
-		return
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return
-	}
-	pkgName, ok := u.Info.Uses[ident].(*types.PkgName)
-	if !ok {
-		return
-	}
-	switch pkgName.Imported().Path() {
-	case "math/rand", "math/rand/v2":
-		if randCtorFuncs[sel.Sel.Name] {
-			report(Finding{
-				Pos:  u.Fset.Position(call.Pos()),
-				Pass: passRngstream,
-				Message: "rand." + sel.Sel.Name + " constructs a generator outside internal/vclock; " +
-					"take a stream from vclock.NewStream or Clock.RNG with a registered name",
-			})
-		}
+	path, name := u.pkgCall(call)
+	if (path == "math/rand" || path == "math/rand/v2") && randCtorFuncs[name] {
+		report(Finding{
+			Pos:  u.Fset.Position(call.Pos()),
+			Pass: passRngstream,
+			Message: "rand." + name + " constructs a generator outside internal/vclock; " +
+				"take a stream from vclock.NewStream or Clock.RNG with a registered name",
+		})
 	}
 }
 
 // checkStreamName enforces rule 2: the name argument of NewStream /
 // Clock.RNG resolves to a constant declared in internal/vclock.
 func checkStreamName(u *Unit, call *ast.CallExpr, report func(Finding)) {
-	if isVclockUnit(u) {
-		return // the registry package plumbs names through parameters
-	}
 	var fnObj *types.Func
 	switch f := call.Fun.(type) {
 	case *ast.SelectorExpr:
@@ -179,40 +119,4 @@ func streamNameIsRegistered(u *Unit, e ast.Expr) bool {
 	}
 	c, ok := u.Info.Uses[id].(*types.Const)
 	return ok && isVclockPkg(c.Pkg())
-}
-
-// firstGlobalRandCall reports whether the declaration calls a package-level
-// math/rand function that consumes the process-global source.
-func firstGlobalRandCall(u *Unit, fn *ast.FuncDecl) (string, bool) {
-	var name string
-	ast.Inspect(fn, func(n ast.Node) bool {
-		if name != "" {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		ident, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		pkgName, ok := u.Info.Uses[ident].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		switch pkgName.Imported().Path() {
-		case "math/rand", "math/rand/v2":
-			if !globalRandExempt[sel.Sel.Name] && !randCtorFuncs[sel.Sel.Name] {
-				name = "math/rand." + sel.Sel.Name
-				return false
-			}
-		}
-		return true
-	})
-	return name, name != ""
 }

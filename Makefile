@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzGridPack  -fuzztime=$(FUZZTIME) ./internal/packing/
 	$(GO) test -run=^$$ -fuzz=FuzzGridBitset -fuzztime=$(FUZZTIME) ./internal/packing/
 	$(GO) test -run=^$$ -fuzz=FuzzConExchange -fuzztime=$(FUZZTIME) ./internal/coap/
+	$(GO) test -run=^$$ -fuzz=FuzzScheduleConflicts -fuzztime=$(FUZZTIME) ./internal/schedule/
 
 # The repo's host-time benchmark (five end-to-end workloads, per-layer
 # breakdown); see benchmark/README.md and BENCHMARK.json. Results (as

@@ -422,17 +422,18 @@ func (p *Plan) Partitions() []PartitionInfo {
 // half-duplex clean.
 func (p *Plan) Validate() error {
 	for _, dir := range topology.Directions() {
-		// Gateway-level partitions must be pairwise disjoint.
-		var regions []schedule.Region
-		for _, info := range p.Partitions() {
-			if info.Direction == dir && info.Node == topology.GatewayID {
-				regions = append(regions, info.Region)
-			}
+		// Gateway-level partitions must be pairwise disjoint; read in layer
+		// order so the reported pair is deterministic.
+		gw := p.nodes[topology.GatewayID].dir(dir).parts
+		layers := make([]int, 0, len(gw))
+		for layer := range gw {
+			layers = append(layers, layer)
 		}
-		for i := range regions {
-			for j := i + 1; j < len(regions); j++ {
-				if regions[i].Overlaps(regions[j]) {
-					return fmt.Errorf("core: gateway partitions overlap: %v vs %v", regions[i], regions[j])
+		sort.Ints(layers)
+		for i, a := range layers {
+			for _, b := range layers[i+1:] {
+				if gw[a].Overlaps(gw[b]) {
+					return fmt.Errorf("core: gateway partitions overlap: %v vs %v", gw[a], gw[b])
 				}
 			}
 		}

@@ -39,18 +39,16 @@ import (
 // two links, and (when a tree is supplied) no node obliged to use its
 // half-duplex radio twice in one slot.
 func CheckSchedule(s *schedule.Schedule, tree *topology.Tree) error {
-	owners := make(map[schedule.Cell]topology.Link)
-	for _, tx := range s.Transmissions() {
-		if !s.Frame.Contains(tx.Cell) {
-			return fmt.Errorf("invariant: link %v scheduled outside the slotframe at %v", tx.Link, tx.Cell)
-		}
-		if prev, taken := owners[tx.Cell]; taken && prev != tx.Link {
-			return fmt.Errorf("invariant: cell %v assigned to both %v and %v", tx.Cell, prev, tx.Link)
-		}
-		owners[tx.Cell] = tx.Link
+	x := s.Index()
+	if tx, ok := x.OutOfFrame(); ok {
+		return fmt.Errorf("invariant: link %v scheduled outside the slotframe at %v", tx.Link, tx.Cell)
+	}
+	if shared := x.SharedCells(); len(shared) > 0 {
+		c := shared[0]
+		return fmt.Errorf("invariant: cell %v assigned to both %v and %v", c.Cell, c.Links[0], c.Links[1])
 	}
 	if tree != nil {
-		v, err := s.HalfDuplexViolations(tree)
+		v, err := x.HalfDuplexViolations(tree)
 		if err != nil {
 			return err
 		}

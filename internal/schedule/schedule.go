@@ -5,9 +5,10 @@
 package schedule
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/harpnet/harp/internal/topology"
@@ -205,14 +206,13 @@ func (s *Schedule) Links() []topology.Link {
 	for l := range s.cells {
 		out = append(out, l)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Direction != b.Direction {
-			return a.Direction < b.Direction
-		}
-		return a.Child < b.Child
-	})
+	slices.SortFunc(out, compareLinks)
 	return out
+}
+
+// compareLinks orders links uplinks first, then by child.
+func compareLinks(a, b topology.Link) int {
+	return cmp.Or(cmp.Compare(a.Direction, b.Direction), cmp.Compare(a.Child, b.Child))
 }
 
 // TotalCells returns the number of (link, cell) assignments.
@@ -241,101 +241,4 @@ func (s *Schedule) Transmissions() []Transmission {
 		}
 	}
 	return out
-}
-
-// CellSharers returns, for every cell assigned to more than one link, the
-// set of links sharing it.
-func (s *Schedule) CellSharers() map[Cell][]topology.Link {
-	byCell := make(map[Cell][]topology.Link)
-	for _, l := range s.Links() {
-		seen := make(map[Cell]bool)
-		for _, c := range s.cells[l] {
-			if seen[c] {
-				continue // duplicate cells within one link are not a collision
-			}
-			seen[c] = true
-			byCell[c] = append(byCell[c], l)
-		}
-	}
-	for c, links := range byCell {
-		if len(links) < 2 {
-			delete(byCell, c)
-		}
-	}
-	return byCell
-}
-
-// endpoints returns the sender and receiver node of a link given the tree.
-func endpoints(tree *topology.Tree, l topology.Link) (sender, receiver topology.NodeID, err error) {
-	parent, err := tree.Parent(l.Child)
-	if err != nil {
-		return 0, 0, err
-	}
-	if l.Direction == topology.Uplink {
-		return l.Child, parent, nil
-	}
-	return parent, l.Child, nil
-}
-
-// HalfDuplexViolations counts pairs of distinct links that share a node and
-// are scheduled in the same time slot — impossible for single-radio
-// half-duplex hardware (§IV-A). HARP schedules are violation-free by
-// construction; baselines are not.
-func (s *Schedule) HalfDuplexViolations(tree *topology.Tree) (int, error) {
-	type slotNode struct {
-		slot int
-		node topology.NodeID
-	}
-	usage := make(map[slotNode]map[topology.Link]bool)
-	for _, l := range s.Links() {
-		snd, rcv, err := endpoints(tree, l)
-		if err != nil {
-			return 0, err
-		}
-		for _, c := range s.cells[l] {
-			for _, n := range [2]topology.NodeID{snd, rcv} {
-				key := slotNode{slot: c.Slot, node: n}
-				if usage[key] == nil {
-					usage[key] = make(map[topology.Link]bool)
-				}
-				usage[key][l] = true
-			}
-		}
-	}
-	violations := 0
-	for _, links := range usage {
-		if n := len(links); n > 1 {
-			violations += n * (n - 1) / 2
-		}
-	}
-	return violations, nil
-}
-
-// Validate checks that every assigned cell is inside the slotframe and that
-// no two links share a cell, and (when a tree is supplied) that the schedule
-// is half-duplex clean. It is the "effectiveness" invariant of the problem
-// statement (§II-B); HARP-produced schedules must always pass.
-func (s *Schedule) Validate(tree *topology.Tree) error {
-	for l, cs := range s.cells {
-		for _, c := range cs {
-			if !s.Frame.Contains(c) {
-				return fmt.Errorf("schedule: %v assigned out-of-frame cell %v", l, c)
-			}
-		}
-	}
-	if shared := s.CellSharers(); len(shared) > 0 {
-		for c, links := range shared {
-			return fmt.Errorf("schedule: cell %v shared by %d links %v", c, len(links), links)
-		}
-	}
-	if tree != nil {
-		v, err := s.HalfDuplexViolations(tree)
-		if err != nil {
-			return err
-		}
-		if v > 0 {
-			return fmt.Errorf("schedule: %d half-duplex violations", v)
-		}
-	}
-	return nil
 }

@@ -146,11 +146,11 @@ func TestCellSharers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharers := s.CellSharers()
-	if len(sharers) != 1 {
+	if len(sharers) != 1 || sharers[0].Cell != shared {
 		t.Fatalf("sharers = %v, want exactly the shared cell", sharers)
 	}
-	if links := sharers[shared]; len(links) != 2 {
-		t.Errorf("shared cell has %d links, want 2", len(links))
+	if links := sharers[0].Links; len(links) != 2 || links[0] != l1 || links[1] != l2 {
+		t.Errorf("shared cell has links %v, want [%v %v]", links, l1, l2)
 	}
 	// Duplicate cell within one link is not a collision.
 	s2, _ := NewSchedule(testFrame())

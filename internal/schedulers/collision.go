@@ -37,42 +37,32 @@ func (s CollisionStats) Probability() float64 {
 }
 
 // AnalyzeCollisions computes the collision statistics of a schedule over a
-// topology.
+// topology. It scans the schedule one slot at a time: a transmission is a
+// cell collision when another transmission uses its cell, even one of the
+// same link, and otherwise a half-duplex collision when another
+// transmission in its slot touches one of its link's two nodes.
 func AnalyzeCollisions(tree *topology.Tree, s *schedule.Schedule) (CollisionStats, error) {
+	x := s.Index()
+	ends, n, err := x.Endpoints(tree)
+	if err != nil {
+		return CollisionStats{}, err
+	}
+	cells, nodes := schedule.NewTally(x.Channels()), schedule.NewTally(n)
 	var stats CollisionStats
-	type slotNode struct {
-		slot int
-		node topology.NodeID
-	}
-	// Precompute endpoints per link.
-	nodesOf := make(map[topology.Link][2]topology.NodeID)
-	for _, l := range s.Links() {
-		parent, err := tree.Parent(l.Child)
-		if err != nil {
-			return CollisionStats{}, err
+	for t := range x.Slots() {
+		slot := x.Slot(t)
+		for _, e := range slot {
+			cells.Add(t, e.Channel)
+			nodes.Add(t, ends[e.Link][0])
+			nodes.Add(t, ends[e.Link][1])
 		}
-		nodesOf[l] = [2]topology.NodeID{l.Child, parent}
-	}
-	// Cell occupancy and per-slot node occupancy.
-	cellUsers := make(map[schedule.Cell]int)
-	nodeSlotUsers := make(map[slotNode]int)
-	tx := s.Transmissions()
-	for _, t := range tx {
-		cellUsers[t.Cell]++
-		for _, n := range nodesOf[t.Link] {
-			nodeSlotUsers[slotNode{slot: t.Cell.Slot, node: n}]++
-		}
-	}
-	stats.TotalTransmissions = len(tx)
-	for _, t := range tx {
-		if cellUsers[t.Cell] > 1 {
-			stats.CellCollisions++
-			continue
-		}
-		for _, n := range nodesOf[t.Link] {
-			if nodeSlotUsers[slotNode{slot: t.Cell.Slot, node: n}] > 1 {
+		stats.TotalTransmissions += len(slot)
+		for _, e := range slot {
+			switch {
+			case cells.Count(t, e.Channel) > 1:
+				stats.CellCollisions++
+			case nodes.Count(t, ends[e.Link][0]) > 1 || nodes.Count(t, ends[e.Link][1]) > 1:
 				stats.HalfDuplexCollisions++
-				break
 			}
 		}
 	}

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint fmt vet fuzz bench faultsoak trace-smoke scale-smoke chaos-soak check clean
+.PHONY: all build test race lint guards fmt vet fuzz bench faultsoak trace-smoke scale-smoke chaos-soak check clean
 
 all: build
 
@@ -21,7 +21,12 @@ race:
 	$(GO) test -tags harpdebug ./internal/core/ ./internal/agent/ ./internal/invariant/ ./internal/transport/ ./internal/cosim/
 
 # harplint always lints the whole module and takes no package arguments.
-#
+# CI runs it with -format github for file/line annotations, then `make
+# guards`.
+lint:
+	$(GO) run ./cmd/harplint
+	@$(MAKE) --no-print-directory guards
+
 # The simulation core runs on one virtual clock and is driven from one
 # goroutine, and every experiment and telemetry fold reports virtual-time
 # results only, so none of them carries a determinism exemption at all;
@@ -32,8 +37,7 @@ race:
 # dense: per-node protocol state is per-layer and per-child records, so no
 # non-test file under internal/agent declares a layer-keyed map[int].
 NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments internal/obs
-lint:
-	$(GO) run ./cmd/harplint
+guards:
 	@if grep -rnF 'harplint:allow determinism' $(NO_EXEMPT_PKGS); then \
 		echo "harplint exemptions are not allowed in: $(NO_EXEMPT_PKGS)"; exit 1; fi
 	@if grep -rlE --include='*.go' --exclude='*_test.go' '"(sync|sync/atomic|net/http)"' internal | grep -v '^internal/parallel/'; then \
@@ -48,7 +52,8 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Short smoke of every fuzz target; extend -fuzztime for real campaigns.
+# Short smoke of every fuzz target (CI's fuzz-smoke job runs it as is);
+# extend -fuzztime for real campaigns.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode    -fuzztime=$(FUZZTIME) ./internal/coap/

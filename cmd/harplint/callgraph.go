@@ -14,7 +14,7 @@ import (
 //
 //   - every *use* of a function identifier inside a body becomes an edge,
 //     whether it is a direct call, a `go`/`defer` statement, or a function
-//     value passed somewhere else (a callback handed to vclock.Schedule is
+//     value passed somewhere else (a callback handed to vclock.ScheduleIn is
 //     assumed to run);
 //   - a call through an interface method fans out to the identically-named
 //     method of every module type that implements the interface, so

@@ -34,7 +34,7 @@ type allowKey struct {
 func collectAllows(units []*Unit) map[allowKey]bool {
 	allowed := make(map[allowKey]bool)
 	for _, u := range units {
-		for _, f := range u.Files {
+		for _, f := range u.allFiles() {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					rest, ok := strings.CutPrefix(c.Text, "//harplint:allow")

@@ -37,7 +37,8 @@ import (
 const passHotpath = "hotpath"
 
 // runHotpath applies the hotpath pass over the whole module.
-func runHotpath(units []*Unit, g *CallGraph, report func(Finding)) {
+func runHotpath(units []*Unit, report func(Finding)) {
+	g := buildCallGraph(units)
 	// Roots: annotated declarations.
 	type hotInfo struct {
 		via  *types.Func

@@ -38,6 +38,19 @@ func TestHotpathFlagsDirectAndTransitiveAllocations(t *testing.T) {
 	)
 }
 
+func TestUnusedFlagsCodeOnlyTestsReach(t *testing.T) {
+	msgs := lintTestdata(t, "unused", "unused")
+	wantFindings(t, msgs,
+		"function fx.Unused has no use outside tests",
+		"function fx.unusedHelper has no use outside tests",
+		"function fx.OnlyTests has no use outside tests",
+		"function fx.countdown has no use outside tests",
+	)
+	// Kept: T.Name (Namer declares it), the generic Box.Get and First
+	// (used through instances), DebugOnly (called from the harpdebug
+	// build), Allowed (directive) and lib.Free (outside internal/).
+}
+
 func TestModuleRelAndGithubEscape(t *testing.T) {
 	if got := moduleRel("/mod", "/mod/pkg/f.go"); got != "pkg/f.go" {
 		t.Errorf("moduleRel = %q, want pkg/f.go", got)

@@ -26,10 +26,23 @@ type Unit struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	Info       *types.Info
+	// DebugFiles are the files only the harpdebug build compiles, and
+	// DebugInfo holds the identifier uses of that build (DebugFiles in
+	// place of the files the tag excludes); both are nil when no file of
+	// the package depends on the tag. Only the unused pass reads
+	// DebugInfo: code that only the invariant hooks call is still called.
+	DebugFiles []*ast.File
+	DebugInfo  *types.Info
 }
 
 // IsMain reports whether the unit is a command (package main).
 func (u *Unit) IsMain() bool { return u.Pkg.Name() == "main" }
+
+// allFiles returns the default build's files followed by the
+// harpdebug-only ones.
+func (u *Unit) allFiles() []*ast.File {
+	return append(u.Files[:len(u.Files):len(u.Files)], u.DebugFiles...)
+}
 
 // pkgCall returns the import path and function name of a package-qualified
 // call such as time.Now(), or two empty strings for any other call.
@@ -54,7 +67,14 @@ type parsedPkg struct {
 	importPath string
 	files      []*ast.File
 	imports    []string // module-local imports only
+	// debugFiles are the files only the harpdebug build compiles, and
+	// debugDrops the default-build files it leaves out.
+	debugFiles []*ast.File
+	debugDrops map[*ast.File]bool
 }
+
+// debugTag is the build tag that compiles in the invariant hooks.
+const debugTag = "harpdebug"
 
 // moduleRoot walks up from dir until it finds go.mod, returning the root
 // directory and the module path.
@@ -113,10 +133,11 @@ func walkPackageDirs(base string) ([]string, error) {
 }
 
 // buildTagSatisfied evaluates a file's //go:build constraint (if any)
-// against the default build configuration: the host GOOS/GOARCH, the gc
-// toolchain, and no custom tags — so harpdebug-style debug files are
-// analysed in their default (disabled) variant.
-func buildTagSatisfied(f *ast.File) bool {
+// against the default build configuration — the host GOOS/GOARCH, the gc
+// toolchain — plus the custom tag extra when it is not empty. The passes
+// analyse harpdebug-style debug files in their default (disabled)
+// variant; the unused pass also reads the extra = harpdebug one.
+func buildTagSatisfied(f *ast.File, extra string) bool {
 	for _, cg := range f.Comments {
 		if cg.End() >= f.Package {
 			break
@@ -132,6 +153,8 @@ func buildTagSatisfied(f *ast.File) bool {
 			return expr.Eval(func(tag string) bool {
 				switch tag {
 				case runtime.GOOS, runtime.GOARCH, "gc":
+					return true
+				case extra:
 					return true
 				case "unix":
 					return runtime.GOOS == "linux" || runtime.GOOS == "darwin"
@@ -187,10 +210,21 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*parsedPkg, error
 		if err != nil {
 			return nil, err
 		}
-		if !buildTagSatisfied(f) {
+		inDefault, inDebug := buildTagSatisfied(f, ""), buildTagSatisfied(f, debugTag)
+		switch {
+		case inDefault && !inDebug:
+			if p.debugDrops == nil {
+				p.debugDrops = make(map[*ast.File]bool)
+			}
+			p.debugDrops[f] = true
+		case inDebug && !inDefault:
+			p.debugFiles = append(p.debugFiles, f)
+		}
+		if inDefault {
+			p.files = append(p.files, f)
+		} else if !inDebug {
 			continue
 		}
-		p.files = append(p.files, f)
 		for _, imp := range f.Imports {
 			if path, err := strconv.Unquote(imp.Path.Value); err == nil {
 				importSet[path] = true
@@ -198,7 +232,7 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*parsedPkg, error
 		}
 	}
 	if len(p.files) == 0 {
-		return nil, nil
+		return nil, nil // a package only harpdebug builds is not linted
 	}
 	for imp := range importSet {
 		if imp == modPath || strings.HasPrefix(imp, modPath+"/") {
@@ -278,15 +312,43 @@ func Load(startDir string) ([]*Unit, error) {
 			return nil, fmt.Errorf("harplint: type-checking %s: %w", path, err)
 		}
 		imp.local[path] = pkg
-		units = append(units, &Unit{
+		u := &Unit{
 			ImportPath: path,
 			Fset:       fset,
 			Files:      p.files,
 			Pkg:        pkg,
 			Info:       info,
-		})
+		}
+		if len(p.debugFiles) > 0 {
+			if err := checkDebugVariant(u, p, imp); err != nil {
+				return nil, err
+			}
+		}
+		units = append(units, u)
 	}
 	return units, nil
+}
+
+// checkDebugVariant type-checks the harpdebug build of one package and
+// records its uses on u. The variant shares the parsed files with the
+// default build, so a declaration has the same position in both; its
+// module imports resolve to the default builds, which the tag leaves
+// unchanged wherever an exported name is concerned.
+func checkDebugVariant(u *Unit, p *parsedPkg, imp types.Importer) error {
+	var files []*ast.File
+	for _, f := range p.files {
+		if !p.debugDrops[f] {
+			files = append(files, f)
+		}
+	}
+	files = append(files, p.debugFiles...)
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
+	conf := types.Config{Importer: imp}
+	if _, err := conf.Check(u.ImportPath, u.Fset, files, info); err != nil {
+		return fmt.Errorf("harplint: type-checking %s with -tags %s: %w", u.ImportPath, debugTag, err)
+	}
+	u.DebugFiles, u.DebugInfo = p.debugFiles, info
+	return nil
 }
 
 // topoSort orders packages so every module-local import precedes its

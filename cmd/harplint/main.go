@@ -2,7 +2,7 @@
 // It type-checks the whole module with nothing but the standard library
 // (go/ast, go/parser, go/types and a custom module loader — no
 // go/packages), builds a conservative whole-module call graph, and runs
-// six passes tuned to this codebase's correctness contract:
+// seven passes tuned to this codebase's correctness contract:
 //
 //	determinism — no wall-clock reads or waits (time.Now/Sleep/NewTimer/...),
 //	              no global math/rand, no map iteration order leaking
@@ -16,7 +16,9 @@
 //	              internal/vclock, and stream names are registry constants;
 //	hotpath     — functions annotated //harplint:hotpath, and everything
 //	              they transitively call, are free of locally-provable
-//	              heap allocations.
+//	              heap allocations;
+//	unused      — every function and method under internal/ has a use in
+//	              the module's non-test code.
 //
 // Findings are suppressed in place with `//harplint:allow <pass>` on the
 // offending (or preceding) line. Exit status is 1 if any finding
@@ -37,12 +39,12 @@ import (
 )
 
 // pass couples a pass name with its implementation. Per-unit passes set
-// run; hotpath sets global and receives every unit plus the module call
-// graph.
+// run; whole-module passes (hotpath, unused) set global and receive every
+// unit.
 type pass struct {
 	name   string
 	run    func(*Unit, func(Finding))
-	global func([]*Unit, *CallGraph, func(Finding))
+	global func([]*Unit, func(Finding))
 }
 
 // allPasses is the registry, in report order.
@@ -53,6 +55,7 @@ var allPasses = []pass{
 	{name: passOutput, run: runOutput},
 	{name: passRngstream, run: runRngstream},
 	{name: passHotpath, global: runHotpath},
+	{name: passUnused, global: runUnused},
 }
 
 func main() {
@@ -107,9 +110,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // Lint runs the given passes over the units and returns the surviving
-// (non-suppressed) findings in stable order. The call graph is built only
-// if a pass needs it. A finding is silenced by an allow comment on its own
-// line or the line above, in whichever file it points at.
+// (non-suppressed) findings in stable order. A finding is silenced by an
+// allow comment on its own line or the line above, in whichever file it
+// points at.
 func Lint(units []*Unit, passes []pass) []Finding {
 	allowed := collectAllows(units)
 	var findings []Finding
@@ -121,7 +124,7 @@ func Lint(units []*Unit, passes []pass) []Finding {
 			}
 		}
 		if p.global != nil {
-			p.global(units, buildCallGraph(units), report)
+			p.global(units, report)
 			continue
 		}
 		for _, u := range units {

@@ -1,0 +1,5 @@
+//go:build harpdebug
+
+package fx
+
+func debugHook() { DebugOnly() }

@@ -246,9 +246,6 @@ type giveUpKey struct {
 
 func (n *Node) dir(d topology.Direction) *dirState { return &n.dirs[d] }
 
-// ID returns the node's identifier.
-func (n *Node) ID() topology.NodeID { return n.id }
-
 func (n *Node) nextMsgID() uint16 {
 	n.msgID++
 	return n.msgID
@@ -1417,9 +1414,4 @@ func (n *Node) Assignment(d topology.Direction) map[topology.NodeID][]schedule.C
 // Partition returns the node's granted partition at a layer.
 func (n *Node) Partition(d topology.Direction, layer int) (schedule.Region, bool) {
 	return n.dir(d).part(layer)
-}
-
-// MyCells returns the cells granted by the parent for this node's own link.
-func (n *Node) MyCells(d topology.Direction) []schedule.Cell {
-	return append([]schedule.Cell(nil), n.dir(d).myCells...)
 }

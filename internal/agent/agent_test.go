@@ -159,7 +159,7 @@ func TestDynamicLocalAdjustment(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bus.Count(coap.PUT, "intf") != 0 || bus.Count(coap.PUT, "part") != 0 {
-		t.Errorf("local adjustment sent partition messages: %v", bus.CountKeys())
+		t.Errorf("local adjustment sent %d PUT /intf and %d PUT /part", bus.Count(coap.PUT, "intf"), bus.Count(coap.PUT, "part"))
 	}
 	if bus.Count(coap.POST, "sched") == 0 {
 		t.Error("no schedule notifications after local adjustment")
@@ -261,10 +261,10 @@ func TestAgentIgnoresMalformedMessages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	garbage := coap.NewRequest(coap.NonConfirmable, coap.PUT, 1, "intf")
+	garbage := coap.Message{Type: coap.NonConfirmable, Code: coap.PUT, MessageID: 1, Options: coap.PathOptions("intf")}
 	garbage.Payload = []byte{0x01}
 	n.Handle(1, garbage)
-	unknown := coap.NewRequest(coap.NonConfirmable, coap.GET, 2, "nosuch")
+	unknown := coap.Message{Type: coap.NonConfirmable, Code: coap.GET, MessageID: 2, Options: coap.PathOptions("nosuch")}
 	n.Handle(1, unknown)
 	after, err := fleet.BuildSchedule()
 	if err != nil {

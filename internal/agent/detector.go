@@ -50,21 +50,6 @@ type DetectorConfig struct {
 	Metrics *obs.Registry
 }
 
-// DefaultDetectorConfig returns the standard thresholds for a slotframe
-// length: sweep every slotframe, suspect after 3, declare dead after 6,
-// abort stale adjustments after 80 (past the CON give-up backoff, so the
-// watchdog only catches the ACKed-then-died hang the transport never
-// times out on).
-func DefaultDetectorConfig(slotframeSlots int) DetectorConfig {
-	sf := float64(slotframeSlots)
-	return DetectorConfig{
-		Interval:     sf,
-		SuspectAfter: 3 * sf,
-		DeadAfter:    6 * sf,
-		AbortAfter:   80 * sf,
-	}
-}
-
 // DeathRecord is one dead declaration.
 type DeathRecord struct {
 	Node        topology.NodeID
@@ -241,17 +226,6 @@ func (d *Detector) stateOf(id topology.NodeID) liveness {
 	return liveAlive
 }
 
-// Stop unwires the delivery hook and cancels the pending sweep; the clock
-// can drain again. The deployment's virtual-clock reading stays bound.
-func (d *Detector) Stop() {
-	d.stopped = true
-	if d.timer != nil {
-		d.timer.Cancel()
-		d.timer = nil
-	}
-	d.fleet.setHeard(nil)
-}
-
 // Err returns the first error any sweep's recovery action hit, if any.
 func (d *Detector) Err() error {
 	if len(d.errs) == 0 {
@@ -261,10 +235,9 @@ func (d *Detector) Err() error {
 }
 
 // Dead reports whether the detector currently considers a node dead.
+//
+//harplint:allow unused oracle of TestDetectorQueriesOutsideItsState and the cosim tests TestDetectorDiscoversDeathAndAdopts, TestDetectorReadmitsRestartedNode
 func (d *Detector) Dead(id topology.NodeID) bool { return d.stateOf(id) == liveDead }
-
-// Suspected reports whether the detector currently suspects a node.
-func (d *Detector) Suspected(id topology.NodeID) bool { return d.stateOf(id) == liveSuspect }
 
 // DeadOrCrashed is the predicate adoptions and demand shifts use: a node
 // the detector declared dead, or one the transport knows is down (its

@@ -17,8 +17,7 @@ import (
 type Fleet struct {
 	Tree  *topology.Tree
 	Frame schedule.Slotframe
-	// nodes is indexed by the tree's dense node index (topology.Tree.Index);
-	// slots freed by node removal are nil.
+	// nodes is indexed by the tree's dense node index (topology.Tree.Index).
 	nodes []*Node
 	// sh is the state all agents share, including the maintained views the
 	// whole-network accessors below read.
@@ -211,6 +210,8 @@ func (f *Fleet) Validate() error {
 // through the ordinary adjustment machinery. newDemand is the link demand
 // over the post-change routes (e.g. traffic.Compute on the new tree). The
 // caller must run the transport afterwards; validate with Fleet.Validate.
+//
+//harplint:allow unused the agents' half of core.Plan.Reparent (churn, harp.Network.ReparentNode), wired in by ROADMAP item 8; TestFleetReparent* cover it
 func (f *Fleet) Reparent(node, newParent topology.NodeID, newDemand *traffic.Demand) error {
 	mover, err := f.Node(node)
 	if err != nil {

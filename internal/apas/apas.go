@@ -108,10 +108,5 @@ func (m *Manager) SetLinkDemand(l topology.Link, cells int, topRate float64) (Re
 	return Report{Messages: 3*depth - 1, RequestHops: depth}, nil
 }
 
-// Schedule materialises the current central schedule.
-func (m *Manager) Schedule() (*schedule.Schedule, error) {
-	return m.plan.BuildSchedule()
-}
-
 // Demand returns the current demand of a link.
 func (m *Manager) Demand(l topology.Link) int { return m.demand[l] }

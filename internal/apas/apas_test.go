@@ -33,7 +33,7 @@ func managerFor(t *testing.T, tree *topology.Tree, rate float64) *Manager {
 func TestAPaSInitialScheduleCollisionFree(t *testing.T) {
 	tree := topology.Testbed50()
 	m := managerFor(t, tree, 1)
-	s, err := m.Schedule()
+	s, err := m.plan.BuildSchedule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestAPaSAppliesDemand(t *testing.T) {
 	if m.Demand(l) != 4 {
 		t.Errorf("demand = %d, want 4", m.Demand(l))
 	}
-	s, err := m.Schedule()
+	s, err := m.plan.BuildSchedule()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,15 +3,13 @@
 // region is a few thousand cells — a handful of words per row) and the MAC
 // simulator's per-slotframe activity mask (which slot-in-frame indices have a
 // scheduled cell with a non-empty queue). Both need the same primitives:
-// range tests, range fills, population counts and next-set-bit scans, each a
-// few word operations instead of a bool-per-cell loop.
+// range tests, range fills and next-set-bit scans, each a few word
+// operations instead of a bool-per-cell loop.
 //
 // All functions treat the slice as a little-endian bit vector: bit i lives in
 // word i/64 at position i%64. Functions taking a logical length n never read
-// bits at or beyond n, but SetRange/Set callers must keep bits beyond their
-// logical length zero if they rely on OnesCount — the fill and clear helpers
-// here never touch bits outside the requested range, so the invariant is free
-// to maintain.
+// bits at or beyond n, and the fill and clear helpers here never touch bits
+// outside the requested range.
 package bitset
 
 import "math/bits"
@@ -20,11 +18,6 @@ const wordBits = 64
 
 // Words returns the number of uint64 words needed to hold n bits.
 func Words(n int) int { return (n + wordBits - 1) / wordBits }
-
-// Get reports whether bit i is set.
-func Get(s []uint64, i int) bool {
-	return s[i/wordBits]&(1<<uint(i%wordBits)) != 0
-}
 
 // Set sets bit i.
 func Set(s []uint64, i int) {
@@ -96,15 +89,6 @@ func AnyInRange(s []uint64, lo, hi int) bool {
 		}
 	}
 	return s[hw]&mask(0, uint((hi-1)%wordBits)+1) != 0
-}
-
-// OnesCount returns the number of set bits in the whole slice.
-func OnesCount(s []uint64) int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // NextSet returns the index of the first set bit at or after from, scanning

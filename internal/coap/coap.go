@@ -127,11 +127,6 @@ var (
 	ErrBadOption  = errors.New("coap: malformed option")
 )
 
-// NewRequest builds a request with the given method and Uri-Path segments.
-func NewRequest(t Type, method Code, messageID uint16, path ...string) Message {
-	return Message{Type: t, Code: method, MessageID: messageID, Options: PathOptions(path...)}
-}
-
 // PathOptions builds the Uri-Path options of a request path, one per
 // segment. A sender with a fixed set of paths builds each once and shares
 // the slice read-only between its messages: AppendTo never mutates
@@ -170,30 +165,6 @@ func (m Message) Path() string {
 		}
 	}
 	return strings.Join(segs, "/")
-}
-
-// Response builds a reply to the message carrying the same token (piggybacked
-// ACK for confirmable requests, NON otherwise).
-func (m Message) Response(code Code, payload []byte) Message {
-	t := NonConfirmable
-	if m.Type == Confirmable {
-		t = Acknowledgement
-	}
-	return Message{
-		Type:      t,
-		Code:      code,
-		MessageID: m.MessageID,
-		Token:     append([]byte(nil), m.Token...),
-		Payload:   payload,
-	}
-}
-
-// Encode serialises the message to the RFC 7252 wire format into a fresh
-// buffer. Hot paths that reuse a scratch buffer call AppendTo directly.
-func (m Message) Encode() ([]byte, error) {
-	//harplint:allow hotpath callers without a scratch buffer accept one allocation
-	buf := make([]byte, 0, 8+len(m.Token)+len(m.Payload)+4*len(m.Options))
-	return m.AppendTo(buf)
 }
 
 // AppendTo serialises the message to the RFC 7252 wire format, appending to

@@ -47,22 +47,6 @@ func TestRequestPath(t *testing.T) {
 	}
 }
 
-func TestResponseMirrorsExchange(t *testing.T) {
-	req := NewRequest(Confirmable, POST, 7, "intf")
-	req.Token = []byte{0xAB, 0xCD}
-	resp := req.Response(Changed, []byte("ok"))
-	if resp.Type != Acknowledgement {
-		t.Errorf("CON response type = %v, want ACK", resp.Type)
-	}
-	if resp.MessageID != 7 || !bytes.Equal(resp.Token, req.Token) {
-		t.Error("response must echo message ID and token")
-	}
-	non := NewRequest(NonConfirmable, PUT, 8, "part").Response(Changed, nil)
-	if non.Type != NonConfirmable {
-		t.Errorf("NON response type = %v, want NON", non.Type)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	m := NewRequest(Confirmable, POST, 0x1234, "intf")
 	m.Token = []byte{1, 2, 3}

@@ -109,12 +109,6 @@ func (e *Exchange) Retransmit(now float64) bool {
 	return true
 }
 
-// Resolved reports whether the ACK arrived.
-func (e *Exchange) Resolved() bool { return e.resolved }
-
-// GaveUp reports whether the sender exhausted MAX_RETRANSMIT without an ACK.
-func (e *Exchange) GaveUp() bool { return e.gaveUp }
-
 // Done reports whether the exchange holds no pending retransmission.
 func (e *Exchange) Done() bool { return e.resolved || e.gaveUp }
 

@@ -57,31 +57,11 @@ type Adjustment struct {
 	LayersClimbed int
 	// MovedPartitions is the number of partitions whose placement changed.
 	MovedPartitions int
-
-	affected map[topology.NodeID]bool
 }
 
 // TotalMessages returns the HARP protocol message count (requests + grants),
 // the "Msg." column of Table II.
 func (a *Adjustment) TotalMessages() int { return a.RequestMessages + a.PartitionMessages }
-
-// AffectedNodes lists every node that sent or received a HARP message
-// during the adjustment, sorted.
-func (a *Adjustment) AffectedNodes() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(a.affected))
-	for id := range a.affected {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func (a *Adjustment) touch(id topology.NodeID) {
-	if a.affected == nil {
-		a.affected = make(map[topology.NodeID]bool)
-	}
-	a.affected[id] = true
-}
 
 // debugCheck re-validates the whole plan after a dynamic adjustment when
 // the package is built with -tags harpdebug. A violation here is a bug in
@@ -117,7 +97,6 @@ func (p *Plan) SetLinkDemand(l topology.Link, cells int, topRate float64) (*Adju
 	p.demand[l] = cells
 	p.topRate[l] = topRate
 	adj := &Adjustment{}
-	adj.touch(parent)
 
 	if cells <= oldCells {
 		adj.Case = CaseRelease
@@ -201,8 +180,6 @@ func (p *Plan) escalate(cur topology.NodeID, dir topology.Direction, layer int, 
 		}
 		adj.RequestMessages++
 		adj.LayersClimbed++
-		adj.touch(cur)
-		adj.touch(host)
 
 		hostState := p.nodes[host].dir(dir)
 		hostRegion, hasRegion := hostState.parts[layer]
@@ -554,7 +531,6 @@ func CompliantOrder(comps map[DirLayer]Component) []DirLayer {
 func (p *Plan) propagateRegion(id topology.NodeID, dir topology.Direction, layer int, region schedule.Region, adj *Adjustment) error {
 	st := p.nodes[id].dir(dir)
 	st.parts[layer] = region
-	adj.touch(id)
 	ownLayer, err := p.Tree.LinkLayer(id)
 	if err != nil {
 		return err

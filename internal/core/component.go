@@ -72,15 +72,6 @@ func (i Interface) Component(layer int) (Component, bool) {
 // LastLayer returns the deepest layer the interface covers, l(G_Vi).
 func (i Interface) LastLayer() int { return i.FirstLayer + len(i.Comps) - 1 }
 
-// TotalCells sums the cell demand across all layers.
-func (i Interface) TotalCells() int {
-	total := 0
-	for _, c := range i.Comps {
-		total += c.Cells()
-	}
-	return total
-}
-
 // String renders the interface as its per-layer component list.
 func (i Interface) String() string {
 	return fmt.Sprintf("I_%d(l=%d..%d %v)", i.Owner, i.FirstLayer, i.LastLayer(), i.Comps)

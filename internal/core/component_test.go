@@ -43,9 +43,6 @@ func TestInterfaceQueries(t *testing.T) {
 	if _, ok := i.Component(4); ok {
 		t.Error("Component(4) should be absent")
 	}
-	if i.TotalCells() != 5+6 {
-		t.Errorf("TotalCells = %d, want 11", i.TotalCells())
-	}
 	if i.String() == "" {
 		t.Error("String empty")
 	}

@@ -146,9 +146,6 @@ func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells 
 	return p, nil
 }
 
-// linkDemand returns the current cell requirement of a link.
-func (p *Plan) linkDemand(l topology.Link) int { return p.demand[l] }
-
 // childLinkDemands returns the demands of the links between node id and its
 // children in one direction, sorted by child.
 func (p *Plan) childLinkDemands(id topology.NodeID, dir topology.Direction) []LinkDemand {

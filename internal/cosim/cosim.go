@@ -422,30 +422,6 @@ func (cs *CoSim) RunSlotframes(n int) error {
 // Quiesced reports whether no adjustment is awaiting commit.
 func (cs *CoSim) Quiesced() bool { return !cs.pending }
 
-// Crash scripts a node outage on the control plane: deliveries to and
-// retransmissions toward the node are dropped (and counted) from now on.
-// The data plane is unaffected — the MAC keeps its schedule; HARP's control
-// robustness, not PHY failure, is what is under test.
-func (cs *CoSim) Crash(id topology.NodeID) { cs.Bus.Crash(id) }
-
-// Recover reverses a Crash: the transport endpoint comes back with a clean
-// dedup cache, and the agent reboots — volatile state wiped, link demands
-// reloaded from the given configuration, re-attachment through the Join
-// flag. Recovering a node that is not down is an error: Bus.Restart on a
-// live node would silently wipe its Message-ID dedup cache, re-opening the
-// duplicate-delivery window the cache exists to close. Wrapped in Adjust so
-// the harness measures the recovery exchange and re-commits the schedule
-// when it quiesces.
-func (cs *CoSim) Recover(id topology.NodeID, demand *traffic.Demand) error {
-	if !cs.Bus.Crashed(id) {
-		return fmt.Errorf("cosim: recover of node %d, which is not crashed", id)
-	}
-	cs.Bus.Restart(id)
-	return cs.Adjust(func(f *agent.Fleet) error {
-		return f.RestartNode(id, demand)
-	})
-}
-
 // EnableSelfHealing attaches a failure detector to the co-simulation: from
 // now on Bus.Crash outages are discovered from missing keepalives, orphans
 // are adopted, returning nodes are readmitted, and stale in-flight

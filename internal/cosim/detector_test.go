@@ -167,40 +167,6 @@ func TestDetectorRidesOutShortFlap(t *testing.T) {
 	}
 }
 
-// TestRecoverRequiresCrash is the Recover misuse guard: recovering a node
-// that is not down must error instead of silently wiping its transport
-// dedup state.
-func TestRecoverRequiresCrash(t *testing.T) {
-	cs := newFig1CoSim(t, 1)
-	tree := topology.Fig1()
-	tasks, err := traffic.UniformEcho(tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	demand, err := traffic.Compute(tree, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Recover(5, demand); err == nil {
-		t.Fatal("Recover of a live node did not error")
-	}
-	// A legitimate crash–recover cycle still works…
-	cs.Crash(5)
-	if err := cs.Recover(5, demand); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.RunSlotframes(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Fleet.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// …and a second Recover of the now-live node is rejected again.
-	if err := cs.Recover(5, demand); err == nil {
-		t.Fatal("double Recover did not error")
-	}
-}
-
 // chaosScenario runs a scripted storm on the 50-node testbed tree at the
 // given shard count and returns the report plus the raw records.
 func chaosScenario(t *testing.T, shards int) (ChaosReport, []agent.DeathRecord, []agent.AdoptionRecord) {

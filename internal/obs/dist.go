@@ -172,14 +172,6 @@ func (w *WindowSeries) Len() int {
 	return len(w.vals)
 }
 
-// At returns window idx's value (zero beyond the materialised range).
-func (w *WindowSeries) At(idx int) int64 {
-	if w == nil || idx < 0 || idx >= len(w.vals) {
-		return 0
-	}
-	return w.vals[idx]
-}
-
 // Values returns a copy of the materialised windows.
 func (w *WindowSeries) Values() []int64 {
 	if w == nil || len(w.vals) == 0 {

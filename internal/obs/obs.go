@@ -50,9 +50,6 @@ const (
 	// ("slots=<slotframe length> slot_s=<slot seconds> nodes=<count>"),
 	// letting analyzers convert slots to slotframes and seconds.
 	KindMeta Kind = "trace.meta"
-	// KindDispatch is one virtual-clock event dispatch (opt-in via
-	// Tracer.TraceDispatch; high volume).
-	KindDispatch Kind = "vclock.dispatch"
 
 	// KindCoapTx is a CoAP message entering the channel at the sender.
 	KindCoapTx Kind = "coap.tx"
@@ -208,8 +205,7 @@ type Tracer struct {
 	nextSpan uint64
 	// stack is the causal context within the current clock event; the
 	// clock's step hook clears it so context never leaks across events.
-	stack    []uint64
-	dispatch bool
+	stack []uint64
 }
 
 // NewTracer builds a tracer bound to the clock: events are stamped with
@@ -224,15 +220,7 @@ func NewTracer(c *vclock.Clock) *Tracer {
 // onStep is the clock's per-dispatch hook.
 func (t *Tracer) onStep(at float64, seq uint64) {
 	t.stack = t.stack[:0]
-	if t.dispatch {
-		t.Emit(Ev(KindDispatch))
-	}
 }
-
-// TraceDispatch opts in to one KindDispatch event per clock dispatch.
-// Off by default: a co-simulation dispatches an event per queued
-// delivery and per slot, which swamps the protocol signal.
-func (t *Tracer) TraceDispatch(on bool) { t.dispatch = on }
 
 // Enabled reports whether the tracer records events; it is safe (and
 // false) on the nil receiver, which is how hook sites keep the disabled

@@ -39,9 +39,9 @@ func TestTracerStampsAndParents(t *testing.T) {
 	c := vclock.New()
 	tr := NewTracer(c)
 	var rxSpan uint64
-	c.Schedule(2.5, func() {
+	c.ScheduleIn(0, 2.5, func() {
 		txSpan := tr.Emit(Ev(KindCoapTx).WithNode(3).WithPeer(1).WithDetail("PUT intf"))
-		c.Schedule(4, func() {
+		c.ScheduleIn(0, 4, func() {
 			rxSpan = tr.Emit(Ev(KindCoapRx).WithNode(1).WithPeer(3).WithParent(txSpan))
 			tr.Push(rxSpan)
 			defer tr.Pop()
@@ -70,29 +70,16 @@ func TestTracerStampsAndParents(t *testing.T) {
 func TestTracerStackResetsPerDispatch(t *testing.T) {
 	c := vclock.New()
 	tr := NewTracer(c)
-	c.Schedule(1, func() {
+	c.ScheduleIn(0, 1, func() {
 		tr.Push(tr.Emit(Ev(KindCoapRx).WithNode(1)))
 		// Deliberately no Pop: the next dispatch must not inherit it.
 	})
-	c.Schedule(2, func() {
+	c.ScheduleIn(0, 2, func() {
 		if got := tr.Current(); got != 0 {
 			t.Errorf("span stack leaked across dispatches: current = %d, want 0", got)
 		}
 	})
 	c.Run()
-}
-
-func TestTraceDispatchOptIn(t *testing.T) {
-	c := vclock.New()
-	tr := NewTracer(c)
-	tr.TraceDispatch(true)
-	c.Schedule(1, func() {})
-	c.Schedule(3, func() {})
-	c.Run()
-	evs := tr.Events()
-	if len(evs) != 2 || evs[0].Kind != KindDispatch || evs[1].VT != 3 {
-		t.Fatalf("dispatch events = %+v, want two vclock.dispatch records", evs)
-	}
 }
 
 func TestNilTracerDisabledAndAllocFree(t *testing.T) {

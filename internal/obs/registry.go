@@ -332,19 +332,6 @@ func (r *Registry) Series(k MetricKey, width int) *WindowSeries {
 	return s
 }
 
-// SeriesStat returns a copy of k's windowed series values and its
-// width, and whether the series exists.
-func (r *Registry) SeriesStat(k MetricKey) (width int, vals []int64, ok bool) {
-	if r == nil {
-		return 0, nil, false
-	}
-	s, found := r.series[k]
-	if !found {
-		return 0, nil, false
-	}
-	return s.Width, s.Values(), true
-}
-
 // Reset clears every counter. The co-simulation calls this at a trigger
 // so each adjustment's overhead is measured on its own — note it clears
 // them wholesale (transport, agent and MAC series alike), exactly as
@@ -361,44 +348,6 @@ func (r *Registry) Reset() {
 	r.counters = r.counters[:0]
 	clear(r.index)
 	r.gen++
-}
-
-// CounterKeys returns every counter key with a non-zero value, sorted by
-// (Kind, Node, Layer) for deterministic reporting.
-func (r *Registry) CounterKeys() []MetricKey {
-	if r == nil {
-		return nil
-	}
-	keys := make([]MetricKey, 0, len(r.counters))
-	for _, c := range r.counters {
-		if c.val != 0 {
-			keys = append(keys, c.key)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Kind != keys[j].Kind {
-			return keys[i].Kind < keys[j].Kind
-		}
-		if keys[i].Node != keys[j].Node {
-			return keys[i].Node < keys[j].Node
-		}
-		return keys[i].Layer < keys[j].Layer
-	})
-	return keys
-}
-
-// SumKind sums every counter of the given kind across nodes and layers.
-func (r *Registry) SumKind(kind string) int64 {
-	if r == nil {
-		return 0
-	}
-	var total int64
-	for _, c := range r.counters {
-		if c.key.Kind == kind {
-			total += c.val
-		}
-	}
-	return total
 }
 
 // Nodes returns the distinct node IDs holding a non-zero counter of any
@@ -426,8 +375,7 @@ func (r *Registry) Nodes(kinds ...string) []int {
 }
 
 // lessNLK is the exporter ordering contract: keys sort by node, then
-// layer, then kind. (CounterKeys keeps its older kind-major order for
-// the report tables; exporters use this one.)
+// layer, then kind.
 func lessNLK(a, b MetricKey) bool {
 	if a.Node != b.Node {
 		return a.Node < b.Node

@@ -108,7 +108,7 @@ func FuzzGridBitset(f *testing.F) {
 			}
 		}
 		for i := 0; i+4 < len(ops); i += 5 {
-			kind := ops[i] % 3
+			kind := ops[i] % 2
 			x := int(ops[i+1]) % (width + 2)
 			y := int(ops[i+2]) % (height + 2)
 			w := int(ops[i+3]) % (width + 2)
@@ -122,14 +122,6 @@ func FuzzGridBitset(f *testing.F) {
 				}
 				check(i, "AddObstacle")
 			case 1:
-				// RemoveObstacle is only defined for rectangles inside the
-				// grid (its callers remove what they previously added).
-				if x+w <= width && y+h <= height && w > 0 && h > 0 {
-					g.RemoveObstacle(x, y, w, h)
-					ref.fill(x, y, w, h, false)
-					check(i, "RemoveObstacle")
-				}
-			case 2:
 				gx, gy, gok := g.PlaceBottomLeft(w, h)
 				rx, ry, rok := ref.placeBottomLeft(w, h)
 				if gx != rx || gy != ry || gok != rok {

@@ -41,12 +41,6 @@ func NewGrid(width, height int) (*Grid, error) {
 	}, nil
 }
 
-// Width returns the grid width.
-func (g *Grid) Width() int { return g.w }
-
-// Height returns the grid height.
-func (g *Grid) Height() int { return g.h }
-
 // row returns row y's words.
 func (g *Grid) row(y int) []uint64 { return g.occ[y*g.rowWords : (y+1)*g.rowWords] }
 
@@ -60,20 +54,6 @@ func (g *Grid) Clone() *Grid {
 		occ:     occ,
 		scratch: make([]uint64, g.rowWords),
 	}
-}
-
-// Occupied reports whether cell (x, y) is occupied. Out-of-range coordinates
-// count as occupied so boundary checks fall out naturally.
-func (g *Grid) Occupied(x, y int) bool {
-	if x < 0 || y < 0 || x >= g.w || y >= g.h {
-		return true
-	}
-	return bitset.Get(g.row(y), x)
-}
-
-// FreeCells returns the number of unoccupied cells.
-func (g *Grid) FreeCells() int {
-	return g.w*g.h - bitset.OnesCount(g.occ)
 }
 
 // canPlace reports whether a w x h rectangle fits with bottom-left at (x, y).
@@ -111,12 +91,6 @@ func (g *Grid) AddObstacle(x, y, w, h int) error {
 	}
 	g.fill(x, y, w, h, true)
 	return nil
-}
-
-// RemoveObstacle clears a rectangle previously added with AddObstacle (used
-// when Alg. 2 evicts a neighbouring partition to retry the packing).
-func (g *Grid) RemoveObstacle(x, y, w, h int) {
-	g.fill(x, y, w, h, false)
 }
 
 // PlaceBottomLeft finds the bottom-left-most free position for a w x h

@@ -40,53 +40,12 @@ type Placement struct {
 	Y int
 }
 
-// Overlaps reports whether two placements share any interior area.
-func (p Placement) Overlaps(q Placement) bool {
-	return p.X < q.X+q.W && q.X < p.X+p.W && p.Y < q.Y+q.H && q.Y < p.Y+p.H
-}
-
-// Contains reports whether (x, y) lies inside the placement.
-func (p Placement) Contains(x, y int) bool {
-	return x >= p.X && x < p.X+p.W && y >= p.Y && y < p.Y+p.H
-}
-
 // Layout is the result of a packing run: the bounding dimensions actually
 // used and the placement of every input rectangle.
 type Layout struct {
 	W     int // strip width the packing was performed against
 	H     int // height actually used (max over placements of Y+H)
 	Items []Placement
-}
-
-// Find returns the placement with the given rect ID.
-func (l Layout) Find(id int) (Placement, bool) {
-	for _, p := range l.Items {
-		if p.Rect.ID == id {
-			return p, true
-		}
-	}
-	return Placement{}, false
-}
-
-// Validate checks structural invariants of the layout: every placement is
-// inside [0, W) x [0, H) and no two placements overlap. It is used by tests
-// and by debug assertions in higher layers.
-func (l Layout) Validate() error {
-	for i, p := range l.Items {
-		if p.W <= 0 || p.H <= 0 {
-			return fmt.Errorf("packing: item %d has non-positive size %dx%d", i, p.W, p.H)
-		}
-		if p.X < 0 || p.Y < 0 || p.X+p.W > l.W || p.Y+p.H > l.H {
-			return fmt.Errorf("packing: item %d (%d,%d %dx%d) outside %dx%d bounds",
-				i, p.X, p.Y, p.W, p.H, l.W, l.H)
-		}
-		for j := i + 1; j < len(l.Items); j++ {
-			if p.Overlaps(l.Items[j]) {
-				return fmt.Errorf("packing: items %d and %d overlap", i, j)
-			}
-		}
-	}
-	return nil
 }
 
 // Errors returned by the packers.
@@ -112,15 +71,6 @@ func checkInput(rects []Rect, stripWidth int) error {
 		}
 	}
 	return nil
-}
-
-// totalArea sums the area of all rectangles; used as a cheap lower bound.
-func totalArea(rects []Rect) int {
-	total := 0
-	for _, r := range rects {
-		total += r.Area()
-	}
-	return total
 }
 
 // sortForPacking orders rectangles in the canonical best-fit skyline order:

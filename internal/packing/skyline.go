@@ -1,9 +1,6 @@
 package packing
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // segment is one horizontal piece of the skyline: the strip is covered from
 // x to x+w at height y (the next free Y coordinate above already-placed
@@ -179,46 +176,4 @@ func PackStrip(rects []Rect, stripWidth int) (Layout, error) {
 	}
 	layout.H = sky.height()
 	return layout, nil
-}
-
-// PackBin attempts to pack all rects into a fixed width x height bin using
-// the skyline heuristic. It returns ErrNoFit when the heuristic cannot fit
-// the input (which, the heuristic being incomplete, may occasionally occur
-// for feasible instances — the trade-off the paper accepts for on-device
-// execution). This is HARP's feasibility test (Problem 2, RPP).
-func PackBin(rects []Rect, width, height int) (Layout, error) {
-	if height <= 0 {
-		return Layout{}, ErrBadInput
-	}
-	layout, err := PackStrip(rects, width)
-	if err != nil {
-		return Layout{}, err
-	}
-	if layout.H > height {
-		return Layout{}, fmt.Errorf("%w: need height %d, have %d", ErrNoFit, layout.H, height)
-	}
-	layout.H = height
-	return layout, nil
-}
-
-// Fits reports whether rects fit into a width x height bin per the skyline
-// heuristic. A convenience wrapper over PackBin for feasibility-only callers.
-func Fits(rects []Rect, width, height int) bool {
-	_, err := PackBin(rects, width, height)
-	return err == nil
-}
-
-// MinStripHeight returns only the height of the skyline packing, for callers
-// that need the composite dimension without the layout.
-func MinStripHeight(rects []Rect, stripWidth int) (int, error) {
-	layout, err := PackStrip(rects, stripWidth)
-	if err != nil {
-		return 0, err
-	}
-	return layout.H, nil
-}
-
-// sortSegments is a test helper ordering segments by x.
-func sortSegments(segs []segment) {
-	sort.Slice(segs, func(i, j int) bool { return segs[i].x < segs[j].x })
 }

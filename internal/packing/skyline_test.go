@@ -91,35 +91,6 @@ func TestPackStripErrors(t *testing.T) {
 	}
 }
 
-func TestPackBin(t *testing.T) {
-	rs := rects([2]int{2, 2}, [2]int{2, 2})
-	if _, err := PackBin(rs, 4, 2); err != nil {
-		t.Errorf("feasible bin rejected: %v", err)
-	}
-	if _, err := PackBin(rs, 2, 3); !errors.Is(err, ErrNoFit) {
-		t.Errorf("infeasible bin accepted (err=%v)", err)
-	}
-	if Fits(rs, 2, 3) {
-		t.Error("Fits reported true for infeasible bin")
-	}
-	if !Fits(rs, 2, 4) {
-		t.Error("Fits reported false for stackable bin")
-	}
-	if _, err := PackBin(rs, 4, 0); !errors.Is(err, ErrBadInput) {
-		t.Errorf("want ErrBadInput for zero height, got %v", err)
-	}
-}
-
-func TestMinStripHeight(t *testing.T) {
-	h, err := MinStripHeight(rects([2]int{3, 2}, [2]int{3, 2}), 3)
-	if err != nil {
-		t.Fatalf("MinStripHeight error: %v", err)
-	}
-	if h != 4 {
-		t.Errorf("height = %d, want 4", h)
-	}
-}
-
 func TestPackStripDeterministic(t *testing.T) {
 	rs := rects([2]int{3, 2}, [2]int{2, 5}, [2]int{4, 1}, [2]int{1, 1}, [2]int{2, 2})
 	a, err := PackStrip(rs, 6)
@@ -182,7 +153,10 @@ func TestPackStripPropertyAreaLowerBound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		area := totalArea(rs)
+		area := 0
+		for _, rc := range rs {
+			area += rc.Area()
+		}
 		lb := (area + width - 1) / width
 		tallest := 0
 		for _, rc := range rs {
@@ -265,13 +239,5 @@ func TestSkylineMergeAndRaise(t *testing.T) {
 	sky.raise(i)
 	if sky.height() != 3 {
 		t.Errorf("height after raise = %d, want 3", sky.height())
-	}
-}
-
-func TestSortSegmentsHelper(t *testing.T) {
-	segs := []segment{{x: 5, w: 1, y: 0}, {x: 0, w: 2, y: 1}}
-	sortSegments(segs)
-	if segs[0].x != 0 {
-		t.Errorf("sortSegments failed: %+v", segs)
 	}
 }

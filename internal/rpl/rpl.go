@@ -47,16 +47,6 @@ func (g *Graph) AddNode(id topology.NodeID) {
 	g.nodes[id] = true
 }
 
-// RemoveNode deletes a node and its links.
-func (g *Graph) RemoveNode(id topology.NodeID) {
-	delete(g.nodes, id)
-	for e := range g.etx {
-		if e.a == id || e.b == id {
-			delete(g.etx, e)
-		}
-	}
-}
-
 // SetETX sets the quality of the link between a and b (etx >= 1).
 func (g *Graph) SetETX(a, b topology.NodeID, etx float64) error {
 	if etx < 1 {
@@ -70,12 +60,6 @@ func (g *Graph) SetETX(a, b topology.NodeID, etx float64) error {
 	}
 	g.etx[mkEdge(a, b)] = etx
 	return nil
-}
-
-// ETX returns the link quality between a and b (ok false when no link).
-func (g *Graph) ETX(a, b topology.NodeID) (float64, bool) {
-	v, ok := g.etx[mkEdge(a, b)]
-	return v, ok
 }
 
 // Degrade multiplies a link's ETX by factor (> 1), modelling interference.

@@ -131,24 +131,6 @@ func TestDegradeTriggersReparent(t *testing.T) {
 	}
 }
 
-func TestRemoveNode(t *testing.T) {
-	g := diamondGraph(t)
-	g.RemoveNode(3)
-	if len(g.Nodes()) != 3 {
-		t.Errorf("nodes after removal = %v", g.Nodes())
-	}
-	if _, ok := g.ETX(1, 3); ok {
-		t.Error("stale link survived node removal")
-	}
-	tree, err := g.FormTree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Has(3) {
-		t.Error("removed node in tree")
-	}
-}
-
 func TestRandomGeometric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g, err := RandomGeometric(30, 0.3, rng)

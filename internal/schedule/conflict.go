@@ -8,8 +8,8 @@ import (
 )
 
 // SlotIndex is a schedule's cells counting-sorted by slot, the one kernel
-// every conflict check scans: Validate, HalfDuplexViolations, CellSharers,
-// the invariant checker and the Fig. 11 collision analysis. A conflict
+// every conflict check scans: Validate, the invariant checker and the
+// Fig. 11 collision analysis. A conflict
 // needs two transmissions in one slot, so each check walks one slot's few
 // entries at a time and never keys a map by cell or by (slot, node).
 //
@@ -216,22 +216,6 @@ func (x *SlotIndex) linksOn(b []Entry, ch int32) []topology.Link {
 		}
 	}
 	return out
-}
-
-// CellSharers lists every cell assigned to more than one link, in (slot,
-// channel) order, with the links sharing it.
-func (s *Schedule) CellSharers() []SharedCell {
-	x := s.Index()
-	return x.SharedCells()
-}
-
-// HalfDuplexViolations counts pairs of distinct links that share a node and
-// are scheduled in the same time slot — impossible for single-radio
-// half-duplex hardware (§IV-A). HARP schedules are violation-free by
-// construction; baselines are not.
-func (s *Schedule) HalfDuplexViolations(tree *topology.Tree) (int, error) {
-	x := s.Index()
-	return x.HalfDuplexViolations(tree)
 }
 
 // Validate checks that every assigned cell is inside the slotframe and that

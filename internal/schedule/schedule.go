@@ -188,11 +188,6 @@ func (s *Schedule) Assign(l topology.Link, cells ...Cell) error {
 	return nil
 }
 
-// Clear removes a link's allocation (cells released on traffic decrease).
-func (s *Schedule) Clear(l topology.Link) {
-	delete(s.cells, l)
-}
-
 // Cells returns a copy of the link's allocated cells.
 func (s *Schedule) Cells(l topology.Link) []Cell {
 	out := make([]Cell, len(s.cells[l]))

@@ -125,10 +125,6 @@ func TestScheduleAssignAndQuery(t *testing.T) {
 	if err := s.Assign(l, Cell{Slot: 99, Channel: 0}); !errors.Is(err, ErrOutOfFrame) {
 		t.Errorf("want ErrOutOfFrame, got %v", err)
 	}
-	s.Clear(l)
-	if s.TotalCells() != 0 {
-		t.Error("Clear failed")
-	}
 	if _, err := NewSchedule(Slotframe{}); err == nil {
 		t.Error("NewSchedule accepted invalid frame")
 	}

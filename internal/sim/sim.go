@@ -156,7 +156,7 @@ type Simulator struct {
 	// Queue storage is index-addressed: every link ever carrying traffic
 	// gets a stable dense index (qindex), and the hot path — transmit,
 	// enqueue, advance — works purely on those ints. queueIx/queueLink
-	// translate at the edges (route caching, schedule swaps, QueueDepth);
+	// translate at the edges (route caching, schedule swaps);
 	// the per-slot loops never touch a map.
 	queueIx   map[topology.Link]int
 	queueLink []topology.Link
@@ -209,6 +209,8 @@ type Simulator struct {
 	// while no callback is due.
 	events   map[int][]func(*Simulator)
 	eventMin int
+	// stepping is true while step runs a slot's callbacks and traffic.
+	stepping bool
 	// eachSlot callbacks run at the start of every slot, after the slot's
 	// At events and before packet generation — the observation point
 	// co-simulations use to commit a quiesced control-plane adjustment so
@@ -435,8 +437,8 @@ func (s *Simulator) cacheRoutes(t traffic.Task) error {
 }
 
 // qindex returns the link's stable queue index, assigning one on first
-// sight. Called only on cold paths (route caching, schedule swaps,
-// QueueDepth); the hot path carries resolved indices.
+// sight. Called only on cold paths (route caching, schedule swaps); the
+// hot path carries resolved indices.
 func (s *Simulator) qindex(l topology.Link) int {
 	if ix, ok := s.queueIx[l]; ok {
 		return ix
@@ -510,9 +512,6 @@ func (s *Simulator) BindClock(c *vclock.Clock) error {
 	s.nextTick = s.now
 	return nil
 }
-
-// Frame returns the slotframe configuration.
-func (s *Simulator) Frame() schedule.Slotframe { return s.frame }
 
 // SetTracer attaches a MAC-event tracer (nil detaches). In co-simulation
 // it is the same tracer the transport and the agents emit to, bound to
@@ -681,7 +680,17 @@ func (s *Simulator) SetTaskRate(id traffic.TaskID, rate float64) error {
 }
 
 // At registers a callback to run at the start of the given absolute slot.
+// A slot the stepper has already begun — one before Now, or Now itself
+// from inside that slot's callbacks — is clamped the way vclock clamps a
+// past time: the callback runs at the next executed slot.
 func (s *Simulator) At(slot int, fn func(*Simulator)) {
+	next := s.now
+	if s.stepping {
+		next++
+	}
+	if slot < next {
+		slot = next
+	}
 	if len(s.events) == 0 || slot < s.eventMin {
 		s.eventMin = slot
 	}
@@ -694,6 +703,8 @@ func (s *Simulator) At(slot int, fn func(*Simulator)) {
 // plain EachSlot consumer disables slot skipping — the callback must
 // observe every slot; consumers that only need specific slots should use
 // EachSlotDemand.
+//
+//harplint:allow unused every-slot reference of the TestSkipEquivalence* tests of sim and cosim
 func (s *Simulator) EachSlot(fn func(*Simulator)) {
 	s.eachSlot = append(s.eachSlot, fn)
 }
@@ -785,20 +796,10 @@ func (s *Simulator) nextActiveSlot(from, end int) int {
 			}
 		}
 	}
-	if len(s.events) > 0 {
-		if s.eventMin >= from {
-			if s.eventMin < next {
-				next = s.eventMin
-			}
-		} else {
-			// A registered slot already behind the cursor never fires; fall
-			// back to scanning for the earliest one actually ahead.
-			for at := range s.events {
-				if at >= from && at < next {
-					next = at
-				}
-			}
-		}
+	if len(s.events) > 0 && s.eventMin < next {
+		// A callback registered behind the cursor (from a foreign event
+		// inside a skipped gap) is due at once.
+		next = max(s.eventMin, from)
 	}
 	if !math.IsInf(s.releaseMin, 1) {
 		at := int(math.Ceil(s.releaseMin))
@@ -829,18 +830,21 @@ func (s *Simulator) RunSlotframes(n int) error {
 //harplint:hotpath
 func (s *Simulator) step() error {
 	s.execSlots++
-	// eventMin keeps the common no-callback-due slot free of map work; it
-	// only goes stale upward (At from a slot callback refreshes it), so the
-	// <= test never skips a due slot.
-	if len(s.events) > 0 && s.eventMin <= s.now {
-		for _, fn := range s.events[s.now] {
+	s.stepping = true
+	// eventMin is the earliest registered slot, so the common
+	// no-callback-due slot does no map work. Every slot at or before this
+	// one is due, in slot order; At from these callbacks lands on a later
+	// slot, so the loop ends.
+	for len(s.events) > 0 && s.eventMin <= s.now {
+		at := s.eventMin
+		for _, fn := range s.events[at] {
 			fn(s) //harplint:allow hotpath scripted scenario callbacks fire on a handful of slots
 		}
-		delete(s.events, s.now)
+		delete(s.events, at)
 		s.eventMin = math.MaxInt
-		for at := range s.events {
-			if at < s.eventMin {
-				s.eventMin = at
+		for k := range s.events {
+			if k < s.eventMin {
+				s.eventMin = k
 			}
 		}
 	}
@@ -851,7 +855,9 @@ func (s *Simulator) step() error {
 		s.slotDemands[i].fn(s) //harplint:allow hotpath co-simulation observation hook; audited by the cosim allocation tests
 	}
 	s.generate()
-	if err := s.transmit(); err != nil {
+	err := s.transmit()
+	s.stepping = false
+	if err != nil {
 		return err
 	}
 	s.now++
@@ -1154,16 +1160,6 @@ func (s *Simulator) LatenciesByTask() map[traffic.TaskID][]float64 {
 		}
 	}
 	return out
-}
-
-// QueueDepth returns the current queue length of a link — the congestion
-// signal HARP nodes use to notice demand increases.
-func (s *Simulator) QueueDepth(l topology.Link) int {
-	ix, ok := s.queueIx[l]
-	if !ok {
-		return 0
-	}
-	return s.queueList[ix].depth()
 }
 
 // ExecutedSlots returns the number of slots the stepper actually executed;

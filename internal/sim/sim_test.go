@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -407,9 +408,6 @@ func TestEventCallbacks(t *testing.T) {
 	if sim.Now() != 30 {
 		t.Errorf("Now = %d, want 30", sim.Now())
 	}
-	if sim.Frame() != f {
-		t.Error("Frame accessor wrong")
-	}
 }
 
 func TestGatewaySourceTask(t *testing.T) {
@@ -542,7 +540,7 @@ func TestRunOnSharedClockInterleaves(t *testing.T) {
 	// A foreign event mid-window (a transport delivery in co-simulation)
 	// must run between the right slot ticks.
 	var slotAtEvent int
-	c.Schedule(10.5, func() { slotAtEvent = s.Now() })
+	c.ScheduleIn(0, 10.5, func() { slotAtEvent = s.Now() })
 	if err := s.Run(2 * f.Slots); err != nil {
 		t.Fatal(err)
 	}
@@ -592,5 +590,53 @@ func TestSteadyStateStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state step allocates %.2f times per slot, want 0", allocs)
+	}
+}
+
+// An At for a slot the stepper has passed runs at the next executed slot,
+// and the stale slot does not leave the cursor scanning: the next event
+// still fires on time and idle slots are still skipped.
+func TestAtPastSlotRunsAtNextExecutedSlot(t *testing.T) {
+	tree, tasks := chainNet(t, 1)
+	sim, err := New(Config{Tree: tree, Frame: frame(), Tasks: tasks, PDR: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	var fired []int
+	sim.At(3, func(s *Simulator) { fired = append(fired, s.Now()) })
+	sim.At(14, func(s *Simulator) { fired = append(fired, s.Now()) })
+	executed := sim.ExecutedSlots()
+	if err := sim.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{10, 14}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("callbacks fired at %v, want %v", fired, want)
+	}
+	if n := sim.ExecutedSlots() - executed; n != 2 {
+		t.Errorf("executed %d slots of an idle run with two callbacks, want 2", n)
+	}
+}
+
+// An At for the current slot, registered from that slot's own callbacks,
+// runs at the next executed slot instead of being dropped.
+func TestAtCurrentSlotFromCallbackRunsNextSlot(t *testing.T) {
+	tree, tasks := chainNet(t, 1)
+	sim, err := New(Config{Tree: tree, Frame: frame(), Tasks: tasks, PDR: 1, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired []int
+	sim.At(5, func(s *Simulator) {
+		fired = append(fired, s.Now())
+		s.At(s.Now(), func(s *Simulator) { fired = append(fired, s.Now()) })
+	})
+	if err := sim.Run(20); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{5, 6}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("callbacks fired at %v, want %v", fired, want)
 	}
 }

@@ -103,15 +103,6 @@ func (s *Series) Add(x, y float64) {
 	s.Points = append(s.Points, Point{X: x, Y: y})
 }
 
-// Ys returns the y values in order.
-func (s *Series) Ys() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Y
-	}
-	return out
-}
-
 // Table renders rows of experiment output as fixed-width text.
 type Table struct {
 	Title   string

@@ -155,9 +155,8 @@ func TestSeries(t *testing.T) {
 	if len(s.Points) != 2 {
 		t.Fatal("Add failed")
 	}
-	ys := s.Ys()
-	if ys[0] != 0 || ys[1] != 0.5 {
-		t.Errorf("Ys = %v", ys)
+	if s.Points[0].Y != 0 || s.Points[1].Y != 0.5 {
+		t.Errorf("Points = %v", s.Points)
 	}
 }
 

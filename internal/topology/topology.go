@@ -74,22 +74,20 @@ type node struct {
 // safe once construction is complete.
 //
 // Every node also carries a stable dense index in [0, IndexCap()): the
-// gateway is always index 0, AddNode assigns the lowest free slot, and the
-// index survives Reparent (node identity, not position, owns the slot).
+// gateway is always index 0, AddNode assigns the next slot, and the index
+// survives Reparent (node identity, not position, owns the slot).
 // Downstream layers size flat slices by IndexCap and address per-node state
 // by Index instead of map lookups.
 type Tree struct {
 	nodes map[NodeID]*node
-	order []NodeID // dense index -> NodeID; None marks a freed slot
+	order []NodeID // dense index -> NodeID
 	index map[NodeID]int32
-	free  []int32 // freed slots, reused lowest-first
 }
 
 // Errors reported by tree mutations and queries.
 var (
 	ErrDuplicateNode = errors.New("topology: node already exists")
 	ErrUnknownNode   = errors.New("topology: unknown node")
-	ErrNotLeaf       = errors.New("topology: node has children")
 	ErrCycle         = errors.New("topology: reparenting would create a cycle")
 	ErrGateway       = errors.New("topology: operation not valid for the gateway")
 )
@@ -101,34 +99,6 @@ func New() *Tree {
 	t.order = append(t.order, GatewayID)
 	t.index[GatewayID] = 0
 	return t
-}
-
-// assignIndex gives id the lowest free dense slot.
-func (t *Tree) assignIndex(id NodeID) {
-	if len(t.free) > 0 {
-		// The free list is kept sorted descending so the lowest slot pops
-		// from the tail in O(1).
-		slot := t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
-		t.order[slot] = id
-		t.index[id] = slot
-		return
-	}
-	t.index[id] = int32(len(t.order))
-	t.order = append(t.order, id)
-}
-
-// releaseIndex returns id's dense slot to the free list.
-func (t *Tree) releaseIndex(id NodeID) {
-	slot := t.index[id]
-	t.order[slot] = None
-	delete(t.index, id)
-	t.free = append(t.free, slot)
-	// Insertion-sort the new slot into the descending free list; churn
-	// removes few nodes at a time, so the list stays short.
-	for i := len(t.free) - 1; i > 0 && t.free[i] > t.free[i-1]; i-- {
-		t.free[i], t.free[i-1] = t.free[i-1], t.free[i]
-	}
 }
 
 // AddNode attaches a new node under parent. The new node's depth (and hence
@@ -143,28 +113,8 @@ func (t *Tree) AddNode(id NodeID, parent NodeID) error {
 	}
 	t.nodes[id] = &node{id: id, parent: parent, depth: p.depth + 1}
 	p.children = append(p.children, id)
-	t.assignIndex(id)
-	return nil
-}
-
-// RemoveLeaf detaches a leaf node (a node-leave event). Removing an interior
-// node is rejected: callers must first reparent or remove its descendants,
-// mirroring how a real network handles the orphaned subtree.
-func (t *Tree) RemoveLeaf(id NodeID) error {
-	n, ok := t.nodes[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
-	}
-	if id == GatewayID {
-		return ErrGateway
-	}
-	if len(n.children) > 0 {
-		return fmt.Errorf("%w: %d", ErrNotLeaf, id)
-	}
-	p := t.nodes[n.parent]
-	p.children = removeID(p.children, id)
-	delete(t.nodes, id)
-	t.releaseIndex(id)
+	t.index[id] = int32(len(t.order))
+	t.order = append(t.order, id)
 	return nil
 }
 
@@ -224,13 +174,9 @@ func (t *Tree) Has(id NodeID) bool {
 // Len returns the number of nodes, including the gateway.
 func (t *Tree) Len() int { return len(t.nodes) }
 
-// NumNodes returns the number of nodes, including the gateway. It is an
-// alias of Len named for the dense-index API.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
 // Index returns the node's stable dense index in [0, IndexCap()), or -1 if
 // the node does not exist. The gateway is always 0. The index is stable
-// across Reparent and is only recycled after RemoveLeaf.
+// across Reparent.
 func (t *Tree) Index(id NodeID) int {
 	i, ok := t.index[id]
 	if !ok {
@@ -241,12 +187,11 @@ func (t *Tree) Index(id NodeID) int {
 
 // IndexCap returns the exclusive upper bound of live dense indices: flat
 // per-node slices sized IndexCap can be addressed by Index for every
-// current node. IndexCap >= NumNodes, with equality when no removed slot
-// is awaiting reuse.
+// current node. Nodes are never removed, so IndexCap equals Len.
 func (t *Tree) IndexCap() int { return len(t.order) }
 
 // NodeAt returns the node occupying dense index i, or None if i is out of
-// range or the slot is freed.
+// range.
 func (t *Tree) NodeAt(i int) NodeID {
 	if i < 0 || i >= len(t.order) {
 		return None
@@ -301,10 +246,6 @@ func (t *Tree) LinkLayer(id NodeID) (int, error) {
 	return d + 1, nil
 }
 
-// LayerOf returns the layer of the (directed) links between node id and its
-// parent, i.e. the node's own depth.
-func (t *Tree) LayerOf(id NodeID) (int, error) { return t.Depth(id) }
-
 // MaxLayer returns the largest link layer in the whole tree (the network's
 // hop depth).
 func (t *Tree) MaxLayer() int {
@@ -338,7 +279,7 @@ func (t *Tree) SubtreeMaxLayer(id NodeID) (int, error) {
 }
 
 // SubtreeMaxLayers returns SubtreeMaxLayer for every node at once, indexed
-// by dense index (freed slots hold 0): one post-order walk from the gateway
+// by dense index: one post-order walk from the gateway
 // instead of one subtree walk per node.
 func (t *Tree) SubtreeMaxLayers() []int {
 	out := make([]int, len(t.order))
@@ -374,15 +315,6 @@ func (t *Tree) Subtree(id NodeID) ([]NodeID, error) {
 	walk(id)
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out, nil
-}
-
-// SubtreeSize returns the number of nodes in the subtree rooted at id.
-func (t *Tree) SubtreeSize(id NodeID) (int, error) {
-	sub, err := t.Subtree(id)
-	if err != nil {
-		return 0, err
-	}
-	return len(sub), nil
 }
 
 // Nodes returns all node IDs, sorted.
@@ -468,22 +400,14 @@ func (t *Tree) Validate() error {
 			return fmt.Errorf("topology: node %d depth %d, parent depth %d", id, n.depth, p.depth)
 		}
 	}
-	// Dense-index bookkeeping: every node owns exactly one live slot and
-	// every slot is either owned or on the free list.
-	if len(t.index) != len(t.nodes) {
-		return fmt.Errorf("topology: %d indexed of %d nodes", len(t.index), len(t.nodes))
-	}
-	if len(t.order) != len(t.nodes)+len(t.free) {
-		return fmt.Errorf("topology: index cap %d != %d nodes + %d free", len(t.order), len(t.nodes), len(t.free))
+	// Dense-index bookkeeping: every node owns exactly one slot and every
+	// slot is owned.
+	if len(t.index) != len(t.nodes) || len(t.order) != len(t.nodes) {
+		return fmt.Errorf("topology: %d indexed and %d slots for %d nodes", len(t.index), len(t.order), len(t.nodes))
 	}
 	for id, i := range t.index {
 		if i < 0 || int(i) >= len(t.order) || t.order[i] != id {
 			return fmt.Errorf("topology: node %d index %d out of sync", id, i)
-		}
-	}
-	for _, i := range t.free {
-		if i < 0 || int(i) >= len(t.order) || t.order[i] != None {
-			return fmt.Errorf("topology: free slot %d not vacant", i)
 		}
 	}
 	if gi, ok := t.index[GatewayID]; !ok || gi != 0 {
@@ -515,7 +439,6 @@ func (t *Tree) Clone() *Tree {
 		nodes: make(map[NodeID]*node, len(t.nodes)),
 		order: make([]NodeID, len(t.order)),
 		index: make(map[NodeID]int32, len(t.index)),
-		free:  make([]int32, len(t.free)),
 	}
 	for id, n := range t.nodes {
 		children := make([]NodeID, len(n.children))
@@ -523,59 +446,10 @@ func (t *Tree) Clone() *Tree {
 		c.nodes[id] = &node{id: n.id, parent: n.parent, children: children, depth: n.depth}
 	}
 	copy(c.order, t.order)
-	copy(c.free, t.free)
 	for id, i := range t.index {
 		c.index[id] = i
 	}
 	return c
-}
-
-// Dense is an immutable snapshot of the tree laid out in index space.
-// Children of the node at dense index i occupy the contiguous range
-// Children[ChildOff[i]:ChildOff[i+1]] (as dense indices, sorted by NodeID),
-// so traversals touch flat arrays instead of chasing per-node map entries.
-// Freed slots carry Node == None, Parent == -1 and an empty child range.
-// The snapshot does not track later tree mutations.
-type Dense struct {
-	Node     []NodeID // dense index -> NodeID (None for freed slots)
-	Parent   []int32  // dense index -> parent's dense index (-1 for gateway/freed)
-	Depth    []int32  // dense index -> hop count (-1 for freed slots)
-	ChildOff []int32  // length IndexCap+1; child range offsets into Children
-	Children []int32  // concatenated child index ranges
-}
-
-// Dense captures the current tree as a CSR-style snapshot.
-func (t *Tree) Dense() *Dense {
-	capN := len(t.order)
-	d := &Dense{
-		Node:     make([]NodeID, capN),
-		Parent:   make([]int32, capN),
-		Depth:    make([]int32, capN),
-		ChildOff: make([]int32, capN+1),
-		Children: make([]int32, 0, len(t.nodes)-1),
-	}
-	copy(d.Node, t.order)
-	for i := 0; i < capN; i++ {
-		d.ChildOff[i] = int32(len(d.Children))
-		id := t.order[i]
-		if id == None {
-			d.Parent[i] = -1
-			d.Depth[i] = -1
-			continue
-		}
-		n := t.nodes[id]
-		d.Depth[i] = int32(n.depth)
-		if n.parent == None {
-			d.Parent[i] = -1
-		} else {
-			d.Parent[i] = t.index[n.parent]
-		}
-		for _, c := range t.Children(id) {
-			d.Children = append(d.Children, t.index[c])
-		}
-	}
-	d.ChildOff[capN] = int32(len(d.Children))
-	return d
 }
 
 // String renders the tree as an indented outline, one node per line.

@@ -81,8 +81,7 @@ func TestDepthsAndLayers(t *testing.T) {
 }
 
 // TestSubtreeMaxLayersMatchesPerNodeWalk: the one-pass table equals the
-// per-node recursive query on every node, also after a reparent and with a
-// freed dense slot in the table.
+// per-node recursive query on every node, also after a reparent.
 func TestSubtreeMaxLayersMatchesPerNodeWalk(t *testing.T) {
 	tr, err := Generate(GenSpec{Nodes: 200, Layers: 6, MaxChildren: 5}, rand.New(rand.NewSource(3)))
 	if err != nil {
@@ -105,13 +104,10 @@ func TestSubtreeMaxLayersMatchesPerNodeWalk(t *testing.T) {
 		}
 	}
 	check("generated")
-	if err := tr.RemoveLeaf(199); err != nil { // the last node added is a leaf
-		t.Fatal(err)
-	}
 	if err := tr.Reparent(5, GatewayID); err != nil { // the backbone's tail moves up
 		t.Fatal(err)
 	}
-	check("after RemoveLeaf and Reparent")
+	check("after Reparent")
 }
 
 func TestSubtreeQueries(t *testing.T) {
@@ -129,11 +125,11 @@ func TestSubtreeQueries(t *testing.T) {
 			t.Fatalf("Subtree(1) = %v, want %v", sub, want)
 		}
 	}
-	if n, _ := tr.SubtreeSize(3); n != 5 {
-		t.Errorf("SubtreeSize(3) = %d, want 5", n)
+	if sub, _ := tr.Subtree(3); len(sub) != 5 {
+		t.Errorf("Subtree(3) has %d nodes, want 5", len(sub))
 	}
-	if n, _ := tr.SubtreeSize(2); n != 1 {
-		t.Errorf("SubtreeSize(2) = %d, want 1", n)
+	if sub, _ := tr.Subtree(2); len(sub) != 1 {
+		t.Errorf("Subtree(2) has %d nodes, want 1", len(sub))
 	}
 	path, err := tr.PathToGateway(8)
 	if err != nil {
@@ -151,28 +147,6 @@ func TestSubtreeQueries(t *testing.T) {
 	}
 	if _, err := tr.Subtree(99); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("want ErrUnknownNode, got %v", err)
-	}
-}
-
-func TestRemoveLeaf(t *testing.T) {
-	tr := mustTree(t, [2]NodeID{1, 0}, [2]NodeID{2, 1})
-	if err := tr.RemoveLeaf(1); !errors.Is(err, ErrNotLeaf) {
-		t.Errorf("want ErrNotLeaf, got %v", err)
-	}
-	if err := tr.RemoveLeaf(GatewayID); !errors.Is(err, ErrGateway) {
-		t.Errorf("want ErrGateway, got %v", err)
-	}
-	if err := tr.RemoveLeaf(2); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Has(2) || !tr.IsLeaf(1) {
-		t.Error("RemoveLeaf left stale state")
-	}
-	if err := tr.RemoveLeaf(2); !errors.Is(err, ErrUnknownNode) {
-		t.Errorf("want ErrUnknownNode, got %v", err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -387,8 +361,8 @@ func TestDenseIndexLifecycle(t *testing.T) {
 	if got := tr.Index(GatewayID); got != 0 {
 		t.Fatalf("gateway index = %d, want 0", got)
 	}
-	if tr.NumNodes() != 5 || tr.IndexCap() != 5 {
-		t.Fatalf("NumNodes=%d IndexCap=%d, want 5/5", tr.NumNodes(), tr.IndexCap())
+	if tr.Len() != 5 || tr.IndexCap() != 5 {
+		t.Fatalf("Len=%d IndexCap=%d, want 5/5", tr.Len(), tr.IndexCap())
 	}
 	for i, id := range []NodeID{0, 1, 2, 3, 4} {
 		if tr.Index(id) != i || tr.NodeAt(i) != id {
@@ -407,33 +381,15 @@ func TestDenseIndexLifecycle(t *testing.T) {
 		t.Fatalf("index of 3 changed across Reparent: %d", tr.Index(3))
 	}
 
-	// RemoveLeaf frees the slot; the next AddNode reuses the lowest one.
-	if err := tr.RemoveLeaf(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.RemoveLeaf(2); err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumNodes() != 3 || tr.IndexCap() != 5 {
-		t.Fatalf("after removals NumNodes=%d IndexCap=%d, want 3/5", tr.NumNodes(), tr.IndexCap())
-	}
-	if tr.NodeAt(2) != None || tr.NodeAt(3) != None {
-		t.Error("freed slots must read None")
-	}
+	// AddNode takes the next slot.
 	if err := tr.AddNode(7, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Index(7); got != 2 {
-		t.Fatalf("reused index = %d, want lowest free slot 2", got)
-	}
-	if err := tr.AddNode(8, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Index(8); got != 3 {
-		t.Fatalf("second reuse index = %d, want 3", got)
+	if got := tr.Index(7); got != 5 || tr.IndexCap() != 6 {
+		t.Fatalf("new node index = %d, IndexCap %d, want 5/6", got, tr.IndexCap())
 	}
 	if err := tr.Validate(); err != nil {
-		t.Fatalf("Validate after index churn: %v", err)
+		t.Fatalf("Validate after index growth: %v", err)
 	}
 
 	// Clone preserves indices exactly.
@@ -445,51 +401,6 @@ func TestDenseIndexLifecycle(t *testing.T) {
 	}
 	if c.IndexCap() != tr.IndexCap() {
 		t.Fatalf("clone IndexCap %d != %d", c.IndexCap(), tr.IndexCap())
-	}
-}
-
-func TestDenseSnapshot(t *testing.T) {
-	tr := Fig1()
-	if err := tr.RemoveLeaf(9); err != nil { // punch a hole in index space
-		t.Fatal(err)
-	}
-	d := tr.Dense()
-	if len(d.ChildOff) != tr.IndexCap()+1 {
-		t.Fatalf("ChildOff length %d, want %d", len(d.ChildOff), tr.IndexCap()+1)
-	}
-	for i := 0; i < tr.IndexCap(); i++ {
-		id := tr.NodeAt(i)
-		if d.Node[i] != id {
-			t.Fatalf("Node[%d]=%d, want %d", i, d.Node[i], id)
-		}
-		kids := d.Children[d.ChildOff[i]:d.ChildOff[i+1]]
-		if id == None {
-			if len(kids) != 0 || d.Parent[i] != -1 || d.Depth[i] != -1 {
-				t.Fatalf("freed slot %d not vacant in snapshot", i)
-			}
-			continue
-		}
-		want := tr.Children(id)
-		if len(kids) != len(want) {
-			t.Fatalf("node %d: %d children in snapshot, want %d", id, len(kids), len(want))
-		}
-		for j, ci := range kids {
-			if tr.NodeAt(int(ci)) != want[j] {
-				t.Fatalf("node %d child %d: snapshot %d, want %d", id, j, tr.NodeAt(int(ci)), want[j])
-			}
-		}
-		dep, _ := tr.Depth(id)
-		if int(d.Depth[i]) != dep {
-			t.Fatalf("node %d depth %d, want %d", id, d.Depth[i], dep)
-		}
-		p, _ := tr.Parent(id)
-		if p == None {
-			if d.Parent[i] != -1 {
-				t.Fatalf("gateway parent %d, want -1", d.Parent[i])
-			}
-		} else if tr.NodeAt(int(d.Parent[i])) != p {
-			t.Fatalf("node %d parent: snapshot %d, want %d", id, tr.NodeAt(int(d.Parent[i])), p)
-		}
 	}
 }
 

@@ -85,12 +85,6 @@ func (s *Set) Add(t Task) error {
 	return nil
 }
 
-// Get returns the task with the given ID.
-func (s *Set) Get(id TaskID) (Task, bool) {
-	t, ok := s.tasks[id]
-	return t, ok
-}
-
 // SetRate updates a task's rate in place — the traffic-change event that
 // drives HARP's dynamic partition adjustment.
 func (s *Set) SetRate(id TaskID, rate float64) error {
@@ -104,12 +98,6 @@ func (s *Set) SetRate(id TaskID, rate float64) error {
 	t.Rate = rate
 	s.tasks[id] = t
 	return nil
-}
-
-// Remove deletes a task (a task-leave event; requirements only decrease, so
-// HARP releases cells locally).
-func (s *Set) Remove(id TaskID) {
-	delete(s.tasks, id)
 }
 
 // Len returns the number of tasks.

@@ -35,7 +35,7 @@ func TestBorrowedMessagePoisonedOnRelease(t *testing.T) {
 	k := &keeper{}
 	bus.Register(1, nopHandler{})
 	bus.Register(2, k)
-	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")
+	msg := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("intf")}
 	msg.Payload = []byte("payload")
 	if err := bus.Send(1, 2, msg); err != nil {
 		t.Fatal(err)

@@ -22,7 +22,7 @@ func (r *failureRecorder) HandleSendFailure(to topology.NodeID, msg coap.Message
 }
 
 func newConRequest(mid uint16, path string) coap.Message {
-	return coap.NewRequest(coap.NonConfirmable, coap.POST, mid, path)
+	return coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: mid, Options: coap.PathOptions(path)}
 }
 
 // A clean reliable bus must deliver each message exactly once and settle
@@ -263,7 +263,7 @@ func TestBusDecodeErrorDoesNotBlackholeRun(t *testing.T) {
 	// A corrupt frame, queued by hand the way Send would.
 	bad := &envelope{from: 1, to: 2, fi: bus.slot(1), ti: bus.slot(2), wire: []byte{0xff}, refs: 1}
 	bus.inFlight++
-	bus.clock.Schedule(0.5, func() { bus.deliver(bad, true) })
+	bus.clock.ScheduleIn(0, 0.5, func() { bus.deliver(bad, true) })
 	if err := bus.Send(1, 2, newConRequest(9, "intf")); err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func (m *modelBus) transmit(msg *modelMsg, r *rand.Rand) {
 		at = last + 1e-6
 	}
 	m.lastDelivery[pair] = at
-	m.clock.Schedule(at, func() { m.deliver(msg, true) })
+	m.clock.ScheduleIn(0, at, func() { m.deliver(msg, true) })
 }
 
 func (m *modelBus) startExchange(pair modelPair, msg *modelMsg) {
@@ -138,7 +138,7 @@ func (m *modelBus) startExchange(pair modelPair, msg *modelMsg) {
 	x := &modelExchange{msg: msg, ex: m.params.NewExchange(msg.mid, m.clock.Now(), jitter)}
 	m.outstanding[pair] = x
 	m.transmit(msg, m.rng)
-	x.timer = m.clock.ScheduleCancelable(x.ex.NextAt, func() { m.onTimer(pair, x) })
+	x.timer = m.clock.ScheduleCancelableIn(0, x.ex.NextAt, func() { m.onTimer(pair, x) })
 }
 
 func (m *modelBus) onTimer(pair modelPair, x *modelExchange) {
@@ -147,7 +147,7 @@ func (m *modelBus) onTimer(pair modelPair, x *modelExchange) {
 	}
 	if x.ex.Retransmit(m.clock.Now()) {
 		m.transmit(x.msg, m.retx)
-		x.timer = m.clock.ScheduleCancelable(x.ex.NextAt, func() { m.onTimer(pair, x) })
+		x.timer = m.clock.ScheduleCancelableIn(0, x.ex.NextAt, func() { m.onTimer(pair, x) })
 		return
 	}
 	m.finish(pair, x, true)
@@ -179,7 +179,7 @@ func (m *modelBus) deliver(msg *modelMsg, primary bool) {
 		}
 		if m.dup > 0 && primary && m.faults.Float64() < m.dup {
 			at := m.clock.Now() + m.faults.Float64()*m.slots
-			m.clock.Schedule(at, func() { m.deliver(msg, false) })
+			m.clock.ScheduleIn(0, at, func() { m.deliver(msg, false) })
 		}
 	}
 	if m.reliable {
@@ -292,7 +292,7 @@ func TestBusMatchesPairMapModel(t *testing.T) {
 			var onBus, onModel func()
 			switch r := script.Float64(); {
 			case r < 0.74:
-				msg := coap.NewRequest(coap.NonConfirmable, coap.POST, mid, "intf")
+				msg := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: mid, Options: coap.PathOptions("intf")}
 				msg.Payload = []byte{byte(i)}
 				onBus = func() {
 					if err := bus.Send(a, b, msg); err != nil {
@@ -301,7 +301,7 @@ func TestBusMatchesPairMapModel(t *testing.T) {
 				}
 				onModel = func() { model.send(a, b, mid) }
 			case r < 0.82:
-				probe := coap.NewRequest(coap.NonConfirmable, coap.POST, mid, "ka")
+				probe := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: mid, Options: coap.PathOptions("ka")}
 				onBus = func() {
 					if err := bus.SendBackground(a, b, probe); err != nil {
 						t.Error(err)
@@ -319,8 +319,8 @@ func TestBusMatchesPairMapModel(t *testing.T) {
 				onBus = func() { bus.SetLinkUp(a, b) }
 				onModel = func() { delete(model.linkDown, modelPair{a, b}); delete(model.linkDown, modelPair{b, a}) }
 			}
-			bus.Clock().Schedule(at, onBus)
-			model.clock.Schedule(at, onModel)
+			bus.Clock().ScheduleIn(0, at, onBus)
+			model.clock.ScheduleIn(0, at, onModel)
 		}
 
 		for step := 0; ; step++ {

@@ -20,7 +20,7 @@ func TestBusTraceCausality(t *testing.T) {
 	a, b := &recorder{}, &recorder{}
 	bus.Register(1, a)
 	bus.Register(2, b)
-	if err := bus.Send(1, 2, coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")); err != nil {
+	if err := bus.Send(1, 2, coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("intf")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bus.Run(); err != nil {
@@ -60,7 +60,7 @@ func TestBusCountZeroAllocs(t *testing.T) {
 	}
 	bus.Register(1, nopHandler{})
 	bus.Register(2, nopHandler{})
-	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")
+	msg := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("intf")}
 	e := &envelope{from: 1, to: 2, fi: bus.slot(1), ti: bus.slot(2)}
 	bus.count(msg, e) // warm the class table and the counter cells
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -84,7 +84,7 @@ func BenchmarkBusDeliverDisabledTracer(b *testing.B) {
 	sink := &recorder{}
 	bus.Register(1, sink)
 	bus.Register(2, sink)
-	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")
+	msg := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("intf")}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -54,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/obs"
@@ -154,7 +153,7 @@ type FaultStats struct {
 // CountKey identifies a message class in the delivery tally: the CoAP
 // method plus the request path — the unit Table II and Fig. 12 count.
 // Keeping the key structured (rather than a formatted string) keeps the
-// per-delivery accounting off the allocator; CountKeys formats on demand.
+// per-delivery accounting off the allocator; String formats on demand.
 type CountKey struct {
 	Code coap.Code
 	Path string
@@ -252,7 +251,7 @@ type Bus struct {
 	bgRNG *rand.Rand
 
 	// metrics is the unified counter registry (internal/obs); the legacy
-	// accessors — Count, CountKeys, Delivered, ParticipantCount, Faults —
+	// accessors — Count, Delivered, ParticipantCount, Faults —
 	// are thin views over it, and co-simulation layers (agents, MAC)
 	// share it so one registry holds a run's whole tally.
 	metrics *obs.Registry
@@ -486,6 +485,8 @@ func (b *Bus) Register(id topology.NodeID, h Handler) {
 }
 
 // Clock returns the virtual clock deliveries are scheduled on.
+//
+//harplint:allow unused the agent tests (detector, crash, leave, view, concurrent) drive a NewBus clock through it
 func (b *Bus) Clock() *vclock.Clock { return b.clock }
 
 // Now returns the current virtual time in slots.
@@ -496,20 +497,13 @@ func (b *Bus) Now() float64 { return b.clock.Now() }
 // (no delivery or retransmission can trigger further sends).
 func (b *Bus) Pending() int { return b.inFlight }
 
-// Err returns the first delivery error, if any. Unlike earlier versions a
-// delivery error no longer stops the bus; see Errors for the full list.
+// Err returns the first delivery error, if any. A delivery error does not
+// stop the bus; later ones are recorded too.
 func (b *Bus) Err() error {
 	if len(b.errs) > 0 {
 		return b.errs[0]
 	}
 	return nil
-}
-
-// Errors returns every delivery error recorded so far.
-func (b *Bus) Errors() []error {
-	out := make([]error, len(b.errs))
-	copy(out, b.errs)
-	return out
 }
 
 // SetFaults configures channel fault injection. Drop/Dup of zero restores
@@ -542,9 +536,6 @@ func (b *Bus) EnableReliabilityWith(p coap.ReliabilityParams, seed int64) {
 	b.params = p
 	b.retxRNG = b.clock.RNG(vclock.StreamRetx, seed)
 }
-
-// Reliable reports whether confirmable-message reliability is on.
-func (b *Bus) Reliable() bool { return b.reliable }
 
 // Crash takes a node off the air: deliveries to it are discarded (counted
 // as CrashDropped) and its own pending sends — outstanding exchanges and
@@ -625,15 +616,6 @@ func (b *Bus) SetLinkUp(x, y topology.NodeID) {
 	}
 	delete(b.linkDown, pairKey(xi, yi))
 	delete(b.linkDown, pairKey(yi, xi))
-}
-
-// LinkDown reports whether deliveries from x to y are currently discarded.
-func (b *Bus) LinkDown(x, y topology.NodeID) bool {
-	if b.linkDown == nil {
-		return false
-	}
-	xi, yi := b.slot(x), b.slot(y)
-	return xi >= 0 && yi >= 0 && b.linkDown[pairKey(xi, yi)]
 }
 
 // Send implements Network: the message is CoAP-encoded and queued with a
@@ -1129,17 +1111,4 @@ func (b *Bus) Faults() FaultStats {
 // all-or-nothing semantics the legacy per-field reset had.
 func (b *Bus) ResetCounters() {
 	b.metrics.Reset()
-}
-
-// CountKeys returns the delivered class keys formatted as "METHOD path"
-// and sorted, for deterministic reporting.
-func (b *Bus) CountKeys() []string {
-	keys := make([]string, 0, len(b.classes))
-	for _, c := range b.classes {
-		if b.metrics.Counter(obs.Key(c.kind)) > 0 {
-			keys = append(keys, c.key.String())
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

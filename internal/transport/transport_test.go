@@ -25,7 +25,7 @@ func (r *recorder) Handle(from topology.NodeID, msg coap.Message) {
 	r.from = append(r.from, from)
 	echo := r.echoTo
 	if echo != 0 && msg.Path() != "echoed" {
-		reply := coap.NewRequest(coap.NonConfirmable, coap.POST, 99, "echoed")
+		reply := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 99, Options: coap.PathOptions("echoed")}
 		_ = r.net.Send(r.self, echo, reply)
 	}
 }
@@ -40,12 +40,12 @@ func TestBusDeliversInOrderAndCounts(t *testing.T) {
 	a, b := &recorder{}, &recorder{}
 	bus.Register(1, a)
 	bus.Register(2, b)
-	m := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")
+	m := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("intf")}
 	m.Payload = []byte("x")
 	if err := bus.Send(1, 2, m); err != nil {
 		t.Fatal(err)
 	}
-	if err := bus.Send(2, 1, coap.NewRequest(coap.NonConfirmable, coap.PUT, 2, "part")); err != nil {
+	if err := bus.Send(2, 1, coap.Message{Type: coap.NonConfirmable, Code: coap.PUT, MessageID: 2, Options: coap.PathOptions("part")}); err != nil {
 		t.Fatal(err)
 	}
 	end, err := bus.Run()
@@ -98,7 +98,7 @@ func TestBusReentrantSend(t *testing.T) {
 	b := &recorder{net: bus, self: 2, echoTo: 1}
 	bus.Register(1, a)
 	bus.Register(2, b)
-	if err := bus.Send(1, 2, coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "ping")); err != nil {
+	if err := bus.Send(1, 2, coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("ping")}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bus.Run(); err != nil {
@@ -124,7 +124,7 @@ func TestBusTimeMonotonic(t *testing.T) {
 	bus.Register(1, h)
 	bus.Register(2, &recorder{})
 	for i := 0; i < 20; i++ {
-		if err := bus.Send(2, 1, coap.NewRequest(coap.NonConfirmable, coap.POST, uint16(i), "t")); err != nil {
+		if err := bus.Send(2, 1, coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: uint16(i), Options: coap.PathOptions("t")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,7 +148,7 @@ func TestBusFIFOPerPair(t *testing.T) {
 	bus.Register(1, sink)
 	bus.Register(2, &recorder{})
 	for i := 0; i < 50; i++ {
-		if err := bus.Send(2, 1, coap.NewRequest(coap.NonConfirmable, coap.POST, uint16(i), "seq")); err != nil {
+		if err := bus.Send(2, 1, coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: uint16(i), Options: coap.PathOptions("seq")}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestBusOnSharedClockRunUntil(t *testing.T) {
 	b := &recorder{net: bus, self: 2, echoTo: 1}
 	bus.Register(1, a)
 	bus.Register(2, b)
-	if err := bus.Send(1, 2, coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "ping")); err != nil {
+	if err := bus.Send(1, 2, coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("ping")}); err != nil {
 		t.Fatal(err)
 	}
 	if bus.Pending() != 1 {
@@ -226,9 +226,9 @@ func TestBusEnvelopePoolZeroAllocs(t *testing.T) {
 	}
 	bus.Register(1, nopHandler{})
 	bus.Register(2, nopHandler{})
-	report := coap.NewRequest(coap.NonConfirmable, coap.POST, 7, "intf")
+	report := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 7, Options: coap.PathOptions("intf")}
 	report.Payload = []byte{0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0}
-	probe := coap.NewRequest(coap.NonConfirmable, coap.POST, 8, "ka")
+	probe := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 8, Options: coap.PathOptions("ka")}
 	exchange := func() {
 		if err := bus.Send(1, 2, report); err != nil {
 			t.Fatal(err)
@@ -267,7 +267,7 @@ func TestBusReliableExchangeAllocs(t *testing.T) {
 	bus.EnableReliability(1)
 	bus.Register(1, nopHandler{})
 	bus.Register(2, nopHandler{})
-	report := coap.NewRequest(coap.NonConfirmable, coap.POST, 0, "intf")
+	report := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 0, Options: coap.PathOptions("intf")}
 	report.Payload = []byte{0, 1, 0, 0}
 	mid := uint16(0)
 	exchange := func() {
@@ -303,7 +303,7 @@ func TestBusUnregisteredSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	bus.Register(1, nopHandler{})
-	msg := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "intf")
+	msg := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("intf")}
 	if err := bus.Send(9, 1, msg); !errors.Is(err, ErrUnknownNode) {
 		t.Errorf("Send from an unregistered node: want ErrUnknownNode, got %v", err)
 	}
@@ -330,7 +330,7 @@ func TestBusStarSenderScales(t *testing.T) {
 		for id := 0; id <= children; id++ {
 			bus.Register(topology.NodeID(id), nopHandler{})
 		}
-		probe := coap.NewRequest(coap.NonConfirmable, coap.POST, 1, "ka")
+		probe := coap.Message{Type: coap.NonConfirmable, Code: coap.POST, MessageID: 1, Options: coap.PathOptions("ka")}
 		round := func() {
 			for c := 1; c <= children; c++ {
 				if err := bus.SendBackground(0, topology.NodeID(c), probe); err != nil {

@@ -39,8 +39,8 @@ import (
 // cancelled event keeps its heap slot (removal from the middle of a heap is
 // O(n)) but carries nil callbacks; the pop path discards it without running
 // anything or advancing time. poolable marks events eligible for the
-// clock's free list: only plain Schedule/ScheduleArgIn events, never
-// ScheduleCancelable ones — a Handle outlives its event's dispatch, and
+// clock's free list: only plain ScheduleIn/ScheduleArgIn events, never
+// ScheduleCancelableIn ones — a Handle outlives its event's dispatch, and
 // recycling the event under a live Handle would let a late Cancel withdraw
 // an unrelated future event.
 //
@@ -196,9 +196,6 @@ func New() *Clock {
 	return &Clock{rngs: make(map[Stream]*rand.Rand), shards: make([]shard, 1)}
 }
 
-// NumShards returns the current shard count (>= 1).
-func (c *Clock) NumShards() int { return len(c.shards) }
-
 // SetShards resizes the clock to n per-shard heaps (n < 1 is clamped to
 // 1). It may only be called while the clock is idle — no pending events —
 // because resizing would otherwise have to rehash queued events across
@@ -262,15 +259,6 @@ func (c *Clock) minShard() int {
 	return best
 }
 
-// NextAt returns the time of the earliest pending event.
-func (c *Clock) NextAt() (float64, bool) {
-	si := c.minShard()
-	if si < 0 {
-		return 0, false
-	}
-	return c.shards[si].heap[0].at, true
-}
-
 // clampShard folds an out-of-range shard index onto shard 0, so callers
 // may route speculatively (e.g. by subtree) without tracking resizes.
 func (c *Clock) clampShard(si int) int {
@@ -290,16 +278,16 @@ func (c *Clock) take() *event {
 	return &event{} //harplint:allow hotpath freelist miss is the cold warm-up path; steady state recycles
 }
 
-// Schedule queues fn at virtual time at, on shard 0. Times in the past are
-// clamped to Now (the event runs next, after already-queued same-time
-// events — seq keeps FIFO order). Safe to call from inside a running
-// event.
-func (c *Clock) Schedule(at float64, fn func()) { c.ScheduleIn(0, at, fn) }
-
-// ScheduleIn queues fn at virtual time at on the given shard. The shard
-// only picks which heap holds the event — dispatch order is shard-blind —
-// so callers route by locality (one root subtree per shard) to keep the
-// heaps small. Out-of-range shards fold onto shard 0.
+// ScheduleIn queues fn at virtual time at on the given shard. Times in the
+// past are clamped to Now (the event runs next, after already-queued
+// same-time events — seq keeps FIFO order). Safe to call from inside a
+// running event. The shard only picks which heap holds the event —
+// dispatch order is shard-blind — so callers route by locality (one root
+// subtree per shard) to keep the heaps small. Out-of-range shards fold
+// onto shard 0. The runtime schedules through ScheduleArgIn and
+// ScheduleCancelableIn; this closure form is what tests use.
+//
+//harplint:allow unused closure-scheduling seam of the vclock, obs, sim and transport tests
 func (c *Clock) ScheduleIn(si int, at float64, fn func()) {
 	if at < c.now {
 		at = c.now
@@ -331,16 +319,11 @@ func (c *Clock) ScheduleArgIn(si int, at float64, prebound func(any), arg any) {
 	c.queued++
 }
 
-// ScheduleCancelable queues fn like Schedule and returns a Handle that can
-// withdraw the event before it runs — the retransmission timers of the
+// ScheduleCancelableIn queues fn like ScheduleIn and returns a Handle that
+// can withdraw the event before it runs — the retransmission timers of the
 // reliable transport cancel themselves when the awaited ACK arrives, so
 // resolved exchanges leave no stale events dragging the virtual time
 // forward.
-func (c *Clock) ScheduleCancelable(at float64, fn func()) *Handle {
-	return c.ScheduleCancelableIn(0, at, fn)
-}
-
-// ScheduleCancelableIn is ScheduleCancelable on an explicit shard.
 func (c *Clock) ScheduleCancelableIn(si int, at float64, fn func()) *Handle {
 	if at < c.now {
 		at = c.now
@@ -370,7 +353,7 @@ func (c *Clock) Step() bool {
 	if e.poolable {
 		// Safe to recycle before the callback runs: the event left the
 		// heap, no Handle references it, and the callback was copied out.
-		// The callback itself may re-take it via Schedule.
+		// The callback itself may re-take it via ScheduleIn.
 		e.poolable = false
 		c.free = append(c.free, e)
 	}

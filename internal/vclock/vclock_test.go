@@ -5,9 +5,9 @@ import "testing"
 func TestRunOrdersByTime(t *testing.T) {
 	c := New()
 	var got []int
-	c.Schedule(3.5, func() { got = append(got, 3) })
-	c.Schedule(1.25, func() { got = append(got, 1) })
-	c.Schedule(2.0, func() { got = append(got, 2) })
+	c.ScheduleIn(0, 3.5, func() { got = append(got, 3) })
+	c.ScheduleIn(0, 1.25, func() { got = append(got, 1) })
+	c.ScheduleIn(0, 2.0, func() { got = append(got, 2) })
 	end := c.Run()
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("run order = %v", got)
@@ -22,7 +22,7 @@ func TestSameTimeTieBreakBySeq(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		c.Schedule(7.0, func() { got = append(got, i) })
+		c.ScheduleIn(0, 7.0, func() { got = append(got, i) })
 	}
 	c.Run()
 	for i, v := range got {
@@ -35,15 +35,15 @@ func TestSameTimeTieBreakBySeq(t *testing.T) {
 func TestScheduleFromInsideEvent(t *testing.T) {
 	c := New()
 	var got []string
-	c.Schedule(1, func() {
+	c.ScheduleIn(0, 1, func() {
 		got = append(got, "a")
 		// Re-entrant schedules: one in the past (clamped to now), one at
 		// now (runs after already-queued same-time events), one later.
-		c.Schedule(0.5, func() { got = append(got, "clamped") })
-		c.Schedule(1, func() { got = append(got, "same") })
-		c.Schedule(2, func() { got = append(got, "later") })
+		c.ScheduleIn(0, 0.5, func() { got = append(got, "clamped") })
+		c.ScheduleIn(0, 1, func() { got = append(got, "same") })
+		c.ScheduleIn(0, 2, func() { got = append(got, "later") })
 	})
-	c.Schedule(1, func() { got = append(got, "b") })
+	c.ScheduleIn(0, 1, func() { got = append(got, "b") })
 	c.Run()
 	want := []string{"a", "b", "clamped", "same", "later"}
 	if len(got) != len(want) {
@@ -62,9 +62,9 @@ func TestScheduleFromInsideEvent(t *testing.T) {
 func TestRunUntilStopsAtBoundary(t *testing.T) {
 	c := New()
 	var got []int
-	c.Schedule(1, func() { got = append(got, 1) })
-	c.Schedule(5, func() { got = append(got, 5) })
-	c.Schedule(10, func() { got = append(got, 10) })
+	c.ScheduleIn(0, 1, func() { got = append(got, 1) })
+	c.ScheduleIn(0, 5, func() { got = append(got, 5) })
+	c.ScheduleIn(0, 10, func() { got = append(got, 10) })
 	c.RunUntil(5)
 	if len(got) != 2 {
 		t.Fatalf("RunUntil(5) ran %v, want the <=5 events", got)
@@ -88,10 +88,10 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 func TestRunUntilRunsEventsScheduledWithinWindow(t *testing.T) {
 	c := New()
 	var got []float64
-	c.Schedule(1, func() {
+	c.ScheduleIn(0, 1, func() {
 		got = append(got, 1)
-		c.Schedule(2, func() { got = append(got, 2) })
-		c.Schedule(4, func() { got = append(got, 4) })
+		c.ScheduleIn(0, 2, func() { got = append(got, 2) })
+		c.ScheduleIn(0, 4, func() { got = append(got, 4) })
 	})
 	c.RunUntil(3)
 	if len(got) != 2 || got[1] != 2 {
@@ -140,9 +140,9 @@ func TestRNGStreamsIndependentAndStable(t *testing.T) {
 func TestCancelableEvents(t *testing.T) {
 	c := New()
 	var ran []string
-	c.Schedule(1, func() { ran = append(ran, "a") })
-	h := c.ScheduleCancelable(2, func() { ran = append(ran, "cancelled") })
-	c.ScheduleCancelable(3, func() { ran = append(ran, "kept") })
+	c.ScheduleIn(0, 1, func() { ran = append(ran, "a") })
+	h := c.ScheduleCancelableIn(0, 2, func() { ran = append(ran, "cancelled") })
+	c.ScheduleCancelableIn(0, 3, func() { ran = append(ran, "kept") })
 	if c.Pending() != 3 {
 		t.Fatalf("Pending = %d, want 3", c.Pending())
 	}
@@ -164,8 +164,8 @@ func TestCancelAllLeavesTimeUntouched(t *testing.T) {
 	// A queue holding only cancelled events is quiescent: Run must not
 	// advance Now to the stale timers' times.
 	c := New()
-	h1 := c.ScheduleCancelable(100, func() { t.Error("cancelled event ran") })
-	h2 := c.ScheduleCancelable(200, func() { t.Error("cancelled event ran") })
+	h1 := c.ScheduleCancelableIn(0, 100, func() { t.Error("cancelled event ran") })
+	h2 := c.ScheduleCancelableIn(0, 200, func() { t.Error("cancelled event ran") })
 	h1.Cancel()
 	h2.Cancel()
 	if c.Pending() != 0 {
@@ -179,7 +179,7 @@ func TestCancelAllLeavesTimeUntouched(t *testing.T) {
 	}
 	// RunUntil skips cancelled events and still advances the boundary.
 	c2 := New()
-	h := c2.ScheduleCancelable(5, func() { t.Error("cancelled event ran") })
+	h := c2.ScheduleCancelableIn(0, 5, func() { t.Error("cancelled event ran") })
 	h.Cancel()
 	c2.RunUntil(10)
 	if c2.Now() != 10 {
@@ -260,7 +260,7 @@ func TestSetShardsGuards(t *testing.T) {
 	if c.NumShards() != 4 {
 		t.Fatalf("shards = %d, want 4", c.NumShards())
 	}
-	c.Schedule(1, func() {})
+	c.ScheduleIn(0, 1, func() {})
 	defer func() {
 		if recover() == nil {
 			t.Error("SetShards with queued events must panic")

@@ -35,7 +35,10 @@ lint:
 # go vet's copylocks check covers, no non-test file under internal/
 # imports sync, sync/atomic or net/http. The third keeps agent state
 # dense: per-node protocol state is per-layer and per-child records, so no
-# non-test file under internal/agent declares a layer-keyed map[int].
+# non-test file under internal/agent declares a layer-keyed map[int]. The
+# last two keep node state off NodeID-keyed maps where the tree's dense
+# index serves: topology.Tree stores its nodes in slices, and the transport
+# and the MAC simulator address per-node state by slot or Tree.Index.
 NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments internal/obs
 guards:
 	@if grep -rnF 'harplint:allow determinism' $(NO_EXEMPT_PKGS); then \
@@ -44,6 +47,10 @@ guards:
 		echo "only internal/parallel may import sync, sync/atomic or net/http under internal/"; exit 1; fi
 	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[int]' internal/agent; then \
 		echo "agent state is per-layer records: no map[int] in internal/agent"; exit 1; fi
+	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[NodeID]' internal/topology; then \
+		echo "the tree stores nodes densely: no map[NodeID] in internal/topology"; exit 1; fi
+	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[topology.NodeID]' internal/transport internal/sim; then \
+		echo "per-node state is addressed by dense index: no map[topology.NodeID] in internal/transport or internal/sim"; exit 1; fi
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

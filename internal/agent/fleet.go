@@ -288,9 +288,6 @@ func (f *Fleet) rehome(node, newParent topology.NodeID, newDemand *traffic.Deman
 	f.treeGen++
 	maxLayers := f.Tree.SubtreeMaxLayers()
 	for i, n := range f.nodes {
-		if n == nil {
-			continue
-		}
 		id := f.Tree.NodeAt(i)
 		parent, err := f.Tree.Parent(id)
 		if err != nil {

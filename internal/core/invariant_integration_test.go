@@ -107,3 +107,83 @@ func TestPlanInvariantsAfterReparent(t *testing.T) {
 		t.Fatalf("invariants violated after reparent: %v", err)
 	}
 }
+
+// TestReparentAfterEscalation: an escalation below node 1 must leave node
+// 1's recorded interface at the grown size, and a reparent of node 1 that
+// follows must re-host its subtree cleanly. Tripling link 8 outgrows node
+// 5's layer-3 partition, so node 1 recomposes its layer-3 component and the
+// gateway grants it a larger partition; the interface node 1 reports at
+// that layer must match the grant, or anything re-hosting the recorded
+// interface would place a smaller component than the subtree holds. Then
+// node 1 moves under node 3 with its whole subtree: the plan must stay
+// invariant-clean with every link holding its demand.
+func TestReparentAfterEscalation(t *testing.T) {
+	tree := topology.Fig1()
+	plan := echoPlan(t, tree, 1)
+	const x, layer = topology.NodeID(1), 3
+	comp := func() core.Component {
+		t.Helper()
+		iface, ok := plan.InterfaceOf(x, topology.Uplink)
+		if !ok {
+			t.Fatalf("node %d has no interface", x)
+		}
+		c, ok := iface.Component(layer)
+		if !ok {
+			t.Fatalf("node %d interface %v has no layer %d", x, iface, layer)
+		}
+		return c
+	}
+	before := comp()
+
+	l8 := topology.Link{Child: 8, Direction: topology.Uplink}
+	adj, err := plan.SetLinkDemand(l8, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adj.Case != core.CasePartitionUpdate {
+		t.Fatalf("tripling link 8: case %v, want a partition update", adj.Case)
+	}
+	grown := comp()
+	part, ok := plan.Partition(x, layer, topology.Uplink)
+	if !ok {
+		t.Fatalf("node %d holds no layer-%d partition", x, layer)
+	}
+	if grown.Cells() <= before.Cells() || grown.Slots != part.Slots || grown.Channels != part.Channels {
+		t.Fatalf("node %d layer-%d interface %+v (was %+v), granted partition %v: the escalation's growth is not recorded",
+			x, layer, grown, before, part)
+	}
+
+	// The post-move echo demand, with link 8 keeping its raised demand.
+	clone := tree.Clone()
+	if err := clone.Reparent(x, 3); err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := traffic.UniformEcho(clone, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand, err := traffic.Compute(clone, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := make(map[topology.Link]int)
+	rates := make(map[topology.Link]float64)
+	for _, l := range demand.Links() {
+		cells[l] = demand.Cells(l)
+		if flows := demand.Flows(l); len(flows) > 0 {
+			rates[l] = flows[0].Task.Rate
+		}
+	}
+	cells[l8], rates[l8] = 3, 3
+	if _, err := plan.Reparent(x, 3, cells, rates); err != nil {
+		t.Fatal(err)
+	}
+	if err := invariant.CheckPlan(plan); err != nil {
+		t.Fatalf("invariants violated after reparent: %v", err)
+	}
+	for l, want := range cells {
+		if got := len(plan.CellsOf(l)); got != want {
+			t.Errorf("link %v: %d cells after reparent, want %d", l, got, want)
+		}
+	}
+}

@@ -158,25 +158,10 @@ func (p *Plan) childLinkDemands(id topology.NodeID, dir topology.Direction) []Li
 	return out
 }
 
-// nodesByDepthDesc returns all node IDs ordered deepest-first — the
-// bottom-up interface generation order.
-func (p *Plan) nodesByDepthDesc() []topology.NodeID {
-	ids := p.Tree.Nodes()
-	sort.Slice(ids, func(i, j int) bool {
-		di, _ := p.Tree.Depth(ids[i]) //harplint:allow errcheck — ids come from the tree itself
-		dj, _ := p.Tree.Depth(ids[j]) //harplint:allow errcheck
-		if di != dj {
-			return di > dj
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
-}
-
 // buildInterfaces runs the bottom-up resource interface generation (§IV-B)
 // for both directions.
 func (p *Plan) buildInterfaces() error {
-	for _, id := range p.nodesByDepthDesc() {
+	for _, id := range p.Tree.DeepestFirst() {
 		if p.Tree.IsLeaf(id) {
 			continue
 		}

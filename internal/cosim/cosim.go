@@ -106,7 +106,7 @@ func subtreeShardRouter(tree *topology.Tree, shards int) func(topology.NodeID) i
 	}
 	for i := 0; i < tree.IndexCap(); i++ {
 		id := tree.NodeAt(i)
-		if id == topology.None || id == topology.GatewayID {
+		if id == topology.GatewayID {
 			continue
 		}
 		cur := id

@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-
-	"github.com/harpnet/harp/internal/topology"
 )
 
 // TestUnroutableReleaseDropsRecord pins the accounting contract: every
@@ -19,7 +17,7 @@ func TestUnroutableReleaseDropsRecord(t *testing.T) {
 	}
 	// Wipe the cached route (white-box): the release path must handle a
 	// missing entry as a counted drop, not a silent leak.
-	delete(s.upRoutes, 2)
+	s.endpoint(2).up = nil
 	s.release(s.taskState[2].task)
 
 	recs := s.Records()
@@ -48,7 +46,7 @@ func TestUnroutableDownlinkDropsRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetSchedule(harpSchedule(t, tree, tasks, f))
-	delete(s.downRoutes, topology.NodeID(2))
+	s.endpoint(2).down = nil
 	if err := s.RunSlotframes(2); err != nil {
 		t.Fatal(err)
 	}

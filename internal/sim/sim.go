@@ -176,13 +176,11 @@ type Simulator struct {
 	// Route caches: the tree is immutable for the simulator's lifetime, so
 	// per-packet routes are computed once per task endpoint at construction
 	// and shared between packets. advance only moves a packet's hop cursor,
-	// never writes through the arrays, which makes the sharing safe. upLinkQ and
-	// downLinkQ are the parallel queue-index sequences packets carry in
-	// linkQ (upLinkQ[src][0] is the source's own uplink queue).
-	upRoutes   map[topology.NodeID][]topology.NodeID
-	downRoutes map[topology.NodeID][]topology.NodeID
-	upLinkQ    map[topology.NodeID][]int
-	downLinkQ  map[topology.NodeID][]int
+	// never writes through the arrays, which makes the sharing safe.
+	// routeOf, indexed by the tree's dense node index, holds the node's
+	// entry in routes (-1: no task starts or ends there).
+	routeOf []int32
+	routes  []endpointRoutes
 
 	// pool recycles delivered and dropped packets so steady-state traffic
 	// allocates nothing per packet.
@@ -191,12 +189,13 @@ type Simulator struct {
 	// Scratch state reused by transmit every slot, so the hot path does
 	// not allocate. Node commitments live in dense generation-stamped
 	// arrays (an entry is valid only when its stamp equals the current
-	// epoch), so "clearing" them is one counter increment per slot; node
-	// ids map to array indices via nodeIx, resolved once at SetSchedule.
+	// epoch), so "clearing" them is one counter increment per slot;
+	// nodeIx, indexed by the tree's dense node index, holds a node's array
+	// index (-1: in no cell yet), resolved once at SetSchedule.
 	// usersCh counts same-channel senders within the slot (co-cell
 	// contention — all cells of one slot share the slot coordinate, so the
 	// channel alone keys a cell). attemptsBuf is truncated per slot.
-	nodeIx      map[topology.NodeID]int
+	nodeIx      []int32
 	commitOf    []commitment
 	commitGen   []uint64
 	commitEpoch uint64
@@ -277,6 +276,17 @@ type Simulator struct {
 	// appends a PacketRecord, and every record must end Delivered or
 	// Dropped — a record in neither state deflates loss ratios silently.
 	Unroutable int
+}
+
+// endpointRoutes is what one task endpoint caches: up is the next-hop
+// sequence from the node to the gateway (nil unless a task's source is
+// there) and down the hop sequence from the gateway to the node (nil unless
+// a task's actuator is there). upQ and downQ are the parallel queue-index
+// sequences packets carry in linkQ (upQ[0] is the source's own uplink
+// queue).
+type endpointRoutes struct {
+	up, down   []topology.NodeID
+	upQ, downQ []int
 }
 
 type scheduledCell struct {
@@ -367,10 +377,15 @@ func New(cfg Config) (*Simulator, error) {
 		maxQueue:    maxQueue,
 		taskState:   make(map[traffic.TaskID]*taskGen),
 		events:      make(map[int][]func(*Simulator)),
-		nodeIx:      make(map[topology.NodeID]int),
+		routeOf:     make([]int32, cfg.Tree.IndexCap()),
+		nodeIx:      make([]int32, cfg.Tree.IndexCap()),
 		usersCh:     make([]int, cfg.Frame.Channels),
 		busyCount:   make([]int, cfg.Frame.Slots),
 		busyBits:    make([]uint64, bitset.Words(cfg.Frame.Slots)),
+	}
+	for i := range s.routeOf {
+		s.routeOf[i] = -1
+		s.nodeIx[i] = -1
 	}
 	for _, t := range cfg.Tasks.Tasks() { // Tasks() is sorted by ID
 		st := &taskGen{task: t}
@@ -386,23 +401,16 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // cacheRoutes precomputes the task's uplink and downlink hop sequences.
-// The task set is fixed at construction, so these two maps cover every
-// packet the run can release.
+// The task set is fixed at construction, so these cover every packet the
+// run can release.
 func (s *Simulator) cacheRoutes(t traffic.Task) error {
-	if s.upRoutes == nil {
-		s.upRoutes = make(map[topology.NodeID][]topology.NodeID)
-		s.downRoutes = make(map[topology.NodeID][]topology.NodeID)
-		s.upLinkQ = make(map[topology.NodeID][]int)
-		s.downLinkQ = make(map[topology.NodeID][]int)
-	}
 	if t.Source != topology.GatewayID {
-		if _, ok := s.upRoutes[t.Source]; !ok {
+		if e := s.endpointFor(t.Source); e.up == nil {
 			path, err := s.tree.PathToGateway(t.Source)
 			if err != nil {
 				return err
 			}
 			route := path[1:] // next hops: parent ... gateway
-			s.upRoutes[t.Source] = route
 			// Queue-index sequence: the source's own uplink queue, then
 			// each intermediate hop's (the gateway receives, never relays
 			// up, so the last route entry has no queue of its own).
@@ -411,11 +419,11 @@ func (s *Simulator) cacheRoutes(t traffic.Task) error {
 			for i := 0; i+1 < len(route); i++ {
 				lq[i+1] = s.qindex(topology.Link{Child: route[i], Direction: topology.Uplink})
 			}
-			s.upLinkQ[t.Source] = lq
+			e.up, e.upQ = route, lq
 		}
 	}
 	if t.Actuator != topology.GatewayID {
-		if _, ok := s.downRoutes[t.Actuator]; !ok {
+		if e := s.endpointFor(t.Actuator); e.down == nil {
 			path, err := s.tree.PathToGateway(t.Actuator)
 			if err != nil {
 				return err
@@ -425,12 +433,34 @@ func (s *Simulator) cacheRoutes(t traffic.Task) error {
 			for i := len(path) - 2; i >= 0; i-- {
 				route = append(route, path[i])
 			}
-			s.downRoutes[t.Actuator] = route
 			lq := make([]int, len(route))
 			for i, n := range route {
 				lq[i] = s.qindex(topology.Link{Child: n, Direction: topology.Downlink})
 			}
-			s.downLinkQ[t.Actuator] = lq
+			e.down, e.downQ = route, lq
+		}
+	}
+	return nil
+}
+
+// endpointFor returns node n's route-cache entry, adding an empty one on
+// first sight. n must be in the tree. The pointer is valid until the next
+// new entry.
+func (s *Simulator) endpointFor(n topology.NodeID) *endpointRoutes {
+	i := s.tree.Index(n)
+	if s.routeOf[i] < 0 {
+		s.routeOf[i] = int32(len(s.routes))
+		s.routes = append(s.routes, endpointRoutes{})
+	}
+	return &s.routes[s.routeOf[i]]
+}
+
+// endpoint returns node n's route-cache entry, or nil if no task starts or
+// ends there.
+func (s *Simulator) endpoint(n topology.NodeID) *endpointRoutes {
+	if i := s.tree.Index(n); i >= 0 && i < len(s.routeOf) {
+		if r := s.routeOf[i]; r >= 0 {
+			return &s.routes[r]
 		}
 	}
 	return nil
@@ -451,13 +481,18 @@ func (s *Simulator) qindex(l topology.Link) int {
 }
 
 // nodeIndex returns the node's dense commitment-array index, growing the
-// arrays on first sight. Called only at SetSchedule time.
+// arrays on first sight. n must be in the tree. Called only at SetSchedule
+// time.
 func (s *Simulator) nodeIndex(n topology.NodeID) int {
-	if ix, ok := s.nodeIx[n]; ok {
-		return ix
+	i := s.tree.Index(n)
+	for i >= len(s.nodeIx) { // the tree grew after New
+		s.nodeIx = append(s.nodeIx, -1)
+	}
+	if ix := s.nodeIx[i]; ix >= 0 {
+		return int(ix)
 	}
 	ix := len(s.commitOf)
-	s.nodeIx[n] = ix
+	s.nodeIx[i] = int32(ix)
 	s.commitOf = append(s.commitOf, commitment{})
 	s.commitGen = append(s.commitGen, 0)
 	return ix
@@ -909,8 +944,8 @@ func (s *Simulator) release(t traffic.Task) {
 		s.startDownlink(p, t.Actuator)
 		return
 	}
-	route, ok := s.upRoutes[t.Source]
-	if !ok {
+	e := s.endpoint(t.Source)
+	if e == nil || e.up == nil {
 		s.Unroutable++
 		s.records[idx].Dropped = true
 		return
@@ -918,8 +953,8 @@ func (s *Simulator) release(t traffic.Task) {
 	p := s.newPacket()
 	p.task = t.ID
 	p.createdAt = s.now
-	p.route = route
-	p.linkQ = s.upLinkQ[t.Source]
+	p.route = e.up
+	p.linkQ = e.upQ
 	p.dir = topology.Uplink
 	p.echo = true
 	p.actuator = t.Actuator
@@ -933,15 +968,15 @@ func (s *Simulator) startDownlink(p *packet, actuator topology.NodeID) {
 		s.deliver(p)
 		return
 	}
-	route, ok := s.downRoutes[actuator]
-	if !ok {
+	e := s.endpoint(actuator)
+	if e == nil || e.down == nil {
 		s.Unroutable++
 		s.records[p.rec].Dropped = true
 		s.freePacket(p)
 		return
 	}
-	p.route = route
-	p.linkQ = s.downLinkQ[actuator]
+	p.route = e.down
+	p.linkQ = e.downQ
 	p.hop = 0
 	p.dir = topology.Downlink
 	p.echo = false
@@ -975,6 +1010,9 @@ func (s *Simulator) linkNodes(l topology.Link) (topology.NodeID, topology.NodeID
 	parent, err := s.tree.Parent(l.Child)
 	if err != nil {
 		return 0, 0, err
+	}
+	if parent == topology.None {
+		return 0, 0, fmt.Errorf("%w: the gateway has no link to a parent", topology.ErrGateway)
 	}
 	return l.Child, parent, nil
 }

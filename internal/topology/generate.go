@@ -41,6 +41,7 @@ func Generate(spec GenSpec, rng *rand.Rand) (*Tree, error) {
 		return nil, err
 	}
 	t := New()
+	t.reserve(spec.Nodes)
 	next := NodeID(1)
 	// Backbone: gateway -> 1 -> 2 -> ... guaranteeing the target depth.
 	parent := GatewayID
@@ -88,6 +89,7 @@ func GenerateScale(spec GenSpec, rng *rand.Rand) (*Tree, error) {
 		return nil, err
 	}
 	t := New()
+	t.reserve(spec.Nodes)
 	next := NodeID(1)
 	parent := GatewayID
 	for d := 1; d <= spec.Layers; d++ {

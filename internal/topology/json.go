@@ -79,6 +79,7 @@ func (t *Tree) UnmarshalJSON(data []byte) error {
 		return fmt.Errorf("topology: decode: %w", err)
 	}
 	fresh := New()
+	fresh.reserve(len(in.Edges) + 1)
 	pending := append([]edgeJSON(nil), in.Edges...)
 	for len(pending) > 0 {
 		progressed := false

@@ -188,11 +188,12 @@ type Bus struct {
 	rng   *rand.Rand
 
 	// nodes holds per-node state in dense slots assigned in Register
-	// order; nodeIdx maps a NodeID to its slot. Callers register in a
-	// deterministic order (Fleet.Deploy walks tree.Nodes()), so slot
-	// assignment is reproducible.
+	// order; nodeIdx, indexed by NodeID, holds each node's slot (-1 for an
+	// unregistered ID). Callers register in a deterministic order
+	// (Fleet.Deploy walks tree.Nodes()), so slot assignment is
+	// reproducible.
 	nodes   []busNode
-	nodeIdx map[topology.NodeID]int32
+	nodeIdx []int32
 
 	// inFlight counts messages whose outcome is unsettled; co-simulation
 	// harnesses poll it (Pending) to detect protocol quiescence. An
@@ -383,8 +384,8 @@ func (b *Bus) peerFor(fi, ti int32) *peer {
 
 // slot returns the dense slot of a registered node, or -1.
 func (b *Bus) slot(id topology.NodeID) int32 {
-	if i, ok := b.nodeIdx[id]; ok {
-		return i
+	if uint(id) < uint(len(b.nodeIdx)) {
+		return b.nodeIdx[id]
 	}
 	return -1
 }
@@ -444,7 +445,6 @@ func NewBusOnClock(c *vclock.Clock, slotframeSlots int, seed int64) (*Bus, error
 	}
 	b := &Bus{
 		clock:       c,
-		nodeIdx:     make(map[topology.NodeID]int32),
 		rng:         c.RNG(vclock.StreamBus, seed),
 		slotsPerHop: slotframeSlots,
 		metrics:     obs.NewRegistry(),
@@ -474,11 +474,18 @@ func (b *Bus) SetTracer(t *obs.Tracer) { b.tracer = t }
 func (b *Bus) Metrics() *obs.Registry { return b.metrics }
 
 // Register attaches a node's handler, assigning the node the next dense
-// slot (re-registering an id replaces its handler in place).
+// slot (re-registering an id replaces its handler in place). Node IDs are
+// non-negative (see topology.NodeID); a negative one panics.
 func (b *Bus) Register(id topology.NodeID, h Handler) {
-	if i, ok := b.nodeIdx[id]; ok {
+	if id < 0 {
+		panic(fmt.Sprintf("transport: Register of negative node ID %d", id))
+	}
+	if i := b.slot(id); i >= 0 {
 		b.nodes[i].handler = h
 		return
+	}
+	for int(id) >= len(b.nodeIdx) {
+		b.nodeIdx = append(b.nodeIdx, -1)
 	}
 	b.nodeIdx[id] = int32(len(b.nodes))
 	b.nodes = append(b.nodes, busNode{id: id, handler: h})

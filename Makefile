@@ -36,9 +36,11 @@ lint:
 # imports sync, sync/atomic or net/http. The third keeps agent state
 # dense: per-node protocol state is per-layer and per-child records, so no
 # non-test file under internal/agent declares a layer-keyed map[int]. The
-# last two keep node state off NodeID-keyed maps where the tree's dense
-# index serves: topology.Tree stores its nodes in slices, and the transport
-# and the MAC simulator address per-node state by slot or Tree.Index.
+# last three keep node state off NodeID-keyed maps where the tree's dense
+# index serves: topology.Tree stores its nodes in slices, the transport
+# and the MAC simulator address per-node state by slot or Tree.Index, and
+# core's planner and kernels hold per-node slices and child-slot slices
+# (maps keyed by Link, DirLayer or Direction remain).
 NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments internal/obs
 guards:
 	@if grep -rnF 'harplint:allow determinism' $(NO_EXEMPT_PKGS); then \
@@ -51,6 +53,8 @@ guards:
 		echo "the tree stores nodes densely: no map[NodeID] in internal/topology"; exit 1; fi
 	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[topology.NodeID]' internal/transport internal/sim; then \
 		echo "per-node state is addressed by dense index: no map[topology.NodeID] in internal/transport or internal/sim"; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[(topology\.NodeID|int)\]' internal/core; then \
+		echo "core state is per-node and child-slot slices: no map[topology.NodeID] or map[int] in internal/core"; exit 1; fi
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -70,6 +74,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzGridBitset -fuzztime=$(FUZZTIME) ./internal/packing/
 	$(GO) test -run=^$$ -fuzz=FuzzConExchange -fuzztime=$(FUZZTIME) ./internal/coap/
 	$(GO) test -run=^$$ -fuzz=FuzzScheduleConflicts -fuzztime=$(FUZZTIME) ./internal/schedule/
+	$(GO) test -run=^$$ -fuzz=FuzzKernelsMatchMapReference -fuzztime=$(FUZZTIME) ./internal/core/
 
 # The repo's host-time benchmark (five end-to-end workloads, per-layer
 # breakdown); see benchmark/README.md and BENCHMARK.json. Results (as

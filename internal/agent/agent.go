@@ -31,13 +31,12 @@ import (
 // firmware keeps in fixed arrays (iface[MAX_HOP], sp_abs[MAX_HOP],
 // HARP_child_t[MAX_CHILDREN_NUM]).
 type dirState struct {
-	// layers is the window [base, base+len(layers)), sized to [ownLayer,
-	// maxLayer] at a node that hosts children and empty at a leaf. Reads
-	// outside it see an absent layer. Writes go through at, which grows it:
-	// a stale grant can name a layer the node no longer spans (its depth
-	// just changed, or it rebooted into a leaf), and is still installed.
-	base   int
-	layers []layerState
+	// Window holds the per-layer records, sized to [ownLayer, maxLayer] at
+	// a node that hosts children and empty at a leaf. Writes go through At,
+	// which grows it: a stale grant can name a layer the node no longer
+	// spans (its depth just changed, or it rebooted into a leaf), and is
+	// still installed.
+	core.Window[layerState]
 
 	// kids holds one record per child link, in lockstep with Node.children
 	// ("each node only maintains the cell requirements for the links passing
@@ -76,8 +75,10 @@ type layerState struct {
 	stamped bool
 	since   float64
 
-	// layout and comps (core's map types) are the committed composition of
-	// the children's components; writes to comps go through host.
+	// layout and comps are the committed composition of the children's
+	// components; writes to comps go through host. layout is by child slot,
+	// in lockstep with Node.children (insertChild and drop keep it so);
+	// comps is keyed by child and read into slots through kernelComps.
 	layout core.Layout
 	comps  map[topology.NodeID]core.Component
 
@@ -96,6 +97,9 @@ type layerState struct {
 	sent map[topology.NodeID]schedule.Region
 }
 
+// Granted returns the partition granted at the layer, if any.
+func (ls layerState) Granted() (schedule.Region, bool) { return ls.part, ls.hasPart }
+
 // host records child's component in the committed composition.
 func (ls *layerState) host(child topology.NodeID, comp core.Component) {
 	if ls.comps == nil {
@@ -112,14 +116,14 @@ func (ls *layerState) grant(child topology.NodeID, r schedule.Region) {
 	ls.sent[child] = r
 }
 
-// drop forgets a departed child: committed and pending composition, queued
-// requests and the send cache alike, so a grant arriving after the leave
-// cannot commit it back.
-func (ls *layerState) drop(child topology.NodeID) {
+// drop forgets a departed child, which held the given slot: committed and
+// pending composition, queued requests and the send cache alike, so a
+// grant arriving after the leave cannot commit it back.
+func (ls *layerState) drop(slot int, child topology.NodeID) {
 	delete(ls.comps, child)
-	delete(ls.layout, child)
+	ls.layout = core.DeleteSlot(ls.layout, slot)
 	delete(ls.pendingComps, child)
-	delete(ls.pendingLayout, child)
+	ls.pendingLayout = core.DeleteSlot(ls.pendingLayout, slot)
 	delete(ls.sent, child)
 	ls.deferred = slices.DeleteFunc(ls.deferred, func(da deferredAdjust) bool { return da.from == child })
 }
@@ -158,45 +162,6 @@ type deferredAdjust struct {
 type demandSnapshot struct {
 	cells   int
 	topRate float64
-}
-
-// layer returns layer l's record, or nil when l lies outside the window.
-func (st *dirState) layer(l int) *layerState {
-	if i := l - st.base; i >= 0 && i < len(st.layers) {
-		return &st.layers[i]
-	}
-	return nil
-}
-
-// part returns the partition granted at layer l, if any.
-func (st *dirState) part(l int) (schedule.Region, bool) {
-	if ls := st.layer(l); ls != nil && ls.hasPart {
-		return ls.part, true
-	}
-	return schedule.Region{}, false
-}
-
-// at returns layer l's record for writing, growing the window to cover l.
-// Growing moves the records: a *layerState is not kept across a call that
-// may write another layer.
-func (st *dirState) at(l int) *layerState {
-	st.cover(l, l)
-	return &st.layers[l-st.base]
-}
-
-// cover grows the window to include [lo, hi], keeping the records already
-// there.
-func (st *dirState) cover(lo, hi int) {
-	if len(st.layers) == 0 {
-		st.base = lo
-	}
-	lo, hi = min(lo, st.base), max(hi, st.base+len(st.layers)-1)
-	if lo > hi || (lo == st.base && hi-lo+1 == len(st.layers)) {
-		return
-	}
-	grown := make([]layerState, hi-lo+1)
-	copy(grown[st.base-lo:], st.layers)
-	st.base, st.layers = lo, grown
 }
 
 // Node is one HARP protocol agent.
@@ -416,7 +381,7 @@ func (n *Node) degradeOnce(key giveUpKey) {
 // stampPending records that layer's escalation left at virtual time now and
 // counts it into the fleet's in-flight tally (Fleet.PendingAdjustments).
 func (n *Node) stampPending(st *dirState, layer int, now float64) {
-	ls := st.at(layer)
+	ls := st.At(layer)
 	if !ls.stamped {
 		ls.stamped = true
 		n.sh.pending++
@@ -427,7 +392,7 @@ func (n *Node) stampPending(st *dirState, layer int, now float64) {
 // clearPending drops layer's escalation stamp (committed, unwound or
 // aborted) and takes it out of the fleet's in-flight tally.
 func (n *Node) clearPending(st *dirState, layer int) {
-	if ls := st.layer(layer); ls != nil && ls.stamped {
+	if ls := st.Layer(layer); ls != nil && ls.stamped {
 		ls.stamped, ls.since = false, 0
 		n.sh.pending--
 	}
@@ -452,7 +417,7 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 		st.demandSince = 0
 	}
 	n.clearPending(st, layer)
-	ls := st.layer(layer)
+	ls := st.Layer(layer)
 	if ls == nil {
 		return
 	}
@@ -465,9 +430,9 @@ func (n *Node) unwindPending(d topology.Direction, layer int) {
 	if debugChecks {
 		// The rollback must land on a consistent committed state: the
 		// committed layout still fits the granted partition.
-		if region, ok := st.part(layer); ok && layer != n.ownLayer {
-			ls := st.layer(layer)
-			if !core.LayoutValid(region.Slots, region.Channels, ls.layout, ls.comps) {
+		if region, ok := st.Part(layer); ok && layer != n.ownLayer {
+			ls := st.Layer(layer)
+			if !core.LayoutValid(region.Slots, region.Channels, ls.layout, n.kernelComps(ls.comps)) {
 				panic(fmt.Sprintf("harpdebug: node %d unwind at layer %d %s left an invalid committed layout",
 					n.id, layer, d))
 			}
@@ -498,8 +463,8 @@ func (n *Node) abortStale(now, deadline float64) int {
 		st := n.dir(d)
 		// In layer order, each layer judged once: unwindPending re-stamps
 		// only the layer it unwinds (a deferred replay escalating afresh).
-		for layer := st.base; layer < st.base+len(st.layers); layer++ {
-			if ls := st.layer(layer); ls.stamped && now-ls.since >= deadline {
+		for layer := st.Base; layer < st.Base+len(st.Layers); layer++ {
+			if ls := st.Layer(layer); ls.stamped && now-ls.since >= deadline {
 				abort(d, layer)
 			}
 		}
@@ -602,33 +567,32 @@ func (n *Node) computeAndForwardInterface() {
 func (n *Node) computeInterface(d topology.Direction) {
 	st := n.dir(d)
 	comps := make([]core.Component, 0, n.maxLayer-n.ownLayer+1)
-	demands := make([]int, 0, len(st.kids))
+	total := 0
 	for _, k := range st.kids {
-		demands = append(demands, k.demand)
+		total += k.demand
 	}
-	comps = append(comps, core.OwnLayerComponent(demands))
+	comps = append(comps, core.OwnLayerComponent(total))
 	for layer := n.ownLayer + 1; layer <= n.maxLayer; layer++ {
-		children := make([]core.ChildComponent, 0, len(n.nonLeaf))
+		slots := n.sh.kern.Comps[:0]
 		byChild := make(map[topology.NodeID]core.Component)
-		for _, c := range n.nonLeaf {
-			k := n.kid(d, c)
-			if !k.reported {
-				continue
+		for i, c := range n.children {
+			var comp core.Component
+			if _, nonLeaf := slices.BinarySearch(n.nonLeaf, c); nonLeaf && st.kids[i].reported {
+				ci := st.kids[i].iface
+				if idx := layer - ci.FirstLayer; idx >= 0 && idx < len(ci.Comps) && !ci.Comps[idx].Empty() {
+					comp = ci.Comps[idx]
+					byChild[c] = comp
+				}
 			}
-			ci := k.iface
-			idx := layer - ci.FirstLayer
-			if idx < 0 || idx >= len(ci.Comps) || ci.Comps[idx].Empty() {
-				continue
-			}
-			children = append(children, core.ChildComponent{Child: c, Comp: ci.Comps[idx]})
-			byChild[c] = ci.Comps[idx]
+			slots = append(slots, comp)
 		}
-		comp, layout, err := core.Compose(children, n.sh.frame.Channels)
+		n.sh.kern.Comps = slots
+		comp, layout, err := core.Compose(slots, n.sh.frame.Channels)
 		if err != nil {
-			comp, layout = core.Component{}, core.Layout{}
+			comp, layout = core.Component{}, nil
 		}
 		comps = append(comps, comp)
-		ls := st.at(layer)
+		ls := st.At(layer)
 		ls.layout, ls.comps = layout, byChild
 	}
 	st.iface = proto.DirInterface{FirstLayer: n.ownLayer, Comps: comps}
@@ -644,7 +608,7 @@ func (n *Node) allocateRoot() {
 		return
 	}
 	for dl, region := range alloc.Partitions {
-		ls := n.dir(dl.Direction).at(dl.Layer)
+		ls := n.dir(dl.Direction).At(dl.Layer)
 		ls.part, ls.hasPart = region, true
 	}
 	n.settle()
@@ -657,8 +621,8 @@ func (n *Node) settle() {
 	grants := make(map[topology.NodeID][]proto.PartitionEntry)
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		for i := range st.layers {
-			ls, layer := &st.layers[i], st.base+i
+		for i := range st.Layers {
+			ls, layer := &st.Layers[i], st.Base+i
 			if !ls.hasPart {
 				continue
 			}
@@ -666,12 +630,18 @@ func (n *Node) settle() {
 				n.assignOwn(d)
 				continue
 			}
-			if split, err := core.SplitPartition(ls.part, ls.layout, ls.comps); err == nil {
-				for child, r := range split {
+			split, mark, err := n.split(ls)
+			if err == nil {
+				for i, off := range ls.layout {
+					if !off.Placed {
+						continue
+					}
+					child, r := n.children[i], split[i]
 					ls.grant(child, r)
 					grants[child] = append(grants[child], proto.PartitionEntry{Direction: d, Layer: layer, Region: r})
 				}
 			}
+			n.sh.kern.PopRegions(mark)
 			n.debugCheckGrants("settle", d, layer)
 		}
 	}
@@ -691,7 +661,7 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 	if n.settledOnce {
 		dup := true
 		for _, e := range m.Entries {
-			if cur, ok := n.dir(e.Direction).part(e.Layer); !ok || cur != e.Region {
+			if cur, ok := n.dir(e.Direction).Part(e.Layer); !ok || cur != e.Region {
 				dup = false
 				break
 			}
@@ -702,7 +672,7 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 	}
 	n.settledOnce = true
 	for _, e := range m.Entries {
-		ls := n.dir(e.Direction).at(e.Layer)
+		ls := n.dir(e.Direction).At(e.Layer)
 		ls.part, ls.hasPart = e.Region, true
 	}
 	n.settle()
@@ -712,8 +682,9 @@ func (n *Node) onPartitionSet(m proto.PartitionSet) {
 // children whose cells changed.
 func (n *Node) assignOwn(d topology.Direction) {
 	st := n.dir(d)
-	region, ok := st.part(n.ownLayer)
-	demands := make([]core.LinkDemand, 0, len(n.children))
+	region, ok := st.Part(n.ownLayer)
+	kern := &n.sh.kern
+	demands := kern.Demands[:0]
 	total := 0
 	for i, c := range n.children {
 		k := &st.kids[i]
@@ -724,6 +695,7 @@ func (n *Node) assignOwn(d topology.Direction) {
 		})
 		total += k.demand
 	}
+	kern.Demands = demands
 	if !ok {
 		if total == 0 {
 			for i := range st.kids {
@@ -733,8 +705,8 @@ func (n *Node) assignOwn(d topology.Direction) {
 		}
 		return
 	}
-	assignment, err := core.AssignCells(region, demands)
-	if err != nil {
+	runs := kern.RunSlots(len(demands))
+	if err := core.AssignCells(region, demands, runs, &kern.Assign); err != nil {
 		// Mid-adjustment underfit: the demands no longer fit the partition
 		// (an escalation for the growth is in flight). The region itself may
 		// still have moved with this grant, and the vacated slots can
@@ -767,16 +739,24 @@ func (n *Node) assignOwn(d topology.Direction) {
 		return
 	}
 	for i, c := range n.children {
-		next := assignment[topology.Link{Child: c, Direction: d}]
-		if !slices.Equal(st.kids[i].cells, next) {
-			if tr := n.sh.tracer; tr.Enabled() {
-				tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
-					WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(next))))
+		run := runs[i]
+		if run.Matches(region, st.kids[i].cells) {
+			if run.Count == 0 {
+				st.kids[i].cells = nil
 			}
-			n.send(c, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
-				Direction: d, Cells: next,
-			}))
+			continue // unchanged: no message, and the stored slice stays
 		}
+		var next []schedule.Cell
+		if run.Count > 0 {
+			next = run.AppendCells(make([]schedule.Cell, 0, run.Count), region)
+		}
+		if tr := n.sh.tracer; tr.Enabled() {
+			tr.Emit(obs.Ev(obs.KindAgentAssign).WithNode(int(n.id)).WithPeer(int(c)).
+				WithLayer(n.ownLayer).WithDetail(fmt.Sprintf("%s cells=%d", d, len(next))))
+		}
+		n.send(c, coap.POST, optsSchedule, proto.EncodeScheduleNotice(proto.ScheduleNotice{
+			Direction: d, Cells: next,
+		}))
 		st.kids[i].cells = next
 	}
 	n.publish(d)
@@ -808,7 +788,7 @@ func (n *Node) debugCheckAssignments(op string) {
 	}
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		own, hasOwn := st.part(n.ownLayer)
+		own, hasOwn := st.Part(n.ownLayer)
 		for i, child := range n.children {
 			cells := st.kids[i].cells
 			if len(cells) == 0 {
@@ -838,7 +818,7 @@ func (n *Node) debugCheckGrants(op string, d topology.Direction, layer int) {
 	if !debugChecks {
 		return
 	}
-	ls := n.dir(d).layer(layer)
+	ls := n.dir(d).Layer(layer)
 	if ls == nil {
 		return
 	}
@@ -897,7 +877,7 @@ func (n *Node) applyChildDemand(child topology.NodeID, d topology.Direction, cel
 	for i := range st.kids {
 		total += st.kids[i].demand
 	}
-	if region, ok := st.part(n.ownLayer); ok && total <= region.CellCount() {
+	if region, ok := st.Part(n.ownLayer); ok && total <= region.CellCount() {
 		n.assignOwn(d) // Case 1: local schedule update.
 		return
 	}
@@ -986,7 +966,7 @@ func (n *Node) onAdjustRequest(from topology.NodeID, m proto.AdjustRequest) {
 // gateway).
 func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, layer int, comp core.Component) {
 	st := n.dir(d)
-	ls := st.at(layer)
+	ls := st.At(layer)
 	if cur, ok := ls.comps[from]; ok && cur == comp {
 		if _, granted := ls.sent[from]; granted {
 			return // already hosted unchanged (e.g. a rejoining child): re-laying out would shuffle siblings
@@ -999,16 +979,20 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 		ls.deferred = append(ls.deferred, deferredAdjust{from: from, comp: comp})
 		return
 	}
+	slot, ok := slices.BinarySearch(n.children, from)
+	if !ok {
+		return // only current children are hosted; a departed child's requests left with it
+	}
 	region := ls.part
 	if ls.hasPart {
-		newLayout, moved, fits := core.AdjustLayout(region.Slots, region.Channels, ls.layout, ls.comps, from, comp)
+		newLayout, moved, fits := core.AdjustLayout(region.Slots, region.Channels, ls.layout, n.kernelComps(ls.comps), slot, comp)
 		if fits {
 			ls.host(from, comp)
 			ls.layout = newLayout
-			for _, child := range moved {
-				c := ls.comps[child]
-				off := newLayout[child]
-				r := c.Region(region.Slot+off.Slot, region.Channel+off.Channel)
+			for _, m := range moved {
+				child := n.children[m]
+				off := newLayout[m]
+				r := ls.comps[child].Region(region.Slot+off.Slot, region.Channel+off.Channel)
 				ls.grant(child, r)
 				n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
 					Direction: d, Layer: layer, Region: r,
@@ -1020,7 +1004,7 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 	}
 	if n.isGateway() {
 		// End of the line: extend the layer partition in place.
-		if !n.rootHost(d, layer, from, comp) {
+		if !n.rootHost(d, layer, slot, comp) {
 			n.reject()
 		}
 		return
@@ -1037,7 +1021,7 @@ func (n *Node) hostChildComponent(from topology.NodeID, d topology.Direction, la
 	if ls.hasPart {
 		hostComp = core.Component{Slots: region.Slots, Channels: region.Channels}
 	}
-	grown, layout, ok := core.MinimalExtension(hostComp, ls.layout, ls.comps, from, comp, n.sh.frame.Channels)
+	grown, layout, ok := core.MinimalExtension(hostComp, ls.layout, n.kernelComps(ls.comps), slot, comp, n.sh.frame.Channels)
 	if !ok {
 		n.reject()
 		return
@@ -1121,10 +1105,10 @@ func (n *Node) onChildJoin(m proto.InterfaceReport) {
 func (n *Node) resyncChild(child topology.NodeID) {
 	for _, d := range topology.Directions() {
 		st := n.dir(d)
-		for i := range st.layers {
-			if r, ok := st.layers[i].sent[child]; ok {
+		for i := range st.Layers {
+			if r, ok := st.Layers[i].sent[child]; ok {
 				n.send(child, coap.PUT, optsPartition, proto.EncodePartitionUpdate(proto.PartitionUpdate{
-					Direction: d, Layer: st.base + i, Region: r,
+					Direction: d, Layer: st.Base + i, Region: r,
 				}))
 			}
 		}
@@ -1151,7 +1135,12 @@ func (n *Node) insertChild(c topology.NodeID, nonLeaf bool) {
 	if i, found := slices.BinarySearch(n.children, c); !found {
 		n.children = slices.Insert(n.children, i, c)
 		for d := range n.dirs {
-			n.dirs[d].kids = slices.Insert(n.dirs[d].kids, i, childState{})
+			st := &n.dirs[d]
+			st.kids = slices.Insert(st.kids, i, childState{})
+			for l := range st.Layers {
+				ls := &st.Layers[l]
+				ls.layout, ls.pendingLayout = core.InsertSlot(ls.layout, i), core.InsertSlot(ls.pendingLayout, i)
+			}
 		}
 		n.sizeWindows()
 	}
@@ -1174,8 +1163,8 @@ func (n *Node) removeChild(c topology.NodeID) {
 	for d := range n.dirs {
 		st := &n.dirs[d]
 		st.kids = slices.Delete(st.kids, i, i+1)
-		for l := range st.layers {
-			st.layers[l].drop(c)
+		for l := range st.Layers {
+			st.Layers[l].drop(i, c)
 		}
 		n.publish(topology.Direction(d))
 	}
@@ -1188,8 +1177,29 @@ func (n *Node) sizeWindows() {
 		return
 	}
 	for d := range n.dirs {
-		n.dirs[d].cover(n.ownLayer, n.maxLayer)
+		n.dirs[d].Cover(n.ownLayer, n.maxLayer)
 	}
+}
+
+// kernelComps lays a layer's child components out by child slot, in the
+// fleet's scratch: the form the kernels take.
+func (n *Node) kernelComps(byChild map[topology.NodeID]core.Component) []core.Component {
+	comps := n.sh.kern.Comps[:0]
+	for _, c := range n.children {
+		comps = append(comps, byChild[c])
+	}
+	n.sh.kern.Comps = comps
+	return comps
+}
+
+// split divides a layer's partition among the children its layout places
+// (core.SplitPartition), by child slot, into a frame it pushes onto the
+// fleet's region stack and returns with its mark; the caller pops it.
+func (n *Node) split(ls *layerState) ([]schedule.Region, int, error) {
+	kern := &n.sh.kern
+	mark := kern.PushRegions(len(n.children))
+	regions := kern.Regions[mark:]
+	return regions, mark, core.SplitPartition(ls.part, n.children, ls.layout, n.kernelComps(ls.comps), regions)
 }
 
 // Root-level adjustment at the gateway agent uses the centralized planner's
@@ -1200,27 +1210,19 @@ func (n *Node) sizeWindows() {
 // adjustment fits.
 
 // rootParts returns the gateway's current layer partitions per direction,
-// keyed by layer: the form core.ReflowRoot and core.RootHost take. It is
-// built for one root adjustment and dropped. The key type is a parameter
-// (int at every call) so that this package names no layer-keyed map type:
-// make lint rejects one, and core's signature is the one place it remains.
-func rootParts[L ~int](n *Node) [2]map[L]schedule.Region {
-	var parts [2]map[L]schedule.Region
+// in the fleet's kernel scratch: the form core.ReflowRoot and core.RootHost
+// take.
+func (n *Node) rootParts() [2]core.LayerRegions {
+	root := &n.sh.kern.Root
 	for d := range n.dirs {
-		st := &n.dirs[d]
-		parts[d] = make(map[L]schedule.Region, len(st.layers))
-		for i := range st.layers {
-			if ls := &st.layers[i]; ls.hasPart {
-				parts[d][L(st.base+i)] = ls.part
-			}
-		}
+		root[d] = n.dirs[d].Regions(root[d].Regions)
 	}
-	return parts
+	return *root
 }
 
 // rootWiden grows the gateway's own-layer partition to the requested width.
 func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) bool {
-	placements, ok := core.ReflowRoot(rootParts[int](n), core.DirLayer{Direction: d, Layer: layer}, comp, n.sh.frame)
+	placements, ok := core.ReflowRoot(n.rootParts(), core.DirLayer{Direction: d, Layer: layer}, comp, n.sh.frame)
 	if !ok {
 		return false
 	}
@@ -1230,16 +1232,17 @@ func (n *Node) rootWiden(d topology.Direction, layer int, comp core.Component) b
 	return true
 }
 
-// rootHost extends the gateway's layer partition just enough to host a
-// grown child component, keeping that layer's other children in place.
-func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, curComp core.Component) bool {
-	ls := n.dir(d).at(layer)
-	newLayout, placements, ok := core.RootHost(rootParts[int](n), core.DirLayer{Direction: d, Layer: layer},
-		ls.layout, ls.comps, cur, curComp, n.sh.frame)
+// rootHost extends the gateway's layer partition just enough to host the
+// grown component of the child at slot, keeping that layer's other
+// children in place.
+func (n *Node) rootHost(d topology.Direction, layer, slot int, curComp core.Component) bool {
+	ls := n.dir(d).At(layer)
+	newLayout, placements, ok := core.RootHost(n.rootParts(), core.DirLayer{Direction: d, Layer: layer},
+		ls.layout, n.kernelComps(ls.comps), slot, curComp, n.sh.frame)
 	if !ok {
 		return false
 	}
-	ls.host(cur, curComp)
+	ls.host(n.children[slot], curComp)
 	ls.layout = newLayout
 	for _, pl := range placements {
 		// applyPartition skips descendants whose regions are unchanged.
@@ -1255,7 +1258,7 @@ func (n *Node) rootHost(d topology.Direction, layer int, cur topology.NodeID, cu
 // information — and applying it could wrongly commit a pending
 // recomposition belonging to a newer escalation at the same layer.
 func (n *Node) onPartitionUpdate(m proto.PartitionUpdate) {
-	if cur, ok := n.dir(m.Direction).part(m.Layer); ok && cur == m.Region {
+	if cur, ok := n.dir(m.Direction).Part(m.Layer); ok && cur == m.Region {
 		return
 	}
 	n.applyPartition(m.Direction, m.Layer, m.Region)
@@ -1268,7 +1271,7 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 	// The parent's grant is authoritative even at a layer outside the
 	// window: a relay that rebooted after its children were adopted away is
 	// a leaf now, yet its parent still re-syncs the regions it holds for it.
-	ls := st.at(layer)
+	ls := st.At(layer)
 	ls.part, ls.hasPart = region, true
 	if tr := n.sh.tracer; tr.Enabled() {
 		tr.Emit(obs.Ev(obs.KindAgentGrant).WithNode(int(n.id)).WithLayer(layer).
@@ -1306,17 +1309,16 @@ func (n *Node) applyPartition(d topology.Direction, layer int, region schedule.R
 		n.assignOwn(d)
 		return
 	}
-	split, err := core.SplitPartition(region, ls.layout, ls.comps)
+	split, mark, err := n.split(ls)
+	defer n.sh.kern.PopRegions(mark)
 	if err != nil {
 		return
 	}
-	// Only current children are hosted, so the split covers children only
-	// and child order is its sorted order.
-	for _, child := range n.children {
-		r, ok := split[child]
-		if !ok {
+	for i, off := range ls.layout {
+		if !off.Placed {
 			continue
 		}
+		child, r := n.children[i], split[i]
 		if prev, ok := ls.sent[child]; ok && prev == r {
 			continue // unchanged: no message
 		}
@@ -1368,8 +1370,8 @@ func (n *Node) resetResources() {
 		// Wipe everything but the configured link demands (reloaded by the
 		// caller) and the granted own-link cells; the window is re-sized
 		// below, empty at a leaf.
-		for i := range st.layers {
-			if st.layers[i].stamped {
+		for i := range st.Layers {
+			if st.Layers[i].stamped {
 				n.sh.pending--
 			}
 		}
@@ -1413,5 +1415,5 @@ func (n *Node) Assignment(d topology.Direction) map[topology.NodeID][]schedule.C
 
 // Partition returns the node's granted partition at a layer.
 func (n *Node) Partition(d topology.Direction, layer int) (schedule.Region, bool) {
-	return n.dir(d).part(layer)
+	return n.dir(d).Part(layer)
 }

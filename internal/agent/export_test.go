@@ -50,7 +50,7 @@ func QueuedDeferrals(f *Fleet) int {
 			continue
 		}
 		for d := range n.dirs {
-			for _, ls := range n.dirs[d].layers {
+			for _, ls := range n.dirs[d].Layers {
 				queued += len(ls.deferred)
 			}
 		}
@@ -61,7 +61,7 @@ func QueuedDeferrals(f *Fleet) int {
 // CommittedChildren lists, in NodeID order, the children whose components
 // node id holds in its committed composition at one layer.
 func CommittedChildren(f *Fleet, id topology.NodeID, d topology.Direction, layer int) []topology.NodeID {
-	ls := f.node(id).dir(d).layer(layer)
+	ls := f.node(id).dir(d).Layer(layer)
 	if ls == nil {
 		return nil
 	}

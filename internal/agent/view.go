@@ -3,6 +3,7 @@ package agent
 import (
 	"sort"
 
+	"github.com/harpnet/harp/internal/core"
 	"github.com/harpnet/harp/internal/obs"
 	"github.com/harpnet/harp/internal/schedule"
 	"github.com/harpnet/harp/internal/topology"
@@ -35,6 +36,10 @@ type shared struct {
 	rejections int64
 
 	view scheduleView
+
+	// kern is the agents' shared kernel scratch: one per fleet, since
+	// agents run one at a time on the clock's goroutine.
+	kern core.KernelScratch
 }
 
 // clockHooks is what the failure detector and the co-simulation bind into

@@ -61,7 +61,7 @@ func referencePending(f *Fleet) int {
 			continue
 		}
 		for _, d := range topology.Directions() {
-			for _, ls := range n.dir(d).layers {
+			for _, ls := range n.dir(d).Layers {
 				if ls.stamped {
 					total++
 				}

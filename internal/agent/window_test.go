@@ -10,9 +10,9 @@ import (
 // windowLayers lists the layers of st's window that hold a partition.
 func windowLayers(st *dirState) map[int]schedule.Region {
 	out := make(map[int]schedule.Region)
-	for i, ls := range st.layers {
+	for i, ls := range st.Layers {
 		if ls.hasPart {
-			out[st.base+i] = ls.part
+			out[st.Base+i] = ls.part
 		}
 	}
 	return out
@@ -39,8 +39,8 @@ func TestLayerWindowKeepsStaleGrants(t *testing.T) {
 		}
 		n := fleet.node(5)
 		st := n.dir(topology.Uplink)
-		if st.base != n.ownLayer || len(st.layers) != n.maxLayer-n.ownLayer+1 {
-			t.Fatalf("window [%d, %d), want [%d, %d]", st.base, st.base+len(st.layers), n.ownLayer, n.maxLayer)
+		if st.Base != n.ownLayer || len(st.Layers) != n.maxLayer-n.ownLayer+1 {
+			t.Fatalf("window [%d, %d), want [%d, %d]", st.Base, st.Base+len(st.Layers), n.ownLayer, n.maxLayer)
 		}
 		before := windowLayers(st)
 		if len(before) == 0 {
@@ -54,9 +54,9 @@ func TestLayerWindowKeepsStaleGrants(t *testing.T) {
 			}
 			n.applyPartition(topology.Uplink, l, stale)
 		}
-		if st.base != below || st.base+len(st.layers)-1 != above {
+		if st.Base != below || st.Base+len(st.Layers)-1 != above {
 			t.Fatalf("window [%d, %d] after the stale grants, want [%d, %d]",
-				st.base, st.base+len(st.layers)-1, below, above)
+				st.Base, st.Base+len(st.Layers)-1, below, above)
 		}
 		after := windowLayers(st)
 		for l, r := range before {
@@ -72,7 +72,7 @@ func TestLayerWindowKeepsStaleGrants(t *testing.T) {
 		if _, ok := n.Partition(topology.Uplink, n.maxLayer+1); ok {
 			t.Errorf("the gap layer %d inside the grown window reads as granted", n.maxLayer+1)
 		}
-		if ls := st.layer(above + 1); ls != nil {
+		if ls := st.Layer(above + 1); ls != nil {
 			t.Errorf("layer %d beyond the top has a record", above+1)
 		}
 	})
@@ -83,8 +83,8 @@ func TestLayerWindowKeepsStaleGrants(t *testing.T) {
 		fleet, _ := deployOnBus(t, topology.Fig1(), 1, testFrame())
 		n := fleet.node(8)
 		for d := range n.dirs {
-			if cap(n.dirs[d].layers) != 0 || cap(n.dirs[d].kids) != 0 {
-				t.Fatalf("leaf carries records: %d layers, %d children", len(n.dirs[d].layers), len(n.dirs[d].kids))
+			if cap(n.dirs[d].Layers) != 0 || cap(n.dirs[d].kids) != 0 {
+				t.Fatalf("leaf carries records: %d layers, %d children", len(n.dirs[d].Layers), len(n.dirs[d].kids))
 			}
 		}
 		allocs := testing.AllocsPerRun(100, func() {
@@ -101,13 +101,13 @@ func TestLayerWindowKeepsStaleGrants(t *testing.T) {
 		l := n.ownLayer + 1
 		n.applyPartition(topology.Downlink, l, stale)
 		st := n.dir(topology.Downlink)
-		if st.base != l || len(st.layers) != 1 {
-			t.Fatalf("window [%d, %d), want [%d, %d)", st.base, st.base+len(st.layers), l, l+1)
+		if st.Base != l || len(st.Layers) != 1 {
+			t.Fatalf("window [%d, %d), want [%d, %d)", st.Base, st.Base+len(st.Layers), l, l+1)
 		}
 		if r, ok := n.Partition(topology.Downlink, l); !ok || r != stale {
 			t.Errorf("layer %d: %v, %t; want the stale grant %v", l, r, ok, stale)
 		}
-		if n.dirs[topology.Uplink].layers != nil {
+		if n.dirs[topology.Uplink].Layers != nil {
 			t.Error("a downlink grant gave the uplink a window")
 		}
 	})

@@ -17,3 +17,6 @@ func (e *Exchange) Resolved() bool { return e.resolved }
 
 // GaveUp reports whether the sender exhausted MAX_RETRANSMIT without an ACK.
 func (e *Exchange) GaveUp() bool { return e.gaveUp }
+
+// Len returns the number of live entries.
+func (c *DedupCache) Len() int { return len(c.seen) }

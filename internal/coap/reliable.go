@@ -150,9 +150,6 @@ func (c *DedupCache) Observe(peer uint64, mid uint16, now float64) bool {
 	return false
 }
 
-// Len returns the number of live entries (for tests and accounting).
-func (c *DedupCache) Len() int { return len(c.seen) }
-
 // EmptyAck builds the empty acknowledgement for a confirmable message
 // (§4.2): type ACK, code 0.00, echoing the Message-ID, no token or payload.
 func EmptyAck(messageID uint16) Message {

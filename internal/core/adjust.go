@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/harpnet/harp/internal/packing"
 	"github.com/harpnet/harp/internal/schedule"
@@ -135,11 +136,9 @@ func (p *Plan) ensureOwnCapacity(id topology.NodeID, dir topology.Direction, adj
 	if err != nil {
 		return false, err
 	}
-	need := 0
-	for _, d := range p.childLinkDemands(id, dir) {
-		need += d.Cells
-	}
-	if own, ok := p.nodes[id].dir(dir).parts[layer]; ok && need <= own.CellCount() {
+	ns := p.node(id)
+	need := p.ownDemand(ns, dir)
+	if own, ok := ns.dirs[dir].Part(layer); ok && need <= own.CellCount() {
 		adj.Case = CaseScheduleUpdate
 		return true, p.rescheduleOwn(id, dir, adj)
 	}
@@ -157,7 +156,7 @@ type pendingRecompose struct {
 	node   topology.NodeID
 	comp   Component
 	layout Layout
-	comps  map[topology.NodeID]Component
+	comps  []Component
 }
 
 // escalate walks the adjustment request upward from `cur`, whose component
@@ -181,25 +180,24 @@ func (p *Plan) escalate(cur topology.NodeID, dir topology.Direction, layer int, 
 		adj.RequestMessages++
 		adj.LayersClimbed++
 
-		hostState := p.nodes[host].dir(dir)
-		hostRegion, hasRegion := hostState.parts[layer]
-		if hasRegion {
-			newLayout, moved, fits := p.tryHost(hostRegion, hostState, layer, cur, curComp)
+		hs := p.node(host)
+		slot, _ := hs.slot(cur)
+		ls := hs.dirs[dir].At(layer)
+		comps := ls.sizedComps(len(hs.children))
+		hostRegion := ls.part
+		if ls.hasPart {
+			newLayout, moved, fits := AdjustLayout(hostRegion.Slots, hostRegion.Channels, ls.layout, comps, slot, curComp)
 			if fits {
 				p.commitPending(dir, layer, pending)
-				if hostState.childComps[layer] == nil {
-					hostState.childComps[layer] = make(map[topology.NodeID]Component)
-				}
-				hostState.childComps[layer][cur] = curComp
-				hostState.layouts[layer] = newLayout
+				comps[slot] = curComp
+				ls.layout = newLayout
 				// Propagate every moved child partition.
 				for _, m := range moved {
-					comp := hostState.childComps[layer][m]
 					off := newLayout[m]
-					region := comp.Region(hostRegion.Slot+off.Slot, hostRegion.Channel+off.Channel)
+					region := comps[m].Region(hostRegion.Slot+off.Slot, hostRegion.Channel+off.Channel)
 					adj.PartitionMessages++
 					adj.MovedPartitions++
-					if err := p.propagateRegion(m, dir, layer, region, adj); err != nil {
+					if err := p.propagateRegion(hs.children[m], dir, layer, region, adj); err != nil {
 						return false, err
 					}
 				}
@@ -209,22 +207,19 @@ func (p *Plan) escalate(cur topology.NodeID, dir topology.Direction, layer int, 
 		if host == topology.GatewayID {
 			// The gateway is the end of the line: extend its layer
 			// partition rather than recomposing the whole layer.
-			return p.rootHost(dir, layer, cur, curComp, pending, adj)
+			return p.rootHost(dir, layer, slot, curComp, pending, adj)
 		}
 		// The host cannot fit the increase: grow its component at this
 		// layer just enough to host it — keeping the sibling layout
 		// intact so the eventual commit only re-signals the requesting
 		// chain — and escalate the enlarged component.
-		merged := make(map[topology.NodeID]Component, len(hostState.childComps[layer])+1)
-		for id, c := range hostState.childComps[layer] {
-			merged[id] = c
-		}
-		merged[cur] = curComp
 		hostComp := Component{Slots: hostRegion.Slots, Channels: hostRegion.Channels}
-		comp, layout, ok := MinimalExtension(hostComp, hostState.layouts[layer], hostState.childComps[layer], cur, curComp, p.Frame.Channels)
+		comp, layout, ok := MinimalExtension(hostComp, ls.layout, comps, slot, curComp, p.Frame.Channels)
 		if !ok {
 			return false, nil
 		}
+		merged := slices.Clone(comps)
+		merged[slot] = curComp
 		pending = append(pending, pendingRecompose{node: host, comp: comp, layout: layout, comps: merged})
 		cur = host
 		curComp = comp
@@ -232,19 +227,20 @@ func (p *Plan) escalate(cur topology.NodeID, dir topology.Direction, layer int, 
 }
 
 // MinimalExtension computes the smallest enlargement of a host component
-// that can host child j's grown component while keeping the other children
-// where they are (Alg. 2 applied inside a slightly larger box). Following
-// Problem 1's priorities, slot growth is minimised first, then channel
-// growth. Exported for the distributed agent.
-func MinimalExtension(hostComp Component, layout Layout, comps map[topology.NodeID]Component, j topology.NodeID, newComp Component, maxChannels int) (Component, Layout, bool) {
+// that can host child slot j's grown component while keeping the other
+// children where they are (Alg. 2 applied inside a slightly larger box).
+// Following Problem 1's priorities, slot growth is minimised first, then
+// channel growth. layout and comps are the host's composition by child
+// slot. Exported for the distributed agent.
+func MinimalExtension(hostComp Component, layout Layout, comps []Component, j int, newComp Component, maxChannels int) (Component, Layout, bool) {
 	if newComp.Channels > maxChannels {
 		return Component{}, nil, false
 	}
 	// Upper bound for the slot search: everything side by side.
 	maxSlots := newComp.Slots
 	area := newComp.Cells()
-	for id, c := range comps {
-		if id == j {
+	for i, c := range comps {
+		if i == j {
 			continue
 		}
 		maxSlots += c.Slots
@@ -277,63 +273,43 @@ func MinimalExtension(hostComp Component, layout Layout, comps map[topology.Node
 	return Component{}, nil, false
 }
 
-// tryHost runs the feasibility test and Alg. 2 for hosting an increased
-// child component inside a host partition. Returns the new layout and the
-// IDs of moved children on success.
-func (p *Plan) tryHost(hostRegion schedule.Region, hostState *dirState, layer int, j topology.NodeID, newComp Component) (Layout, []topology.NodeID, bool) {
-	return AdjustLayout(hostRegion.Slots, hostRegion.Channels,
-		hostState.layouts[layer], hostState.childComps[layer], j, newComp)
-}
-
 // AdjustLayout is the node-level entry point to the cost-aware partition
 // adjustment (Problem 3 / Alg. 2): given the current layout of child
 // components inside a host partition of slots x channels cells, fit child
-// j's grown component newComp while moving as few siblings as possible.
-// Returns the updated layout and the children whose placement changed; ok
-// is false when the increase cannot fit (the caller must escalate). Both
-// the centralized Plan and the distributed agents call this.
-func AdjustLayout(slots, channels int, layout Layout, comps map[topology.NodeID]Component, j topology.NodeID, newComp Component) (Layout, []topology.NodeID, bool) {
-	ids := make([]topology.NodeID, 0, len(comps)+1)
-	for _, id := range sortedCompNodes(comps) {
-		if id != j {
-			ids = append(ids, id)
-		}
-	}
-	ids = append(ids, j) // j last; adjustPlacements takes its index
-	items := make([]layoutItem, len(ids))
-	for i, id := range ids {
-		c := comps[id]
-		if id == j {
+// slot j's grown component newComp while moving as few siblings as
+// possible. layout and comps are by child slot, and j indexes them.
+// Returns the updated layout and the slots whose placement changed, in
+// ascending order; ok is false when the increase cannot fit (the caller
+// must escalate). Both the centralized Plan and the distributed agents call
+// this.
+func AdjustLayout(slots, channels int, layout Layout, comps []Component, j int, newComp Component) (Layout, []int, bool) {
+	items := make([]layoutItem, len(comps))
+	for i, c := range comps {
+		if i == j {
 			c = newComp
 		}
-		off, present := layout[id]
-		items[i] = layoutItem{comp: c, off: off, present: present}
+		items[i] = layoutItem{comp: c, off: layout.At(i)}
 	}
-	offsets, movedIdx, ok := adjustPlacements(slots, channels, items, len(ids)-1)
+	offsets, moved, ok := adjustPlacements(slots, channels, items, j)
 	if !ok {
 		return nil, nil, false
 	}
-	newLayout := make(Layout, len(ids))
-	for i, id := range ids {
-		if items[i].comp.Empty() {
+	newLayout := make(Layout, len(comps))
+	for i, it := range items {
+		if it.comp.Empty() {
 			continue
 		}
-		newLayout[id] = offsets[i]
+		newLayout[i] = Offset{Slot: offsets[i].Slot, Channel: offsets[i].Channel, Placed: true}
 	}
-	moved := make([]topology.NodeID, 0, len(movedIdx))
-	for _, i := range movedIdx {
-		moved = append(moved, ids[i])
-	}
-	sort.Slice(moved, func(a, b int) bool { return moved[a] < moved[b] })
 	return newLayout, moved, true
 }
 
 // commitPending installs the recompositions computed on the way up.
 func (p *Plan) commitPending(dir topology.Direction, layer int, pending []pendingRecompose) {
 	for _, e := range pending {
-		st := p.nodes[e.node].dir(dir)
-		st.childComps[layer] = e.comps
-		st.layouts[layer] = e.layout
+		st := &p.node(e.node).dirs[dir]
+		ls := st.At(layer)
+		ls.comps, ls.layout = e.comps, e.layout
 		// Update the node's interface component so future adjustments see
 		// the grown requirement.
 		idx := layer - st.iface.FirstLayer
@@ -357,6 +333,22 @@ func (p *Plan) commitPending(dir topology.Direction, layer int, pending []pendin
 // Plan and the gateway agent; each applies the returned placements to its
 // own state, and only when the adjustment fits.
 
+// LayerRegions is one direction's gateway layer partitions, the shape the
+// root kernels take: Regions[i] is layer Base+i's partition, and a region
+// with no slots is an absent one.
+type LayerRegions struct {
+	Base    int
+	Regions []schedule.Region
+}
+
+// At returns layer l's partition, the zero region when it is absent.
+func (lr LayerRegions) At(l int) schedule.Region {
+	if i := l - lr.Base; i >= 0 && i < len(lr.Regions) {
+		return lr.Regions[i]
+	}
+	return schedule.Region{}
+}
+
 // RootPlacement is one gateway layer partition a root adjustment must
 // (re-)install.
 type RootPlacement struct {
@@ -372,31 +364,23 @@ type RootPlacement struct {
 // region changed — plus target always, because its *internal* layout
 // changed even when its interval did not — or ok=false when the intervals
 // no longer fit the data sub-frame.
-func ReflowRoot(parts [2]map[int]schedule.Region, target DirLayer, comp Component, frame schedule.Slotframe) ([]RootPlacement, bool) {
-	comps := make(map[DirLayer]Component)
-	for _, d := range topology.Directions() {
-		for l, r := range parts[d] {
-			comps[DirLayer{Direction: d, Layer: l}] = Component{Slots: r.Slots, Channels: r.Channels}
-		}
-	}
-	comps[target] = comp
+func ReflowRoot(parts [2]LayerRegions, target DirLayer, comp Component, frame schedule.Slotframe) ([]RootPlacement, bool) {
+	sized := resized(parts, target, comp)
 	var changed []RootPlacement
 	cursor := 0
-	for _, k := range CompliantOrder(comps) {
-		c := comps[k]
-		if c.Slots == 0 {
-			continue
-		}
-		old, had := parts[k.Direction][k.Layer]
+	for _, k := range CompliantOrder(sized) {
+		r := sized[k.Direction].At(k.Layer)
+		old := parts[k.Direction].At(k.Layer)
+		had := old.Slots > 0
 		origin := cursor
-		if had && old.Slot >= cursor && old.Slot+c.Slots <= frame.DataSlots {
+		if had && old.Slot >= cursor && old.Slot+r.Slots <= frame.DataSlots {
 			origin = old.Slot // keep position; preserve any gap before it
 		}
-		if origin+c.Slots > frame.DataSlots {
+		if origin+r.Slots > frame.DataSlots {
 			return nil, false
 		}
-		region := schedule.Region{Slot: origin, Channel: 0, Slots: c.Slots, Channels: c.Channels}
-		cursor = origin + c.Slots
+		region := schedule.Region{Slot: origin, Channel: 0, Slots: r.Slots, Channels: r.Channels}
+		cursor = origin + r.Slots
 		if !had || old != region || k == target {
 			changed = append(changed, RootPlacement{Key: k, Region: region})
 		}
@@ -404,29 +388,48 @@ func ReflowRoot(parts [2]map[int]schedule.Region, target DirLayer, comp Componen
 	return changed, true
 }
 
+// resized returns parts with target's partition replaced by a region of
+// comp's size at the origin. The target direction's regions are copied
+// (and widened to cover target), so parts itself is not written.
+func resized(parts [2]LayerRegions, target DirLayer, comp Component) [2]LayerRegions {
+	lr := parts[target.Direction]
+	lo, hi := target.Layer, target.Layer+1
+	if len(lr.Regions) > 0 {
+		lo, hi = min(lo, lr.Base), max(hi, lr.Base+len(lr.Regions))
+	}
+	regs := make([]schedule.Region, hi-lo)
+	if len(lr.Regions) > 0 {
+		copy(regs[lr.Base-lo:], lr.Regions)
+	}
+	regs[target.Layer-lo] = comp.Region(0, 0)
+	parts[target.Direction] = LayerRegions{Base: lo, Regions: regs}
+	return parts
+}
+
 // RootHost extends the gateway's target layer partition just enough to
-// host child cur's grown component, keeping that layer's other children in
-// place via Alg. 2 (AdjustLayout runs with the full channel height, since
-// root partitions are time-disjoint and own the whole channel dimension of
-// their interval). layout and comps are the layer's current composition.
-// It returns the layer's new layout and the ReflowRoot placements of the
-// widened interval, or ok=false when the increase does not fit.
-func RootHost(parts [2]map[int]schedule.Region, target DirLayer, layout Layout, comps map[topology.NodeID]Component, cur topology.NodeID, curComp Component, frame schedule.Slotframe) (Layout, []RootPlacement, bool) {
+// host child slot cur's grown component, keeping that layer's other
+// children in place via Alg. 2 (AdjustLayout runs with the full channel
+// height, since root partitions are time-disjoint and own the whole
+// channel dimension of their interval). layout and comps are the layer's
+// current composition by child slot. It returns the layer's new layout and
+// the ReflowRoot placements of the widened interval, or ok=false when the
+// increase does not fit.
+func RootHost(parts [2]LayerRegions, target DirLayer, layout Layout, comps []Component, cur int, curComp Component, frame schedule.Slotframe) (Layout, []RootPlacement, bool) {
 	if curComp.Channels > frame.Channels {
 		return nil, nil, false
 	}
 	// Width budget: everything the other intervals do not need.
-	baseWidth := parts[target.Direction][target.Layer].Slots
+	baseWidth := parts[target.Direction].At(target.Layer).Slots
 	maxWidth := frame.DataSlots + baseWidth
-	for _, d := range topology.Directions() {
-		for _, r := range parts[d] {
+	for _, lr := range parts {
+		for _, r := range lr.Regions {
 			maxWidth -= r.Slots
 		}
 	}
 	// Lower bound from area, so the search starts near the answer.
 	area := curComp.Cells()
-	for id, c := range comps {
-		if id != cur {
+	for i, c := range comps {
+		if i != cur {
 			area += c.Cells()
 		}
 	}
@@ -451,10 +454,14 @@ func RootHost(parts [2]map[int]schedule.Region, target DirLayer, layout Layout, 
 	return nil, nil, false
 }
 
-// rootParts returns the gateway's current layer partitions per direction.
-func (p *Plan) rootParts() [2]map[int]schedule.Region {
-	gw := p.nodes[topology.GatewayID]
-	return [2]map[int]schedule.Region{gw.dir(topology.Uplink).parts, gw.dir(topology.Downlink).parts}
+// rootParts returns the gateway's current layer partitions per direction,
+// in the plan's scratch.
+func (p *Plan) rootParts() [2]LayerRegions {
+	gw := p.node(topology.GatewayID)
+	for d := range gw.dirs {
+		p.scratch.Root[d] = gw.dirs[d].Regions(p.scratch.Root[d].Regions)
+	}
+	return p.scratch.Root
 }
 
 // applyRoot installs root placements and propagates them down (unchanged
@@ -476,51 +483,47 @@ func (p *Plan) rootWiden(dir topology.Direction, layer int, comp Component, adj 
 	if !ok {
 		return false, nil
 	}
-	gw := p.nodes[topology.GatewayID].dir(dir)
+	gw := &p.node(topology.GatewayID).dirs[dir]
 	if idx := layer - gw.iface.FirstLayer; idx >= 0 && idx < len(gw.iface.Comps) {
 		gw.iface.Comps[idx] = comp
 	}
 	return true, p.applyRoot(placements, adj)
 }
 
-// rootHost extends the gateway's layer partition to host a grown child
-// component, committing the recompositions pending below it.
-func (p *Plan) rootHost(dir topology.Direction, layer int, cur topology.NodeID, curComp Component, pending []pendingRecompose, adj *Adjustment) (bool, error) {
-	gw := p.nodes[topology.GatewayID].dir(dir)
+// rootHost extends the gateway's layer partition to host the grown
+// component of the child at slot, committing the recompositions pending
+// below it.
+func (p *Plan) rootHost(dir topology.Direction, layer, slot int, curComp Component, pending []pendingRecompose, adj *Adjustment) (bool, error) {
+	gw := p.node(topology.GatewayID)
+	ls := gw.dirs[dir].At(layer)
+	comps := ls.sizedComps(len(gw.children))
 	newLayout, placements, ok := RootHost(p.rootParts(), DirLayer{Direction: dir, Layer: layer},
-		gw.layouts[layer], gw.childComps[layer], cur, curComp, p.Frame)
+		ls.layout, comps, slot, curComp, p.Frame)
 	if !ok {
 		return false, nil
 	}
 	p.commitPending(dir, layer, pending)
-	if gw.childComps[layer] == nil {
-		gw.childComps[layer] = make(map[topology.NodeID]Component)
-	}
-	gw.childComps[layer][cur] = curComp
-	gw.layouts[layer] = newLayout
+	comps[slot] = curComp
+	ls.layout = newLayout
 	return true, p.applyRoot(placements, adj)
 }
 
-// CompliantOrder returns the root placement order of §IV-C: uplink layers
-// deepest-first, then downlink layers shallowest-first. Exported for the
-// distributed agent, which re-runs the same placement on root adjustments.
-func CompliantOrder(comps map[DirLayer]Component) []DirLayer {
-	var up, down []int
-	for k := range comps {
-		if k.Direction == topology.Uplink {
-			up = append(up, k.Layer)
-		} else {
-			down = append(down, k.Layer)
+// CompliantOrder returns the root placement order of §IV-C over the
+// partitions parts holds: uplink layers deepest-first, then downlink layers
+// shallowest-first. Absent layers are left out.
+func CompliantOrder(parts [2]LayerRegions) []DirLayer {
+	out := make([]DirLayer, 0, len(parts[topology.Uplink].Regions)+len(parts[topology.Downlink].Regions))
+	up := parts[topology.Uplink]
+	for i := len(up.Regions) - 1; i >= 0; i-- {
+		if up.Regions[i].Slots > 0 {
+			out = append(out, DirLayer{Direction: topology.Uplink, Layer: up.Base + i})
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(up)))
-	sort.Ints(down)
-	out := make([]DirLayer, 0, len(up)+len(down))
-	for _, l := range up {
-		out = append(out, DirLayer{Direction: topology.Uplink, Layer: l})
-	}
-	for _, l := range down {
-		out = append(out, DirLayer{Direction: topology.Downlink, Layer: l})
+	down := parts[topology.Downlink]
+	for i, r := range down.Regions {
+		if r.Slots > 0 {
+			out = append(out, DirLayer{Direction: topology.Downlink, Layer: down.Base + i})
+		}
 	}
 	return out
 }
@@ -528,9 +531,11 @@ func CompliantOrder(comps map[DirLayer]Component) []DirLayer {
 // propagateRegion installs a new partition at (node, layer) and pushes the
 // change down: re-splitting deeper layers through the stored layouts, or
 // re-running RM assignment when the layer is the node's own link layer.
+// Each call splits into its own frame on the plan's region stack.
 func (p *Plan) propagateRegion(id topology.NodeID, dir topology.Direction, layer int, region schedule.Region, adj *Adjustment) error {
-	st := p.nodes[id].dir(dir)
-	st.parts[layer] = region
+	ns := p.node(id)
+	ls := ns.dirs[dir].At(layer)
+	ls.part, ls.hasPart = region, true
 	ownLayer, err := p.Tree.LinkLayer(id)
 	if err != nil {
 		return err
@@ -538,19 +543,25 @@ func (p *Plan) propagateRegion(id topology.NodeID, dir topology.Direction, layer
 	if layer == ownLayer {
 		return p.rescheduleOwn(id, dir, adj)
 	}
-	split, err := SplitPartition(region, st.layouts[layer], st.childComps[layer])
-	if err != nil {
+	mark := p.scratch.PushRegions(len(ns.children))
+	defer p.scratch.PopRegions(mark)
+	if err := SplitPartition(region, ns.children, ls.layout, ls.comps, p.scratch.Regions[mark:]); err != nil {
 		return err
 	}
-	for _, child := range sortedRegionNodes(split) {
+	for slot, off := range ls.layout {
+		if !off.Placed {
+			continue
+		}
 		// Children whose absolute region is unchanged need no update (and
-		// none of their descendants move either).
-		if prev, ok := p.nodes[child].dir(dir).parts[layer]; ok && prev == split[child] {
+		// none of their descendants move either). The frame is re-read
+		// each time: a deeper frame may have moved the stack.
+		r, child := p.scratch.Regions[mark+slot], ns.children[slot]
+		if prev, ok := p.node(child).dirs[dir].Part(layer); ok && prev == r {
 			continue
 		}
 		adj.PartitionMessages++
 		adj.MovedPartitions++
-		if err := p.propagateRegion(child, dir, layer, split[child], adj); err != nil {
+		if err := p.propagateRegion(child, dir, layer, r, adj); err != nil {
 			return err
 		}
 	}
@@ -560,77 +571,55 @@ func (p *Plan) propagateRegion(id topology.NodeID, dir topology.Direction, layer
 // rescheduleOwn re-runs RM assignment for a node's own-layer links and
 // counts a schedule message for every child link whose cell set changed.
 func (p *Plan) rescheduleOwn(id topology.NodeID, dir topology.Direction, adj *Adjustment) error {
-	st := p.nodes[id].dir(dir)
+	ns := p.node(id)
+	st := &ns.dirs[dir]
 	ownLayer, err := p.Tree.LinkLayer(id)
 	if err != nil {
 		return err
 	}
-	region, ok := st.parts[ownLayer]
-	demands := p.childLinkDemands(id, dir)
+	region, ok := st.Part(ownLayer)
+	demands := p.childLinkDemands(ns, dir)
 	if !ok {
-		total := 0
-		for _, d := range demands {
-			total += d.Cells
-		}
-		if total == 0 {
-			st.assignment = make(map[topology.Link][]schedule.Cell)
+		if p.ownDemand(ns, dir) == 0 {
+			clear(st.runs)
 			return nil
 		}
 		return fmt.Errorf("core: node %d has demand but no %s own-layer partition", id, dir)
 	}
-	assignment, err := AssignCells(region, demands)
-	if err != nil {
+	runs := p.scratch.RunSlots(len(demands))
+	if err := AssignCells(region, demands, runs, &p.scratch.Assign); err != nil {
 		return err
 	}
-	for l, cells := range assignment {
-		if !cellsEqual(st.assignment[l], cells) {
+	// A link whose cells changed is notified, released links included.
+	for slot, r := range runs {
+		p.cells = r.AppendCells(p.cells[:0], region)
+		if !st.runs[slot].Matches(st.runRegion, p.cells) {
 			adj.ScheduleMessages++
 		}
 	}
-	for l := range st.assignment {
-		if _, still := assignment[l]; !still {
-			adj.ScheduleMessages++ // released links also get notified
-		}
-	}
-	st.assignment = assignment
+	copy(st.runs, runs)
+	st.runRegion = region
 	return nil
 }
 
-func cellsEqual(a, b []schedule.Cell) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedCompNodes(m map[topology.NodeID]Component) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedRegionNodes(m map[topology.NodeID]schedule.Region) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// layoutItem is one sibling in a placement-adjustment instance.
+// layoutItem is one sibling in a placement-adjustment instance; off.Placed
+// marks whether it currently has a placement.
 type layoutItem struct {
-	comp    Component
-	off     Offset
-	present bool // whether the item currently has a placement
+	comp Component
+	off  Offset
+}
+
+// compareSiblings orders eviction candidates nearest to the target's old
+// position first, ties by index.
+func compareSiblings(a, b sibling) int {
+	return cmp.Or(cmp.Compare(a.dist, b.dist), cmp.Compare(a.idx, b.idx))
+}
+
+// sibling is an eviction candidate: an item index and its distance to the
+// target's old position.
+type sibling struct {
+	idx  int
+	dist int
 }
 
 // adjustPlacements is the cost-aware partition adjustment heuristic
@@ -659,25 +648,24 @@ func adjustPlacements(width, height int, items []layoutItem, j int) ([]Offset, [
 	targetRegion := target.comp.Region(target.off.Slot, target.off.Channel)
 
 	// Sibling eviction order: nearest to the target's old position first.
-	type sibling struct {
-		idx  int
-		dist int
-	}
 	var siblings []sibling
 	for i, it := range items {
-		if i == j || it.comp.Empty() || !it.present {
+		if i == j || it.comp.Empty() || !it.off.Placed {
 			continue
 		}
 		r := it.comp.Region(it.off.Slot, it.off.Channel)
 		siblings = append(siblings, sibling{idx: i, dist: targetRegion.Distance(r)})
 	}
-	sort.Slice(siblings, func(a, b int) bool {
-		if siblings[a].dist != siblings[b].dist {
-			return siblings[a].dist < siblings[b].dist
-		}
-		return siblings[a].idx < siblings[b].idx
-	})
+	slices.SortFunc(siblings, compareSiblings)
 
+	// The packer breaks ties between equal rectangles by ID: the target
+	// packs under ID len(items), after every sibling.
+	rectID := func(idx int) int {
+		if idx == j {
+			return len(items)
+		}
+		return idx
+	}
 	for evict := 0; evict <= len(siblings); evict++ {
 		grid, err := packing.NewGrid(width, height)
 		if err != nil {
@@ -694,17 +682,11 @@ func adjustPlacements(width, height int, items []layoutItem, j int) ([]Offset, [
 		if !obstaclesOK {
 			continue
 		}
-		evicted := []int{j}
+		rects := make([]packing.Rect, 0, evict+1)
+		rects = append(rects, packing.Rect{ID: rectID(j), W: target.comp.Slots, H: target.comp.Channels})
 		for _, s := range siblings[:evict] {
-			evicted = append(evicted, s.idx)
-		}
-		rects := make([]packing.Rect, len(evicted))
-		for k, idx := range evicted {
-			c := items[idx].comp
-			if idx == j {
-				c = target.comp
-			}
-			rects[k] = packing.Rect{ID: idx, W: c.Slots, H: c.Channels}
+			c := items[s.idx].comp
+			rects = append(rects, packing.Rect{ID: s.idx, W: c.Slots, H: c.Channels})
 		}
 		placements, err := grid.PackFreeSpace(rects)
 		if err != nil {
@@ -717,13 +699,16 @@ func adjustPlacements(width, height int, items []layoutItem, j int) ([]Offset, [
 		var moved []int
 		for _, pl := range placements {
 			idx := pl.Rect.ID
-			newOff := Offset{Slot: pl.X, Channel: pl.Y}
-			if !items[idx].present || newOff != items[idx].off || idx == j {
+			if idx == len(items) {
+				idx = j
+			}
+			newOff := Offset{Slot: pl.X, Channel: pl.Y, Placed: true}
+			if newOff != items[idx].off || idx == j {
 				moved = append(moved, idx)
 			}
 			offsets[idx] = newOff
 		}
-		sort.Ints(moved)
+		slices.Sort(moved)
 		return offsets, moved, true
 	}
 	return nil, nil, false

@@ -332,9 +332,9 @@ func TestAdjustPlacementsDirect(t *testing.T) {
 	// Three [2,1] siblings in a 8x2 parent; target grows to [4,1]: fits in
 	// free space without moving siblings.
 	items := []layoutItem{
-		{comp: Component{Slots: 2, Channels: 1}, off: Offset{Slot: 0, Channel: 0}, present: true},
-		{comp: Component{Slots: 2, Channels: 1}, off: Offset{Slot: 2, Channel: 0}, present: true},
-		{comp: Component{Slots: 4, Channels: 1}, off: Offset{Slot: 4, Channel: 0}, present: true},
+		{comp: Component{Slots: 2, Channels: 1}, off: Offset{Slot: 0, Channel: 0, Placed: true}},
+		{comp: Component{Slots: 2, Channels: 1}, off: Offset{Slot: 2, Channel: 0, Placed: true}},
+		{comp: Component{Slots: 4, Channels: 1}, off: Offset{Slot: 4, Channel: 0, Placed: true}},
 	}
 	offsets, moved, ok := adjustPlacements(8, 2, items, 2)
 	if !ok {
@@ -372,9 +372,9 @@ func TestAdjustPlacementsEvictsNeighboursFirst(t *testing.T) {
 	// only arrangement moves at least one sibling; the heuristic should
 	// find one (full row repack at worst).
 	items := []layoutItem{
-		{comp: Component{Slots: 4, Channels: 1}, off: Offset{Slot: 0, Channel: 0}, present: true}, // A
-		{comp: Component{Slots: 4, Channels: 1}, off: Offset{Slot: 6, Channel: 0}, present: true}, // C
-		{comp: Component{Slots: 5, Channels: 1}, off: Offset{Slot: 4, Channel: 0}, present: true}, // B (target)
+		{comp: Component{Slots: 4, Channels: 1}, off: Offset{Slot: 0, Channel: 0, Placed: true}}, // A
+		{comp: Component{Slots: 4, Channels: 1}, off: Offset{Slot: 6, Channel: 0, Placed: true}}, // C
+		{comp: Component{Slots: 5, Channels: 1}, off: Offset{Slot: 4, Channel: 0, Placed: true}}, // B (target)
 	}
 	offsets, moved, ok := adjustPlacements(13, 1, items, 2)
 	if !ok {

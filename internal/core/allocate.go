@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/harpnet/harp/internal/schedule"
 	"github.com/harpnet/harp/internal/topology"
@@ -95,22 +96,29 @@ func AllocateRoot(up, down Interface, frame schedule.Slotframe, bestEffort bool,
 // SplitPartition derives the child partitions inside a parent partition from
 // the composition layout stored when the parent composed the corresponding
 // component (§IV-C): each child's component keeps its relative offset, now
-// translated by the parent partition's origin.
-func SplitPartition(parent schedule.Region, layout Layout, comps map[topology.NodeID]Component) (map[topology.NodeID]schedule.Region, error) {
-	out := make(map[topology.NodeID]schedule.Region, len(layout))
-	for _, child := range sortedLayoutNodes(layout) {
-		off := layout[child]
-		comp, ok := comps[child]
-		if !ok {
-			return nil, fmt.Errorf("core: layout references child %d with no component", child)
+// translated by the parent partition's origin. children are the host's
+// children in ascending ID order (they name a child in the error); layout
+// and comps are indexed by the same child slots, and a layout that places
+// a slot with no child or no component is an error. out[i] receives slot
+// i's region for every slot the layout places; the other entries are left
+// as they are. out is caller-owned and must hold len(children) regions.
+//
+//harplint:hotpath
+func SplitPartition(parent schedule.Region, children []topology.NodeID, layout Layout, comps []Component, out []schedule.Region) error {
+	for i, off := range layout {
+		if !off.Placed {
+			continue
 		}
-		region := comp.Region(parent.Slot+off.Slot, parent.Channel+off.Channel)
+		if i >= len(children) || i >= len(comps) {
+			return fmt.Errorf("core: layout places slot %d of %d children with %d components", i, len(children), len(comps)) //harplint:allow hotpath error path: a layout longer than the host's child list
+		}
+		region := comps[i].Region(parent.Slot+off.Slot, parent.Channel+off.Channel)
 		if !parent.ContainsRegion(region) {
-			return nil, fmt.Errorf("core: child %d partition %v escapes parent %v", child, region, parent)
+			return fmt.Errorf("core: child %d partition %v escapes parent %v", children[i], region, parent) //harplint:allow hotpath error path: a layout that no longer fits its partition
 		}
-		out[child] = region
+		out[i] = region
 	}
-	return out, nil
+	return nil
 }
 
 // LinkDemand is one child link's cell requirement at a node, with the rate
@@ -121,41 +129,101 @@ type LinkDemand struct {
 	TopRate float64 // packets/slotframe of the fastest task on the link
 }
 
+// Run is one child link's cell assignment inside its parent's own-layer
+// partition: Count consecutive cells from position Start of the
+// partition's slot-major cell order (the order of Region.Cells).
+type Run struct {
+	Start, Count int
+}
+
+// AppendCells appends the run's cells inside partition p to dst.
+func (r Run) AppendCells(dst []schedule.Cell, p schedule.Region) []schedule.Cell {
+	for k := r.Start; k < r.Start+r.Count; k++ {
+		dst = append(dst, runCell(p, k))
+	}
+	return dst
+}
+
+// Matches reports whether cells are exactly the run's cells inside
+// partition p, in order, without listing the run.
+func (r Run) Matches(p schedule.Region, cells []schedule.Cell) bool {
+	if len(cells) != r.Count {
+		return false
+	}
+	for k, c := range cells {
+		if c != runCell(p, r.Start+k) {
+			return false
+		}
+	}
+	return true
+}
+
+// runCell returns the cell at position k of p's slot-major order.
+func runCell(p schedule.Region, k int) schedule.Cell {
+	return schedule.Cell{Slot: p.Slot + k/p.Channels, Channel: p.Channel + k%p.Channels}
+}
+
+// AssignScratch is AssignCells' reusable Rate-Monotonic order. The zero
+// value is ready; a warm one makes AssignCells allocation-free.
+type AssignScratch struct {
+	order []rmEntry
+}
+
+// rmEntry is one link in Rate-Monotonic order: its demand's index and the
+// keys it sorts by.
+type rmEntry struct {
+	slot  int
+	rate  float64
+	child topology.NodeID
+}
+
+// compareRM orders links highest rate (shortest period) first, ties broken
+// by child ID.
+func compareRM(a, b rmEntry) int {
+	switch {
+	case a.rate > b.rate:
+		return -1
+	case a.rate < b.rate:
+		return 1
+	}
+	return cmp.Compare(a.child, b.child)
+}
+
 // AssignCells performs the distributed schedule generation of §IV-D: the
 // node owning partition p (its own-layer partition, shape [n^s, 1]) assigns
 // concrete cells to each child link. Links are served in Rate-Monotonic
 // order — highest rate (shortest period) first, ties broken by child ID —
 // and each link receives a consecutive run of cells, preserving the
-// compliant-schedule ordering within the partition.
-func AssignCells(p schedule.Region, demands []LinkDemand) (map[topology.Link][]schedule.Cell, error) {
+// compliant-schedule ordering within the partition. runs[i] receives
+// demands[i]'s run (the zero Run for a link with no demand); runs is
+// caller-owned and must hold len(demands) entries.
+//
+//harplint:hotpath
+func AssignCells(p schedule.Region, demands []LinkDemand, runs []Run, s *AssignScratch) error {
 	total := 0
 	for _, d := range demands {
 		if d.Cells < 0 {
-			return nil, fmt.Errorf("core: negative demand %d on %v", d.Cells, d.Link)
+			return fmt.Errorf("core: negative demand %d on %v", d.Cells, d.Link) //harplint:allow hotpath error path: a caller passing a negative demand
 		}
 		total += d.Cells
 	}
 	if total > p.CellCount() {
-		return nil, fmt.Errorf("%w: need %d cells, partition %v has %d",
-			ErrInfeasible, total, p, p.CellCount())
+		return fmt.Errorf("%w: need %d cells, partition %v has %d", ErrInfeasible, total, p, p.CellCount()) //harplint:allow hotpath error path: demand over the partition
 	}
-	order := make([]LinkDemand, len(demands))
-	copy(order, demands)
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].TopRate != order[j].TopRate {
-			return order[i].TopRate > order[j].TopRate
-		}
-		return order[i].Link.Child < order[j].Link.Child
-	})
-	cells := p.Cells() // slot-major: fills the time dimension first
-	out := make(map[topology.Link][]schedule.Cell, len(order))
+	s.order = s.order[:0]
+	for i, d := range demands {
+		s.order = append(s.order, rmEntry{slot: i, rate: d.TopRate, child: d.Link.Child})
+	}
+	slices.SortFunc(s.order, compareRM)
 	next := 0
-	for _, d := range order {
-		if d.Cells == 0 {
+	for _, e := range s.order {
+		c := demands[e.slot].Cells
+		if c == 0 {
+			runs[e.slot] = Run{}
 			continue
 		}
-		out[d.Link] = append([]schedule.Cell(nil), cells[next:next+d.Cells]...)
-		next += d.Cells
+		runs[e.slot] = Run{Start: next, Count: c}
+		next += c
 	}
-	return out, nil
+	return nil
 }

@@ -15,7 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/harpnet/harp/internal/packing"
 	"github.com/harpnet/harp/internal/schedule"
@@ -80,36 +80,60 @@ func (i Interface) String() string {
 // OwnLayerComponent computes C_{i,l(Vi)} (composition Case 1): the links
 // between a node and its k children share the node, so the half-duplex
 // constraint forces them into distinct time slots — the component is the
-// demand sum on a single channel, [Σ r(e), 1].
-func OwnLayerComponent(childLinkDemands []int) Component {
-	total := 0
-	for _, d := range childLinkDemands {
-		total += d
-	}
+// demand sum on a single channel, [Σ r(e), 1]. total is that sum.
+func OwnLayerComponent(total int) Component {
 	if total == 0 {
 		return Component{}
 	}
 	return Component{Slots: total, Channels: 1}
 }
 
-// ChildComponent pairs a child subtree root with its component at the layer
-// being composed.
-type ChildComponent struct {
-	Child topology.NodeID
-	Comp  Component
-}
-
-// Offset is the placement of a child component inside its parent's composite
-// component, relative to the composite's origin.
+// Offset is the placement of a child component inside its parent's
+// composite component, relative to the composite's origin. Placed is the
+// absent flag: false for a child the layout does not place, so the zero
+// Offset is an absent slot.
 type Offset struct {
 	Slot    int
 	Channel int
+	Placed  bool
 }
 
 // Layout records where each child's component sits inside a composite
 // component; it is retained by the composing node and reused verbatim during
-// top-down partition allocation (§IV-C).
-type Layout map[topology.NodeID]Offset
+// top-down partition allocation (§IV-C). It is indexed by child slot: slot
+// i is the host's i-th child in ascending ID order, the same slot the
+// per-child component slices use. A Layout shorter than the child list
+// leaves the remaining slots absent, so a nil Layout places nothing.
+type Layout []Offset
+
+// At returns slot i's offset, absent beyond the end of the layout.
+func (l Layout) At(i int) Offset {
+	if i < len(l) {
+		return l[i]
+	}
+	return Offset{}
+}
+
+// InsertSlot inserts a zero element — an absent offset, an empty
+// component — at slot i of a slice indexed by child slot, for a child that
+// joins the host's child list at slot i. A slice that ends before i is
+// returned as it is: the slot reads as zero already.
+func InsertSlot[S ~[]E, E any](s S, i int) S {
+	if i > len(s) {
+		return s
+	}
+	var zero E
+	return slices.Insert(s, i, zero)
+}
+
+// DeleteSlot removes slot i from a slice indexed by child slot, for a
+// child that leaves the host's child list.
+func DeleteSlot[S ~[]E, E any](s S, i int) S {
+	if i >= len(s) {
+		return s
+	}
+	return slices.Delete(s, i, i+1)
+}
 
 // ErrChannelBudget is returned when a single child component already exceeds
 // the channel budget, making composition impossible.
@@ -129,28 +153,13 @@ var ErrChannelBudget = errors.New("core: component exceeds channel budget")
 // layout is kept instead — the returned composite is never worse than
 // either pass.
 //
-// Empty child components are ignored. The returned layout maps each
-// non-empty child to its offset inside the composite.
-func Compose(children []ChildComponent, maxChannels int) (Component, Layout, error) {
-	if maxChannels <= 0 {
-		return Component{}, nil, fmt.Errorf("core: non-positive channel budget %d", maxChannels)
-	}
-	rects := make([]packing.Rect, 0, len(children))
-	byID := make(map[int]topology.NodeID, len(children))
-	for idx, cc := range children {
-		if cc.Comp.Empty() {
-			continue
-		}
-		if cc.Comp.Channels > maxChannels {
-			return Component{}, nil, fmt.Errorf("%w: child %d needs %d of %d channels",
-				ErrChannelBudget, cc.Child, cc.Comp.Channels, maxChannels)
-		}
-		// Pass 1 orientation: width = channels, height = slots.
-		rects = append(rects, packing.Rect{ID: idx, W: cc.Comp.Channels, H: cc.Comp.Slots})
-		byID[idx] = cc.Child
-	}
-	if len(rects) == 0 {
-		return Component{}, Layout{}, nil
+// comps holds one component per child slot; empty ones are ignored. The
+// returned layout places every non-empty slot and leaves the others
+// absent; it is nil when nothing is placed.
+func Compose(comps []Component, maxChannels int) (Component, Layout, error) {
+	rects, err := composeRects(comps, maxChannels)
+	if err != nil || len(rects) == 0 {
+		return Component{}, nil, err
 	}
 
 	pass1, err := packing.PackStrip(rects, maxChannels)
@@ -167,27 +176,26 @@ func Compose(children []ChildComponent, maxChannels int) (Component, Layout, err
 	}
 
 	// Pass 2 orientation: width = slots, height = channels.
-	rects2 := make([]packing.Rect, len(rects))
 	for i, r := range rects {
-		rects2[i] = packing.Rect{ID: r.ID, W: r.H, H: r.W}
+		rects[i] = packing.Rect{ID: r.ID, W: r.H, H: r.W}
 	}
-	pass2, err := packing.PackStrip(rects2, minSlots)
+	pass2, err := packing.PackStrip(rects, minSlots)
 	if err != nil {
 		return Component{}, nil, err
 	}
 
-	layout := make(Layout, len(rects))
+	layout := make(Layout, len(comps))
 	var comp Component
 	if pass2.H <= pass1Channels {
 		comp = Component{Slots: minSlots, Channels: pass2.H}
 		for _, p := range pass2.Items {
-			layout[byID[p.Rect.ID]] = Offset{Slot: p.X, Channel: p.Y}
+			layout[p.Rect.ID] = Offset{Slot: p.X, Channel: p.Y, Placed: true}
 		}
 	} else {
 		// Keep the transposed pass-1 layout.
 		comp = Component{Slots: minSlots, Channels: pass1Channels}
 		for _, p := range pass1.Items {
-			layout[byID[p.Rect.ID]] = Offset{Slot: p.Y, Channel: p.X}
+			layout[p.Rect.ID] = Offset{Slot: p.Y, Channel: p.X, Placed: true}
 		}
 	}
 	return comp, layout, nil
@@ -196,44 +204,39 @@ func Compose(children []ChildComponent, maxChannels int) (Component, Layout, err
 // ComposeSinglePass is the ablation variant of Compose that stops after the
 // first (slot-minimising) pass, accepting whatever channel extent it
 // produced. DESIGN.md's two-pass ablation bench compares the two.
-func ComposeSinglePass(children []ChildComponent, maxChannels int) (Component, Layout, error) {
-	if maxChannels <= 0 {
-		return Component{}, nil, fmt.Errorf("core: non-positive channel budget %d", maxChannels)
-	}
-	rects := make([]packing.Rect, 0, len(children))
-	byID := make(map[int]topology.NodeID, len(children))
-	for idx, cc := range children {
-		if cc.Comp.Empty() {
-			continue
-		}
-		if cc.Comp.Channels > maxChannels {
-			return Component{}, nil, fmt.Errorf("%w: child %d needs %d of %d channels",
-				ErrChannelBudget, cc.Child, cc.Comp.Channels, maxChannels)
-		}
-		rects = append(rects, packing.Rect{ID: idx, W: cc.Comp.Channels, H: cc.Comp.Slots})
-		byID[idx] = cc.Child
-	}
-	if len(rects) == 0 {
-		return Component{}, Layout{}, nil
+func ComposeSinglePass(comps []Component, maxChannels int) (Component, Layout, error) {
+	rects, err := composeRects(comps, maxChannels)
+	if err != nil || len(rects) == 0 {
+		return Component{}, nil, err
 	}
 	pass1, err := packing.PackStrip(rects, maxChannels)
 	if err != nil {
 		return Component{}, nil, err
 	}
-	layout := make(Layout, len(rects))
+	layout := make(Layout, len(comps))
 	for _, p := range pass1.Items {
-		layout[byID[p.Rect.ID]] = Offset{Slot: p.Y, Channel: p.X}
+		layout[p.Rect.ID] = Offset{Slot: p.Y, Channel: p.X, Placed: true}
 	}
 	return Component{Slots: pass1.H, Channels: maxChannels}, layout, nil
 }
 
-// sortedLayoutNodes returns the layout's node IDs in ascending order, for
-// deterministic iteration.
-func sortedLayoutNodes(l Layout) []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(l))
-	for id := range l {
-		out = append(out, id)
+// composeRects checks the channel budget and returns the non-empty child
+// components as pass-1 rectangles (width = channels, height = slots), each
+// with its child slot as ID.
+func composeRects(comps []Component, maxChannels int) ([]packing.Rect, error) {
+	if maxChannels <= 0 {
+		return nil, fmt.Errorf("core: non-positive channel budget %d", maxChannels)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	rects := make([]packing.Rect, 0, len(comps))
+	for slot, c := range comps {
+		if c.Empty() {
+			continue
+		}
+		if c.Channels > maxChannels {
+			return nil, fmt.Errorf("%w: child slot %d needs %d of %d channels",
+				ErrChannelBudget, slot, c.Channels, maxChannels)
+		}
+		rects = append(rects, packing.Rect{ID: slot, W: c.Channels, H: c.Slots})
+	}
+	return rects, nil
 }

@@ -3,10 +3,9 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"github.com/harpnet/harp/internal/topology"
 )
 
 func TestComponentBasics(t *testing.T) {
@@ -51,24 +50,24 @@ func TestInterfaceQueries(t *testing.T) {
 func TestOwnLayerComponent(t *testing.T) {
 	// Case 1 of §IV-B: half-duplex forces the child links into distinct
 	// slots, so the component is [Σ r, 1].
-	c := OwnLayerComponent([]int{2, 3, 1})
+	c := OwnLayerComponent(2 + 3 + 1)
 	if c.Slots != 6 || c.Channels != 1 {
 		t.Errorf("OwnLayerComponent = %v, want [6,1]", c)
 	}
-	if !OwnLayerComponent(nil).Empty() || !OwnLayerComponent([]int{0, 0}).Empty() {
+	if !OwnLayerComponent(0).Empty() {
 		t.Error("zero demand should give an empty component")
 	}
 }
 
 func TestComposeSingleChild(t *testing.T) {
-	comp, layout, err := Compose([]ChildComponent{{Child: 5, Comp: Component{Slots: 4, Channels: 1}}}, 16)
+	comp, layout, err := Compose([]Component{{Slots: 4, Channels: 1}}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if comp.Slots != 4 || comp.Channels != 1 {
 		t.Errorf("composite = %v, want [4,1]", comp)
 	}
-	if off := layout[5]; off != (Offset{}) {
+	if off := layout.At(0); off != (Offset{Placed: true}) {
 		t.Errorf("offset = %v, want origin", off)
 	}
 }
@@ -77,10 +76,7 @@ func TestComposeStacksInChannels(t *testing.T) {
 	// Two [4,1] components with 16 channels available: packing minimises
 	// slots first, so they stack into [4,2] rather than concatenating into
 	// [8,1].
-	children := []ChildComponent{
-		{Child: 1, Comp: Component{Slots: 4, Channels: 1}},
-		{Child: 2, Comp: Component{Slots: 4, Channels: 1}},
-	}
+	children := []Component{{Slots: 4, Channels: 1}, {Slots: 4, Channels: 1}}
 	comp, layout, err := Compose(children, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +84,7 @@ func TestComposeStacksInChannels(t *testing.T) {
 	if comp.Slots != 4 || comp.Channels != 2 {
 		t.Errorf("composite = %v, want [4,2]", comp)
 	}
-	if layout[1] == layout[2] {
+	if layout[0] == layout[1] {
 		t.Error("children share an offset")
 	}
 }
@@ -98,10 +94,7 @@ func TestComposeMinimisesChannelsSecondPass(t *testing.T) {
 	// realise both fit within 3 slots on ... 2 channels ([3,1] and [2,1]
 	// can't share a channel within 3 slots? They can: 3+2=5 > 3, so they
 	// need 2 channels). Composite [3,2].
-	children := []ChildComponent{
-		{Child: 1, Comp: Component{Slots: 3, Channels: 1}},
-		{Child: 2, Comp: Component{Slots: 2, Channels: 1}},
-	}
+	children := []Component{{Slots: 3, Channels: 1}, {Slots: 2, Channels: 1}}
 	comp, _, err := Compose(children, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -114,11 +107,7 @@ func TestComposeMinimisesChannelsSecondPass(t *testing.T) {
 func TestComposeChannelDimensionNotWasted(t *testing.T) {
 	// One [2,2] and two [1,1]: slots minimum is 2 (pack [1,1]s beside the
 	// big one); channels should be 3 at most, and never the full budget.
-	children := []ChildComponent{
-		{Child: 1, Comp: Component{Slots: 2, Channels: 2}},
-		{Child: 2, Comp: Component{Slots: 1, Channels: 1}},
-		{Child: 3, Comp: Component{Slots: 1, Channels: 1}},
-	}
+	children := []Component{{Slots: 2, Channels: 2}, {Slots: 1, Channels: 1}, {Slots: 1, Channels: 1}}
 	comp, layout, err := Compose(children, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -129,16 +118,24 @@ func TestComposeChannelDimensionNotWasted(t *testing.T) {
 	if comp.Channels > 3 {
 		t.Errorf("channels = %d, want <= 3", comp.Channels)
 	}
-	if len(layout) != 3 {
-		t.Errorf("layout has %d entries, want 3", len(layout))
+	if placed(layout) != 3 {
+		t.Errorf("layout places %d children, want 3", placed(layout))
 	}
 }
 
-func TestComposeSkipsEmptyChildren(t *testing.T) {
-	children := []ChildComponent{
-		{Child: 1, Comp: Component{}},
-		{Child: 2, Comp: Component{Slots: 2, Channels: 1}},
+// placed counts the slots a layout places.
+func placed(l Layout) int {
+	n := 0
+	for _, off := range l {
+		if off.Placed {
+			n++
+		}
 	}
+	return n
+}
+
+func TestComposeSkipsEmptyChildren(t *testing.T) {
+	children := []Component{{}, {Slots: 2, Channels: 1}}
 	comp, layout, err := Compose(children, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -146,17 +143,17 @@ func TestComposeSkipsEmptyChildren(t *testing.T) {
 	if comp.Slots != 2 || comp.Channels != 1 {
 		t.Errorf("composite = %v, want [2,1]", comp)
 	}
-	if _, ok := layout[1]; ok {
+	if layout.At(0).Placed {
 		t.Error("empty child placed in layout")
 	}
 }
 
 func TestComposeAllEmpty(t *testing.T) {
-	comp, layout, err := Compose([]ChildComponent{{Child: 1, Comp: Component{}}}, 16)
+	comp, layout, err := Compose([]Component{{}}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !comp.Empty() || len(layout) != 0 {
+	if !comp.Empty() || placed(layout) != 0 {
 		t.Errorf("composite = %v layout=%v, want empty", comp, layout)
 	}
 }
@@ -165,7 +162,7 @@ func TestComposeErrors(t *testing.T) {
 	if _, _, err := Compose(nil, 0); err == nil {
 		t.Error("zero budget accepted")
 	}
-	over := []ChildComponent{{Child: 1, Comp: Component{Slots: 1, Channels: 20}}}
+	over := []Component{{Slots: 1, Channels: 20}}
 	if _, _, err := Compose(over, 16); !errors.Is(err, ErrChannelBudget) {
 		t.Errorf("want ErrChannelBudget, got %v", err)
 	}
@@ -178,10 +175,7 @@ func TestComposeErrors(t *testing.T) {
 }
 
 func TestComposeSinglePassUsesFullBudget(t *testing.T) {
-	children := []ChildComponent{
-		{Child: 1, Comp: Component{Slots: 3, Channels: 1}},
-		{Child: 2, Comp: Component{Slots: 2, Channels: 1}},
-	}
+	children := []Component{{Slots: 3, Channels: 1}, {Slots: 2, Channels: 1}}
 	comp, layout, err := ComposeSinglePass(children, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -192,46 +186,39 @@ func TestComposeSinglePassUsesFullBudget(t *testing.T) {
 	if comp.Slots != 3 {
 		t.Errorf("single-pass slots = %d, want 3", comp.Slots)
 	}
-	if len(layout) != 2 {
-		t.Errorf("layout entries = %d, want 2", len(layout))
+	if placed(layout) != 2 {
+		t.Errorf("layout entries = %d, want 2", placed(layout))
 	}
-	empty, _, err := ComposeSinglePass([]ChildComponent{{Child: 1, Comp: Component{}}}, 8)
+	empty, _, err := ComposeSinglePass([]Component{{}}, 8)
 	if err != nil || !empty.Empty() {
 		t.Errorf("all-empty single pass = %v, %v", empty, err)
 	}
 }
 
 // composeOverlapFree checks that a layout is overlap-free and in bounds.
-func composeOverlapFree(t *testing.T, children []ChildComponent, comp Component, layout Layout) {
+func composeOverlapFree(t *testing.T, children []Component, comp Component, layout Layout) {
 	t.Helper()
-	regions := make(map[topology.NodeID]bool)
-	placed := make([]struct {
-		id         topology.NodeID
-		s, c, w, h int
-	}, 0, len(layout))
-	for _, cc := range children {
-		if cc.Comp.Empty() {
+	type rect struct{ slot, s, c, w, h int }
+	var placed []rect
+	for slot, cc := range children {
+		if cc.Empty() {
 			continue
 		}
-		off, ok := layout[cc.Child]
-		if !ok {
-			t.Fatalf("child %d missing from layout", cc.Child)
+		off := layout.At(slot)
+		if !off.Placed {
+			t.Fatalf("child slot %d missing from layout", slot)
 		}
 		if off.Slot < 0 || off.Channel < 0 ||
-			off.Slot+cc.Comp.Slots > comp.Slots || off.Channel+cc.Comp.Channels > comp.Channels {
-			t.Fatalf("child %d at %v escapes composite %v", cc.Child, off, comp)
+			off.Slot+cc.Slots > comp.Slots || off.Channel+cc.Channels > comp.Channels {
+			t.Fatalf("child slot %d at %v escapes composite %v", slot, off, comp)
 		}
-		placed = append(placed, struct {
-			id         topology.NodeID
-			s, c, w, h int
-		}{cc.Child, off.Slot, off.Channel, cc.Comp.Slots, cc.Comp.Channels})
-		regions[cc.Child] = true
+		placed = append(placed, rect{slot, off.Slot, off.Channel, cc.Slots, cc.Channels})
 	}
 	for i := range placed {
 		for j := i + 1; j < len(placed); j++ {
 			a, b := placed[i], placed[j]
 			if a.s < b.s+b.w && b.s < a.s+a.w && a.c < b.c+b.h && b.c < a.c+a.h {
-				t.Fatalf("children %d and %d overlap", a.id, b.id)
+				t.Fatalf("child slots %d and %d overlap", a.slot, b.slot)
 			}
 		}
 	}
@@ -242,12 +229,9 @@ func TestComposePropertyValidLayout(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		budget := 2 + rng.Intn(15)
 		n := 1 + rng.Intn(8)
-		children := make([]ChildComponent, n)
+		children := make([]Component, n)
 		for i := range children {
-			children[i] = ChildComponent{
-				Child: topology.NodeID(i + 1),
-				Comp:  Component{Slots: 1 + rng.Intn(10), Channels: 1 + rng.Intn(budget)},
-			}
+			children[i] = Component{Slots: 1 + rng.Intn(10), Channels: 1 + rng.Intn(budget)}
 		}
 		comp, layout, err := Compose(children, budget)
 		if err != nil {
@@ -258,14 +242,14 @@ func TestComposePropertyValidLayout(t *testing.T) {
 		}
 		// Re-validate geometry with a lightweight check (no *testing.T).
 		for i, a := range children {
-			oa := layout[a.Child]
-			if oa.Slot+a.Comp.Slots > comp.Slots || oa.Channel+a.Comp.Channels > comp.Channels {
+			oa := layout.At(i)
+			if !oa.Placed || oa.Slot+a.Slots > comp.Slots || oa.Channel+a.Channels > comp.Channels {
 				return false
 			}
-			for _, b := range children[i+1:] {
-				ob := layout[b.Child]
-				if oa.Slot < ob.Slot+b.Comp.Slots && ob.Slot < oa.Slot+a.Comp.Slots &&
-					oa.Channel < ob.Channel+b.Comp.Channels && ob.Channel < oa.Channel+a.Comp.Channels {
+			for k, b := range children[i+1:] {
+				ob := layout.At(i + 1 + k)
+				if oa.Slot < ob.Slot+b.Slots && ob.Slot < oa.Slot+a.Slots &&
+					oa.Channel < ob.Channel+b.Channels && ob.Channel < oa.Channel+a.Channels {
 					return false
 				}
 			}
@@ -284,12 +268,9 @@ func TestComposePropertyNeverWorseThanSinglePass(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		budget := 2 + rng.Intn(15)
 		n := 1 + rng.Intn(6)
-		children := make([]ChildComponent, n)
+		children := make([]Component, n)
 		for i := range children {
-			children[i] = ChildComponent{
-				Child: topology.NodeID(i + 1),
-				Comp:  Component{Slots: 1 + rng.Intn(8), Channels: 1 + rng.Intn(budget)},
-			}
+			children[i] = Component{Slots: 1 + rng.Intn(8), Channels: 1 + rng.Intn(budget)}
 		}
 		two, _, err := Compose(children, budget)
 		if err != nil {
@@ -307,11 +288,7 @@ func TestComposePropertyNeverWorseThanSinglePass(t *testing.T) {
 }
 
 func TestComposeDeterministic(t *testing.T) {
-	children := []ChildComponent{
-		{Child: 1, Comp: Component{Slots: 3, Channels: 2}},
-		{Child: 2, Comp: Component{Slots: 5, Channels: 1}},
-		{Child: 3, Comp: Component{Slots: 2, Channels: 2}},
-	}
+	children := []Component{{Slots: 3, Channels: 2}, {Slots: 5, Channels: 1}, {Slots: 2, Channels: 2}}
 	c1, l1, err := Compose(children, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -323,10 +300,8 @@ func TestComposeDeterministic(t *testing.T) {
 	if c1 != c2 {
 		t.Fatalf("composite differs: %v vs %v", c1, c2)
 	}
-	for id, off := range l1 {
-		if l2[id] != off {
-			t.Fatalf("layout differs at %d: %v vs %v", id, off, l2[id])
-		}
+	if !slices.Equal(l1, l2) {
+		t.Fatalf("layout differs: %v vs %v", l1, l2)
 	}
 	composeOverlapFree(t, children, c1, l1)
 }

@@ -2,23 +2,25 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"github.com/harpnet/harp/internal/schedule"
 	"github.com/harpnet/harp/internal/topology"
 )
 
 // layoutOverlapFree checks that a layout places all non-empty comps inside
 // a width x height box without overlap.
-func layoutOverlapFree(width, height int, layout Layout, comps map[topology.NodeID]Component) bool {
+func layoutOverlapFree(width, height int, layout Layout, comps []Component) bool {
 	type rect struct{ x, y, w, h int }
 	var placed []rect
-	for id, c := range comps {
+	for slot, c := range comps {
 		if c.Empty() {
 			continue
 		}
-		off, ok := layout[id]
-		if !ok {
+		off := layout.At(slot)
+		if !off.Placed {
 			return false
 		}
 		if off.Slot < 0 || off.Channel < 0 || off.Slot+c.Slots > width || off.Channel+c.Channels > height {
@@ -37,11 +39,12 @@ func layoutOverlapFree(width, height int, layout Layout, comps map[topology.Node
 	return true
 }
 
-// randomPackedLayout builds a consistent (layout, comps) pair by packing
-// random components left to right on rows of a width x height box.
-func randomPackedLayout(rng *rand.Rand, width, height, n int) (Layout, map[topology.NodeID]Component) {
-	layout := Layout{}
-	comps := map[topology.NodeID]Component{}
+// randomPackedLayout builds a consistent (layout, comps) pair by child slot
+// by packing random components left to right on rows of a width x height
+// box.
+func randomPackedLayout(rng *rand.Rand, width, height, n int) (Layout, []Component) {
+	var layout Layout
+	var comps []Component
 	x, y, rowH := 0, 0, 0
 	for i := 0; i < n; i++ {
 		w := 1 + rng.Intn(4)
@@ -54,9 +57,8 @@ func randomPackedLayout(rng *rand.Rand, width, height, n int) (Layout, map[topol
 		if y+h > height {
 			break
 		}
-		id := topology.NodeID(i + 1)
-		comps[id] = Component{Slots: w, Channels: h}
-		layout[id] = Offset{Slot: x, Channel: y}
+		comps = append(comps, Component{Slots: w, Channels: h})
+		layout = append(layout, Offset{Slot: x, Channel: y, Placed: true})
 		x += w
 		if h > rowH {
 			rowH = h
@@ -69,12 +71,9 @@ func TestMinimalExtensionGrowsJustEnough(t *testing.T) {
 	// Host [4,1] with children [2,1] and [2,1]; child 1 grows to [3,1].
 	// Slot growth is minimised first (the paper's priority), so the host
 	// grows a channel instead of a slot: [4,2], with the sibling unmoved.
-	layout := Layout{1: {Slot: 0}, 2: {Slot: 2}}
-	comps := map[topology.NodeID]Component{
-		1: {Slots: 2, Channels: 1},
-		2: {Slots: 2, Channels: 1},
-	}
-	comp, newLayout, ok := MinimalExtension(Component{Slots: 4, Channels: 1}, layout, comps, 1, Component{Slots: 3, Channels: 1}, 16)
+	layout := Layout{{Slot: 0, Placed: true}, {Slot: 2, Placed: true}}
+	comps := []Component{{Slots: 2, Channels: 1}, {Slots: 2, Channels: 1}}
+	comp, newLayout, ok := MinimalExtension(Component{Slots: 4, Channels: 1}, layout, comps, 0, Component{Slots: 3, Channels: 1}, 16)
 	if !ok {
 		t.Fatal("extension rejected")
 	}
@@ -82,10 +81,10 @@ func TestMinimalExtensionGrowsJustEnough(t *testing.T) {
 		t.Errorf("extension = %v, want [4,2]", comp)
 	}
 	// Sibling stays in place.
-	if newLayout[2] != (Offset{Slot: 2}) {
-		t.Errorf("sibling moved to %v", newLayout[2])
+	if newLayout[1] != (Offset{Slot: 2, Placed: true}) {
+		t.Errorf("sibling moved to %v", newLayout[1])
 	}
-	merged := map[topology.NodeID]Component{1: {Slots: 3, Channels: 1}, 2: comps[2]}
+	merged := []Component{{Slots: 3, Channels: 1}, comps[1]}
 	if !layoutOverlapFree(comp.Slots, comp.Channels, newLayout, merged) {
 		t.Error("extension layout overlaps")
 	}
@@ -95,9 +94,9 @@ func TestMinimalExtensionPrefersChannelGrowthWhenFree(t *testing.T) {
 	// Host [4,1]: child 1 [4,1] fills it; child 2 appears as [4,1]. Growing
 	// channels keeps the slot extent (the paper's priority), so the minimal
 	// extension is [4,2].
-	layout := Layout{1: {Slot: 0}}
-	comps := map[topology.NodeID]Component{1: {Slots: 4, Channels: 1}}
-	comp, _, ok := MinimalExtension(Component{Slots: 4, Channels: 1}, layout, comps, 2, Component{Slots: 4, Channels: 1}, 16)
+	layout := Layout{{Slot: 0, Placed: true}}
+	comps := []Component{{Slots: 4, Channels: 1}, {}}
+	comp, _, ok := MinimalExtension(Component{Slots: 4, Channels: 1}, layout, comps, 1, Component{Slots: 4, Channels: 1}, 16)
 	if !ok {
 		t.Fatal("extension rejected")
 	}
@@ -107,21 +106,21 @@ func TestMinimalExtensionPrefersChannelGrowthWhenFree(t *testing.T) {
 }
 
 func TestMinimalExtensionRejectsOverBudget(t *testing.T) {
-	if _, _, ok := MinimalExtension(Component{}, Layout{}, nil, 1, Component{Slots: 1, Channels: 20}, 16); ok {
+	if _, _, ok := MinimalExtension(Component{}, nil, []Component{{}}, 0, Component{Slots: 1, Channels: 20}, 16); ok {
 		t.Error("over-budget channel extent accepted")
 	}
 }
 
 func TestMinimalExtensionEmptyHost(t *testing.T) {
-	comp, layout, ok := MinimalExtension(Component{}, Layout{}, nil, 7, Component{Slots: 3, Channels: 2}, 16)
+	comp, layout, ok := MinimalExtension(Component{}, nil, []Component{{}}, 0, Component{Slots: 3, Channels: 2}, 16)
 	if !ok {
 		t.Fatal("insertion into empty host rejected")
 	}
 	if comp.Slots != 3 || comp.Channels != 2 {
 		t.Errorf("extension = %v, want [3,2]", comp)
 	}
-	if layout[7] != (Offset{}) {
-		t.Errorf("sole child at %v, want origin", layout[7])
+	if layout.At(0) != (Offset{Placed: true}) {
+		t.Errorf("sole child at %v, want origin", layout.At(0))
 	}
 }
 
@@ -130,10 +129,13 @@ func TestMinimalExtensionPropertyValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		width, height := 4+rng.Intn(8), 1+rng.Intn(3)
 		layout, comps := randomPackedLayout(rng, width, height, 1+rng.Intn(6))
-		target := topology.NodeID(1 + rng.Intn(len(comps)+1)) // may be new
+		target := rng.Intn(len(comps) + 1) // may be new
 		grown := Component{Slots: 1 + rng.Intn(6), Channels: 1 + rng.Intn(3)}
-		if old, ok := comps[target]; ok {
+		if target < len(comps) {
+			old := comps[target]
 			grown = Component{Slots: old.Slots + 1 + rng.Intn(3), Channels: old.Channels}
+		} else {
+			comps = append(comps, Component{})
 		}
 		host := Component{Slots: width, Channels: height}
 		comp, newLayout, ok := MinimalExtension(host, layout, comps, target, grown, 16)
@@ -144,10 +146,7 @@ func TestMinimalExtensionPropertyValid(t *testing.T) {
 		if comp.Slots < host.Slots || comp.Channels < host.Channels || comp.Channels > 16 {
 			return false
 		}
-		merged := make(map[topology.NodeID]Component, len(comps)+1)
-		for id, c := range comps {
-			merged[id] = c
-		}
+		merged := slices.Clone(comps)
 		merged[target] = grown
 		return layoutOverlapFree(comp.Slots, comp.Channels, newLayout, merged)
 	}
@@ -166,33 +165,26 @@ func TestAdjustLayoutPropertyValid(t *testing.T) {
 		if len(comps) == 0 {
 			return true
 		}
-		target := topology.NodeID(1 + rng.Intn(len(comps)))
+		target := rng.Intn(len(comps))
 		grown := Component{Slots: comps[target].Slots + rng.Intn(3), Channels: comps[target].Channels}
 		newLayout, moved, ok := AdjustLayout(width, height, layout, comps, target, grown)
 		if !ok {
 			return true // infeasibility is a legal answer
 		}
-		merged := make(map[topology.NodeID]Component, len(comps))
-		for id, c := range comps {
-			merged[id] = c
-		}
+		merged := slices.Clone(comps)
 		merged[target] = grown
 		if !layoutOverlapFree(width, height, newLayout, merged) {
 			return false
 		}
-		movedSet := make(map[topology.NodeID]bool, len(moved))
-		for _, id := range moved {
-			movedSet[id] = true
-		}
-		for id, off := range layout {
-			if id == target || movedSet[id] {
+		for slot, off := range layout {
+			if slot == target || slices.Contains(moved, slot) {
 				continue
 			}
-			if newLayout[id] != off {
+			if newLayout[slot] != off {
 				return false // silently moved
 			}
 		}
-		return true
+		return slices.IsSorted(moved)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -200,13 +192,11 @@ func TestAdjustLayoutPropertyValid(t *testing.T) {
 }
 
 func TestCompliantOrderShape(t *testing.T) {
-	comps := map[DirLayer]Component{
-		{Direction: topology.Uplink, Layer: 1}:   {Slots: 1, Channels: 1},
-		{Direction: topology.Uplink, Layer: 3}:   {Slots: 1, Channels: 1},
-		{Direction: topology.Downlink, Layer: 2}: {Slots: 1, Channels: 1},
-		{Direction: topology.Downlink, Layer: 1}: {Slots: 1, Channels: 1},
-	}
-	order := CompliantOrder(comps)
+	one := schedule.Region{Slots: 1, Channels: 1}
+	var parts [2]LayerRegions
+	parts[topology.Uplink] = LayerRegions{Base: 1, Regions: []schedule.Region{one, {}, one}}
+	parts[topology.Downlink] = LayerRegions{Base: 1, Regions: []schedule.Region{one, one}}
+	order := CompliantOrder(parts)
 	want := []DirLayer{
 		{Direction: topology.Uplink, Layer: 3},
 		{Direction: topology.Uplink, Layer: 1},

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/harpnet/harp/internal/schedule"
 	"github.com/harpnet/harp/internal/topology"
@@ -10,32 +11,57 @@ import (
 )
 
 // dirState is one direction's worth of HARP state at a node: the interface
-// it reported upward, the composition layouts it retained per layer, the
-// partitions it was granted, and the cell assignment of its own-layer links.
+// it reported upward, one record per layer it holds state at, and the cell
+// assignment of its own-layer links.
 type dirState struct {
-	iface      Interface
-	layouts    map[int]Layout                        // layer (> own link layer) -> composition layout
-	parts      map[int]schedule.Region               // layer -> granted partition
-	assignment map[topology.Link][]schedule.Cell     // own-layer links -> cells
-	childComps map[int]map[topology.NodeID]Component // layer -> child -> component (as last reported)
+	iface Interface
+
+	// Window holds the per-layer records.
+	Window[layerState]
+
+	// runs is the own-layer links' cell assignment by child slot: runs
+	// inside runRegion, the own-layer partition they were assigned in.
+	runs      []Run
+	runRegion schedule.Region
 }
 
-func newDirState() *dirState {
-	return &dirState{
-		layouts:    make(map[int]Layout),
-		parts:      make(map[int]schedule.Region),
-		assignment: make(map[topology.Link][]schedule.Cell),
-		childComps: make(map[int]map[topology.NodeID]Component),
+// layerState is one direction's state at one layer: the partition granted
+// there and, at layers below the node's own link layer, the composition it
+// retained — the children's components as last reported and where each
+// sits — both by child slot.
+type layerState struct {
+	part    schedule.Region
+	hasPart bool
+	layout  Layout
+	comps   []Component
+}
+
+// Granted returns the partition granted at the layer, if any.
+func (ls layerState) Granted() (schedule.Region, bool) { return ls.part, ls.hasPart }
+
+// sizedComps returns the layer's child components with one entry per child
+// slot, extending a shorter (or nil) slice with empty components: the
+// shape the kernels take.
+func (ls *layerState) sizedComps(slots int) []Component {
+	if n := len(ls.comps); n < slots {
+		ls.comps = append(ls.comps, make([]Component, slots-n)...)
 	}
+	return ls.comps
 }
 
 // nodeState aggregates both directions for a node.
 type nodeState struct {
-	id   topology.NodeID
-	dirs [2]*dirState
+	// children are the node's children in ascending ID order: the slot
+	// order of every per-child slice below. NewPlan copies them from the
+	// tree and Reparent keeps them in step with it.
+	children []topology.NodeID
+	dirs     [2]dirState
 }
 
-func (n *nodeState) dir(d topology.Direction) *dirState { return n.dirs[d] }
+// slot returns child c's slot, and whether c is a child.
+func (n *nodeState) slot(c topology.NodeID) (int, bool) {
+	return slices.BinarySearch(n.children, c)
+}
 
 // StaticStats counts the protocol cost of the static partition allocation
 // phase (one POST-intf per reporting node, one POST-part per partition
@@ -64,7 +90,7 @@ type Plan struct {
 
 	demand  map[topology.Link]int
 	topRate map[topology.Link]float64
-	nodes   map[topology.NodeID]*nodeState
+	nodes   []nodeState // by Tree.Index
 
 	// Overflow lists links that could not be isolated because the data
 	// sub-frame was too small (best-effort mode only).
@@ -75,6 +101,11 @@ type Plan struct {
 
 	bestEffort bool
 	rootGap    int
+
+	scratch KernelScratch
+	// cells lists one run's cells for BuildSchedule, Validate and
+	// rescheduleOwn.
+	cells []schedule.Cell
 }
 
 // Options configures plan construction.
@@ -121,7 +152,7 @@ func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells 
 		Frame:      frame,
 		demand:     make(map[topology.Link]int, len(cells)),
 		topRate:    make(map[topology.Link]float64, len(topRate)),
-		nodes:      make(map[topology.NodeID]*nodeState),
+		nodes:      make([]nodeState, tree.IndexCap()),
 		bestEffort: opts.BestEffort,
 		rootGap:    opts.RootGap,
 	}
@@ -134,8 +165,22 @@ func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells 
 	for l, r := range topRate {
 		p.topRate[l] = r
 	}
-	for _, id := range tree.Nodes() {
-		p.nodes[id] = &nodeState{id: id, dirs: [2]*dirState{newDirState(), newDirState()}}
+	// Every node's child list and run slices are cut from one backing
+	// array each, capped so that a child joining under Reparent copies
+	// only its new parent's.
+	kids := make([]topology.NodeID, 0, tree.Len()-1)
+	var runs [2][]Run
+	for d := range runs {
+		runs[d] = make([]Run, tree.Len()-1)
+	}
+	for i := range p.nodes {
+		from := len(kids)
+		kids = tree.AppendChildren(kids, tree.NodeAt(i))
+		ns := &p.nodes[i]
+		ns.children = kids[from:len(kids):len(kids)]
+		for d := range ns.dirs {
+			ns.dirs[d].runs = runs[d][from:len(kids):len(kids)]
+		}
 	}
 	if err := p.buildInterfaces(); err != nil {
 		return nil, err
@@ -146,16 +191,37 @@ func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells 
 	return p, nil
 }
 
-// childLinkDemands returns the demands of the links between node id and its
-// children in one direction, sorted by child.
-func (p *Plan) childLinkDemands(id topology.NodeID, dir topology.Direction) []LinkDemand {
-	children := p.Tree.Children(id)
-	out := make([]LinkDemand, 0, len(children))
-	for _, c := range children {
+// node returns node id's state. id must be in the tree.
+func (p *Plan) node(id topology.NodeID) *nodeState { return &p.nodes[p.Tree.Index(id)] }
+
+// lookup returns node id's state, or nil for an ID the plan does not hold.
+func (p *Plan) lookup(id topology.NodeID) *nodeState {
+	if i := p.Tree.Index(id); i >= 0 && i < len(p.nodes) {
+		return &p.nodes[i]
+	}
+	return nil
+}
+
+// childLinkDemands returns the demands of the links between a node and its
+// children in one direction, by child slot, in the plan's scratch.
+func (p *Plan) childLinkDemands(ns *nodeState, dir topology.Direction) []LinkDemand {
+	out := p.scratch.Demands[:0]
+	for _, c := range ns.children {
 		l := topology.Link{Child: c, Direction: dir}
 		out = append(out, LinkDemand{Link: l, Cells: p.demand[l], TopRate: p.topRate[l]})
 	}
+	p.scratch.Demands = out
 	return out
+}
+
+// ownDemand returns the total demand of a node's child links in one
+// direction.
+func (p *Plan) ownDemand(ns *nodeState, dir topology.Direction) int {
+	total := 0
+	for _, c := range ns.children {
+		total += p.demand[topology.Link{Child: c, Direction: dir}]
+	}
+	return total
 }
 
 // buildInterfaces runs the bottom-up resource interface generation (§IV-B)
@@ -180,7 +246,8 @@ func (p *Plan) buildInterfaces() error {
 // buildNodeInterface computes one node's interface in one direction from
 // its child link demands (Case 1) and its children's interfaces (Case 2).
 func (p *Plan) buildNodeInterface(id topology.NodeID, dir topology.Direction) error {
-	st := p.nodes[id].dir(dir)
+	ns := p.node(id)
+	st := &ns.dirs[dir]
 	ownLayer, err := p.Tree.LinkLayer(id)
 	if err != nil {
 		return err
@@ -192,35 +259,28 @@ func (p *Plan) buildNodeInterface(id topology.NodeID, dir topology.Direction) er
 	comps := make([]Component, 0, deepest-ownLayer+1)
 
 	// Case 1: own-layer component from the child link demands.
-	demands := p.childLinkDemands(id, dir)
-	cells := make([]int, len(demands))
-	for i, d := range demands {
-		cells[i] = d.Cells
-	}
-	comps = append(comps, OwnLayerComponent(cells))
+	comps = append(comps, OwnLayerComponent(p.ownDemand(ns, dir)))
 
 	// Case 2: deeper layers by composing the children's components.
+	st.Cover(ownLayer, deepest)
 	for layer := ownLayer + 1; layer <= deepest; layer++ {
-		children := make([]ChildComponent, 0, len(demands))
-		byChild := make(map[topology.NodeID]Component)
-		for _, c := range p.Tree.Children(id) {
-			if p.Tree.IsLeaf(c) {
-				continue
+		ls := st.Layer(layer)
+		byChild := ls.comps[:0]
+		for _, c := range ns.children {
+			var comp Component
+			if !p.Tree.IsLeaf(c) {
+				// A leaf reports nothing, even one that hosted a subtree
+				// before a topology change.
+				comp, _ = p.node(c).dirs[dir].iface.Component(layer)
 			}
-			comp, ok := p.nodes[c].dir(dir).iface.Component(layer)
-			if !ok || comp.Empty() {
-				continue
-			}
-			children = append(children, ChildComponent{Child: c, Comp: comp})
-			byChild[c] = comp
+			byChild = append(byChild, comp)
 		}
-		comp, layout, err := Compose(children, p.Frame.Channels)
+		comp, layout, err := Compose(byChild, p.Frame.Channels)
 		if err != nil {
 			return fmt.Errorf("core: composing node %d %s layer %d: %w", id, dir, layer, err)
 		}
 		comps = append(comps, comp)
-		st.layouts[layer] = layout
-		st.childComps[layer] = byChild
+		ls.layout, ls.comps = layout, byChild
 	}
 	st.iface = Interface{Owner: id, FirstLayer: ownLayer, Comps: comps}
 	return nil
@@ -229,17 +289,15 @@ func (p *Plan) buildNodeInterface(id topology.NodeID, dir topology.Direction) er
 // allocate runs the top-down partition allocation (§IV-C) and the
 // distributed schedule generation (§IV-D).
 func (p *Plan) allocate() error {
-	gw := p.nodes[topology.GatewayID]
-	up := gw.dir(topology.Uplink).iface
-	down := gw.dir(topology.Downlink).iface
+	gw := p.node(topology.GatewayID)
+	up := gw.dirs[topology.Uplink].iface
+	down := gw.dirs[topology.Downlink].iface
 	alloc, err := AllocateRoot(up, down, p.Frame, p.bestEffort, p.rootGap)
 	if err != nil {
 		return err
 	}
 	p.Overflow = nil
-	overflowLayers := make(map[DirLayer]bool, len(alloc.Overflow))
 	for _, dl := range alloc.Overflow {
-		overflowLayers[dl] = true
 		for _, id := range p.Tree.NodesAtDepth(dl.Layer) {
 			l := topology.Link{Child: id, Direction: dl.Direction}
 			if p.demand[l] > 0 {
@@ -248,7 +306,8 @@ func (p *Plan) allocate() error {
 		}
 	}
 	for dl, region := range alloc.Partitions {
-		gw.dir(dl.Direction).parts[dl.Layer] = region
+		ls := gw.dirs[dl.Direction].At(dl.Layer)
+		ls.part, ls.hasPart = region, true
 	}
 	// Top-down split, breadth-first from the gateway.
 	queue := []topology.NodeID{topology.GatewayID}
@@ -260,7 +319,7 @@ func (p *Plan) allocate() error {
 				return err
 			}
 		}
-		for _, c := range p.Tree.Children(id) {
+		for _, c := range p.node(id).children {
 			if !p.Tree.IsLeaf(c) {
 				queue = append(queue, c)
 				p.Static.PartitionMessages++ // POST-part to this child
@@ -273,21 +332,31 @@ func (p *Plan) allocate() error {
 // settleNode consumes a node's granted partitions: schedules its own-layer
 // links and splits deeper-layer partitions among its children.
 func (p *Plan) settleNode(id topology.NodeID, dir topology.Direction) error {
-	st := p.nodes[id].dir(dir)
+	ns := p.node(id)
+	st := &ns.dirs[dir]
 	ownLayer, _ := p.Tree.LinkLayer(id) //harplint:allow errcheck — id comes from the tree itself
-	for layer, region := range st.parts {
+	mark := p.scratch.PushRegions(len(ns.children))
+	defer p.scratch.PopRegions(mark)
+	split := p.scratch.Regions[mark:]
+	for i := range st.Layers {
+		ls, layer := &st.Layers[i], st.Base+i
+		if !ls.hasPart {
+			continue
+		}
 		if layer == ownLayer {
-			if err := p.scheduleOwnLayer(id, dir, region); err != nil {
+			if err := p.scheduleOwnLayer(id, dir, ls.part); err != nil {
 				return err
 			}
 			continue
 		}
-		split, err := SplitPartition(region, st.layouts[layer], st.childComps[layer])
-		if err != nil {
+		if err := SplitPartition(ls.part, ns.children, ls.layout, ls.comps, split); err != nil {
 			return err
 		}
-		for child, childRegion := range split {
-			p.nodes[child].dir(dir).parts[layer] = childRegion
+		for slot, off := range ls.layout {
+			if off.Placed {
+				cl := p.node(ns.children[slot]).dirs[dir].At(layer)
+				cl.part, cl.hasPart = split[slot], true
+			}
 		}
 	}
 	return nil
@@ -296,36 +365,38 @@ func (p *Plan) settleNode(id topology.NodeID, dir topology.Direction) error {
 // scheduleOwnLayer runs RM cell assignment for a node's child links within
 // its own-layer partition.
 func (p *Plan) scheduleOwnLayer(id topology.NodeID, dir topology.Direction, region schedule.Region) error {
-	demands := p.childLinkDemands(id, dir)
-	assignment, err := AssignCells(region, demands)
-	if err != nil {
+	ns := p.node(id)
+	st := &ns.dirs[dir]
+	if err := AssignCells(region, p.childLinkDemands(ns, dir), st.runs, &p.scratch.Assign); err != nil {
 		return fmt.Errorf("core: scheduling node %d %s: %w", id, dir, err)
 	}
-	st := p.nodes[id].dir(dir)
-	st.assignment = assignment
-	p.Static.ScheduleMessages += len(assignment)
+	st.runRegion = region
+	for _, r := range st.runs {
+		if r.Count > 0 {
+			p.Static.ScheduleMessages++
+		}
+	}
 	return nil
 }
 
 // Partition returns the partition granted to node id's subtree at the given
 // layer and direction.
 func (p *Plan) Partition(id topology.NodeID, layer int, dir topology.Direction) (schedule.Region, bool) {
-	st, ok := p.nodes[id]
-	if !ok {
+	ns := p.lookup(id)
+	if ns == nil {
 		return schedule.Region{}, false
 	}
-	r, ok := st.dir(dir).parts[layer]
-	return r, ok
+	return ns.dirs[dir].Part(layer)
 }
 
 // InterfaceOf returns the resource interface node id reported in one
 // direction.
 func (p *Plan) InterfaceOf(id topology.NodeID, dir topology.Direction) (Interface, bool) {
-	st, ok := p.nodes[id]
-	if !ok {
+	ns := p.lookup(id)
+	if ns == nil {
 		return Interface{}, false
 	}
-	return st.dir(dir).iface, true
+	return ns.dirs[dir].iface, true
 }
 
 // CellsOf returns the cells currently assigned to a link (nil if none).
@@ -334,10 +405,11 @@ func (p *Plan) CellsOf(l topology.Link) []schedule.Cell {
 	if err != nil || parent == topology.None {
 		return nil
 	}
-	cells := p.nodes[parent].dir(l.Direction).assignment[l]
-	out := make([]schedule.Cell, len(cells))
-	copy(out, cells)
-	return out
+	ns := p.node(parent)
+	st := &ns.dirs[l.Direction]
+	slot, _ := ns.slot(l.Child)
+	run := st.runs[slot]
+	return run.AppendCells(make([]schedule.Cell, 0, run.Count), st.runRegion)
 }
 
 // Demand returns the plan's current cell requirement for a link.
@@ -352,10 +424,15 @@ func (p *Plan) BuildSchedule() (*schedule.Schedule, error) {
 		return nil, err
 	}
 	for _, id := range p.Tree.Nodes() {
+		ns := p.node(id)
 		for _, dir := range topology.Directions() {
-			st := p.nodes[id].dir(dir)
-			for l, cells := range st.assignment {
-				if err := s.Assign(l, cells...); err != nil {
+			st := &ns.dirs[dir]
+			for slot, run := range st.runs {
+				if run.Count == 0 {
+					continue
+				}
+				p.cells = run.AppendCells(p.cells[:0], st.runRegion)
+				if err := s.Assign(topology.Link{Child: ns.children[slot], Direction: dir}, p.cells...); err != nil {
 					return nil, err
 				}
 			}
@@ -377,22 +454,18 @@ type PartitionInfo struct {
 func (p *Plan) Partitions() []PartitionInfo {
 	var out []PartitionInfo
 	for _, id := range p.Tree.Nodes() {
+		ns := p.node(id)
 		for _, dir := range topology.Directions() {
-			st := p.nodes[id].dir(dir)
-			for layer, region := range st.parts {
-				out = append(out, PartitionInfo{Node: id, Layer: layer, Direction: dir, Region: region})
+			st := &ns.dirs[dir]
+			for i, ls := range st.Layers {
+				if ls.hasPart {
+					out = append(out, PartitionInfo{Node: id, Layer: st.Base + i, Direction: dir, Region: ls.part})
+				}
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Direction != b.Direction {
-			return a.Direction < b.Direction
-		}
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		return a.Node < b.Node
+	slices.SortFunc(out, func(a, b PartitionInfo) int {
+		return cmp.Or(cmp.Compare(a.Direction, b.Direction), cmp.Compare(a.Layer, b.Layer), cmp.Compare(a.Node, b.Node))
 	})
 	return out
 }
@@ -404,35 +477,32 @@ func (p *Plan) Partitions() []PartitionInfo {
 // half-duplex clean.
 func (p *Plan) Validate() error {
 	for _, dir := range topology.Directions() {
-		// Gateway-level partitions must be pairwise disjoint; read in layer
+		// Gateway-level partitions must be pairwise disjoint, read in layer
 		// order so the reported pair is deterministic.
-		gw := p.nodes[topology.GatewayID].dir(dir).parts
-		layers := make([]int, 0, len(gw))
-		for layer := range gw {
-			layers = append(layers, layer)
-		}
-		sort.Ints(layers)
-		for i, a := range layers {
-			for _, b := range layers[i+1:] {
-				if gw[a].Overlaps(gw[b]) {
-					return fmt.Errorf("core: gateway partitions overlap: %v vs %v", gw[a], gw[b])
+		gw := &p.node(topology.GatewayID).dirs[dir]
+		for i, a := range gw.Layers {
+			for _, b := range gw.Layers[i+1:] {
+				if a.hasPart && b.hasPart && a.part.Overlaps(b.part) {
+					return fmt.Errorf("core: gateway partitions overlap: %v vs %v", a.part, b.part)
 				}
 			}
 		}
 		// Children inside parents, siblings disjoint, at every node.
 		for _, id := range p.Tree.Nodes() {
-			st := p.nodes[id].dir(dir)
+			ns := p.node(id)
+			st := &ns.dirs[dir]
 			ownLayer, _ := p.Tree.LinkLayer(id) //harplint:allow errcheck — id comes from the tree itself
-			for layer, region := range st.parts {
-				if layer == ownLayer {
+			for i, ls := range st.Layers {
+				layer := st.Base + i
+				if !ls.hasPart || layer == ownLayer {
 					continue
 				}
 				var kids []schedule.Region
-				for _, c := range p.Tree.Children(id) {
-					if kr, ok := p.nodes[c].dir(dir).parts[layer]; ok {
-						if !region.ContainsRegion(kr) {
+				for _, c := range ns.children {
+					if kr, ok := p.node(c).dirs[dir].Part(layer); ok {
+						if !ls.part.ContainsRegion(kr) {
 							return fmt.Errorf("core: node %d layer %d: child %d partition %v outside %v",
-								id, layer, c, kr, region)
+								id, layer, c, kr, ls.part)
 						}
 						kids = append(kids, kr)
 					}
@@ -445,12 +515,17 @@ func (p *Plan) Validate() error {
 					}
 				}
 			}
-			for l, cells := range st.assignment {
-				own, ok := st.parts[ownLayer]
-				if !ok && len(cells) > 0 {
+			own, hasOwn := st.Part(ownLayer)
+			for slot, run := range st.runs {
+				if run.Count == 0 {
+					continue
+				}
+				l := topology.Link{Child: ns.children[slot], Direction: dir}
+				if !hasOwn {
 					return fmt.Errorf("core: node %d schedules %v without a partition", id, l)
 				}
-				for _, c := range cells {
+				p.cells = run.AppendCells(p.cells[:0], st.runRegion)
+				for _, c := range p.cells {
 					if !own.Contains(c) {
 						return fmt.Errorf("core: node %d: cell %v of %v outside partition %v", id, c, l, own)
 					}

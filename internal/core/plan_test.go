@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -316,23 +317,34 @@ func TestAllocateRootStrictAndBestEffort(t *testing.T) {
 
 func TestSplitPartitionErrors(t *testing.T) {
 	parent := schedule.Region{Slot: 10, Channel: 2, Slots: 6, Channels: 2}
-	layout := Layout{5: {Slot: 0, Channel: 0}}
-	comps := map[topology.NodeID]Component{5: {Slots: 3, Channels: 1}}
-	split, err := SplitPartition(parent, layout, comps)
-	if err != nil {
+	children := []topology.NodeID{5, 7}
+	layout := Layout{{Slot: 0, Channel: 0, Placed: true}}
+	comps := []Component{{Slots: 3, Channels: 1}, {}}
+	split := make([]schedule.Region, len(children))
+	if err := SplitPartition(parent, children, layout, comps, split); err != nil {
 		t.Fatal(err)
 	}
-	if r := split[5]; r.Slot != 10 || r.Channel != 2 {
+	if r := split[0]; r.Slot != 10 || r.Channel != 2 || r.Slots != 3 {
 		t.Errorf("split region = %v", r)
 	}
-	// Layout references missing component.
-	if _, err := SplitPartition(parent, Layout{7: {}}, comps); err == nil {
+	// An absent slot gets no region.
+	if split[1] != (schedule.Region{}) {
+		t.Errorf("absent child split into %v", split[1])
+	}
+	// Layout places a slot past the components (and the children): an
+	// error, not an index panic.
+	long := Layout{{Slot: 0, Channel: 0, Placed: true}, {}, {Slot: 3, Channel: 0, Placed: true}}
+	if err := SplitPartition(parent, children, long, comps, split); err == nil || !strings.Contains(err.Error(), "slot 2") {
+		t.Errorf("layout past the components: err = %v", err)
+	}
+	if err := SplitPartition(parent, children, Layout{{}, {Placed: true}}, comps[:1], split); err == nil {
 		t.Error("missing component accepted")
 	}
 	// Child escaping parent.
-	bad := map[topology.NodeID]Component{5: {Slots: 9, Channels: 1}}
-	if _, err := SplitPartition(parent, layout, bad); err == nil {
-		t.Error("escaping child accepted")
+	bad := []Component{{Slots: 9, Channels: 1}, {}}
+	err := SplitPartition(parent, children, layout, bad, split)
+	if err == nil || !strings.Contains(err.Error(), "child 5 partition") {
+		t.Errorf("escaping child: err = %v", err)
 	}
 }
 
@@ -342,13 +354,13 @@ func TestAssignCellsRMOrder(t *testing.T) {
 		{Link: topology.Link{Child: 1, Direction: topology.Uplink}, Cells: 2, TopRate: 1},
 		{Link: topology.Link{Child: 2, Direction: topology.Uplink}, Cells: 3, TopRate: 4},
 	}
-	out, err := AssignCells(p, demands)
-	if err != nil {
+	var s AssignScratch
+	runs := make([]Run, len(demands))
+	if err := AssignCells(p, demands, runs, &s); err != nil {
 		t.Fatal(err)
 	}
 	// Higher-rate link (child 2) gets the earliest cells.
-	c2 := out[topology.Link{Child: 2, Direction: topology.Uplink}]
-	c1 := out[topology.Link{Child: 1, Direction: topology.Uplink}]
+	c1, c2 := runs[0].AppendCells(nil, p), runs[1].AppendCells(nil, p)
 	if len(c2) != 3 || len(c1) != 2 {
 		t.Fatalf("allocations: c2=%d c1=%d", len(c2), len(c1))
 	}
@@ -357,16 +369,17 @@ func TestAssignCellsRMOrder(t *testing.T) {
 	}
 	// Overflow rejected.
 	demands[0].Cells = 10
-	if _, err := AssignCells(p, demands); !errors.Is(err, ErrInfeasible) {
+	if err := AssignCells(p, demands, runs, &s); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 	// Negative demand rejected.
-	if _, err := AssignCells(p, []LinkDemand{{Cells: -1}}); err == nil {
+	if err := AssignCells(p, []LinkDemand{{Cells: -1}}, runs, &s); err == nil {
 		t.Error("negative demand accepted")
 	}
-	// Zero-demand links omitted.
-	out, err = AssignCells(p, []LinkDemand{{Link: topology.Link{Child: 3}, Cells: 0}})
-	if err != nil || len(out) != 0 {
-		t.Errorf("zero-demand assignment = %v, %v", out, err)
+	// Zero-demand links get no cells.
+	runs[0] = Run{Start: 4, Count: 1}
+	err := AssignCells(p, []LinkDemand{{Link: topology.Link{Child: 3}, Cells: 0}}, runs[:1], &s)
+	if err != nil || runs[0] != (Run{}) {
+		t.Errorf("zero-demand assignment = %v, %v", runs[0], err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/harpnet/harp/internal/schedule"
@@ -75,23 +76,28 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	if err != nil {
 		return nil, err
 	}
-	inSubtree := make(map[topology.NodeID]bool, len(subtree))
+	inSubtree := make([]bool, p.Tree.IndexCap())
 	for _, id := range subtree {
-		inSubtree[id] = true
+		inSubtree[p.Tree.Index(id)] = true
+	}
+	isMoved := func(id topology.NodeID) bool {
+		i := p.Tree.Index(id)
+		return i >= 0 && inSubtree[i]
 	}
 	// Structural move first — topology.Reparent validates the cycle-freedom
 	// and recomputes depths.
 	if err := p.Tree.Reparent(node, newParent); err != nil {
 		return nil, err
 	}
+	released := p.moveChild(node, oldParent, newParent)
 	report := &TopologyAdjustment{}
 
 	// While re-attaching, the moved node's own link carries no granted
 	// cells; its demand re-appears in step 5 once the new parent ensures
 	// capacity. Leaving the old value in place would poison intermediate
 	// reschedules at the new parent (whose partition has not grown yet).
-	savedDemand := make(map[topology.Direction]int, 2)
-	savedRate := make(map[topology.Direction]float64, 2)
+	var savedDemand [2]int
+	var savedRate [2]float64
 	for _, dir := range topology.Directions() {
 		l := topology.Link{Child: node, Direction: dir}
 		savedDemand[dir] = p.demand[l]
@@ -99,23 +105,16 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 		p.demand[l] = 0
 	}
 
-	// 1. Release at the old parent: drop the moved child's components from
-	// every layer; the freed cells stay idle inside the old branch's
-	// partitions. One leave notification plus the old parent's schedule
-	// shrink.
+	// 1. Release at the old parent: the moved child's components left
+	// every layer with its slot (moveChild); the freed cells stay idle
+	// inside the old branch's partitions. One leave notification plus the
+	// old parent's schedule shrink, the released link's own notice
+	// included.
 	for _, dir := range topology.Directions() {
-		st := p.nodes[oldParent].dir(dir)
-		// Strip the moved child from every layer the old parent tracks —
-		// not just the subtree's current layer span: earlier topology
-		// changes may have left entries at layers the subtree no longer
-		// reaches.
-		for layer := range st.childComps {
-			delete(st.childComps[layer], node)
-		}
-		for layer := range st.layouts {
-			delete(st.layouts[layer], node)
-		}
 		rel := &Adjustment{Case: CaseRelease}
+		if released[dir] {
+			rel.ScheduleMessages++
+		}
 		if err := p.rescheduleOwn(oldParent, dir, rel); err != nil {
 			return nil, err
 		}
@@ -125,20 +124,20 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 
 	// 2. Reset the moved subtree's resource state and regenerate its
 	// interfaces at the new depth (bottom-up, like the static phase).
-	for _, dir := range topology.Directions() {
-		for _, id := range subtree {
-			st := p.nodes[id].dir(dir)
-			st.layouts = make(map[int]Layout)
-			st.childComps = make(map[int]map[topology.NodeID]Component)
-			st.parts = make(map[int]schedule.Region)
-			st.assignment = make(map[topology.Link][]schedule.Cell)
+	for _, id := range subtree {
+		ns := p.node(id)
+		for d := range ns.dirs {
+			st := &ns.dirs[d]
+			st.Base, st.Layers = 0, nil
+			clear(st.runs)
+			st.runRegion = schedule.Region{}
 		}
 	}
 
 	// 3. Apply the post-change demands for links internal to the subtree
 	// directly: their partitions are re-granted by the insertion below.
 	for l, c := range newCells {
-		if inSubtree[l.Child] && l.Child != node {
+		if isMoved(l.Child) && l.Child != node {
 			p.demand[l] = c
 			p.topRate[l] = newRates[l]
 		}
@@ -160,7 +159,7 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	// the ordinary adjustment machinery; this re-grants partitions down the
 	// whole moved subtree.
 	for _, dir := range topology.Directions() {
-		iface := p.nodes[node].dir(dir).iface
+		iface := p.node(node).dirs[dir].iface
 		for layer := iface.FirstLayer; layer <= iface.LastLayer(); layer++ {
 			comp, ok := iface.Component(layer)
 			if !ok || comp.Empty() {
@@ -205,7 +204,7 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	// release-first order so freed cells are available to the increases.
 	var increases []topology.Link
 	for _, l := range sortedLinks(newCells) {
-		if inSubtree[l.Child] {
+		if isMoved(l.Child) {
 			continue // subtree internals in step 3, the node's link in step 5
 		}
 		c := newCells[l]
@@ -234,6 +233,39 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	}
 	p.debugCheck("Reparent")
 	return report, nil
+}
+
+// moveChild moves node's slot, with its per-child records, from oldParent's
+// child list to newParent's, as the tree just did. It reports, per
+// direction, whether node's link held cells at the old parent.
+func (p *Plan) moveChild(node, oldParent, newParent topology.NodeID) (released [2]bool) {
+	op := p.node(oldParent)
+	if k, ok := op.slot(node); ok {
+		op.children = slices.Delete(op.children, k, k+1)
+		for d := range op.dirs {
+			st := &op.dirs[d]
+			released[d] = st.runs[k].Count > 0
+			st.runs = slices.Delete(st.runs, k, k+1)
+			for i := range st.Layers {
+				ls := &st.Layers[i]
+				ls.layout = DeleteSlot(ls.layout, k)
+				ls.comps = DeleteSlot(ls.comps, k)
+			}
+		}
+	}
+	np := p.node(newParent)
+	k, _ := np.slot(node)
+	np.children = slices.Insert(np.children, k, node)
+	for d := range np.dirs {
+		st := &np.dirs[d]
+		st.runs = slices.Insert(st.runs, k, Run{})
+		for i := range st.Layers {
+			ls := &st.Layers[i]
+			ls.layout = InsertSlot(ls.layout, k)
+			ls.comps = InsertSlot(ls.comps, k)
+		}
+	}
+	return released
 }
 
 // subtreeByDepthDesc orders subtree node IDs deepest-first under the

@@ -1,34 +1,35 @@
 package core
 
-import "github.com/harpnet/harp/internal/topology"
-
 // LayoutValid reports whether a committed layout is a consistent placement
 // of the given child components inside a slots x channels host: every
-// placed child has a component, every component sits fully in bounds, and
-// no two components overlap. The adjustment watchdog uses it (under
-// harpdebug) to assert that rolling an aborted escalation back really
-// lands on a consistent committed state.
-func LayoutValid(slots, channels int, layout Layout, comps map[topology.NodeID]Component) bool {
-	ids := sortedLayoutNodes(layout)
-	for i, id := range ids {
-		c, ok := comps[id]
-		if !ok {
+// placed non-empty component sits fully in bounds, and no two overlap.
+// layout and comps are by child slot. The adjustment watchdog uses it
+// (under harpdebug) to assert that rolling an aborted escalation back
+// really lands on a consistent committed state.
+func LayoutValid(slots, channels int, layout Layout, comps []Component) bool {
+	for i, off := range layout {
+		if !off.Placed {
+			continue
+		}
+		if i >= len(comps) {
 			return false
 		}
+		c := comps[i]
 		if c.Empty() {
 			continue
 		}
-		off := layout[id]
 		if off.Slot < 0 || off.Channel < 0 ||
 			off.Slot+c.Slots > slots || off.Channel+c.Channels > channels {
 			return false
 		}
-		for _, other := range ids[:i] {
-			oc := comps[other]
+		for k, oo := range layout[:i] {
+			if !oo.Placed {
+				continue
+			}
+			oc := comps[k]
 			if oc.Empty() {
 				continue
 			}
-			oo := layout[other]
 			if off.Slot < oo.Slot+oc.Slots && oo.Slot < off.Slot+c.Slots &&
 				off.Channel < oo.Channel+oc.Channels && oo.Channel < off.Channel+c.Channels {
 				return false

@@ -204,6 +204,7 @@ func New(cfg Config) (*CoSim, error) {
 	if err != nil {
 		return nil, err
 	}
+	bus.Reserve(cfg.Tree.Len()) // agent.Deploy registers every node
 	if cfg.Shards > 1 {
 		bus.SetShardRouter(subtreeShardRouter(cfg.Tree, cfg.Shards))
 	}

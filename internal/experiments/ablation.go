@@ -22,15 +22,13 @@ type AblationConfig struct {
 func DefaultAblation() AblationConfig { return AblationConfig{Instances: 200, Seed: 7} }
 
 // randomComponents draws a random component set shaped like the composition
-// inputs HARP sees (per-subtree blocks of a few slots and channels).
-func randomComponents(rng *rand.Rand, budget int) []core.ChildComponent {
+// inputs HARP sees (per-subtree blocks of a few slots and channels), one
+// per child slot.
+func randomComponents(rng *rand.Rand, budget int) []core.Component {
 	n := 2 + rng.Intn(7)
-	out := make([]core.ChildComponent, n)
+	out := make([]core.Component, n)
 	for i := range out {
-		out[i] = core.ChildComponent{
-			Child: topology.NodeID(i + 1),
-			Comp:  core.Component{Slots: 1 + rng.Intn(12), Channels: 1 + rng.Intn(budget/2)},
-		}
+		out[i] = core.Component{Slots: 1 + rng.Intn(12), Channels: 1 + rng.Intn(budget/2)}
 	}
 	return out
 }
@@ -173,18 +171,17 @@ func AblationAdjustment(cfg AblationConfig) (*stats.Table, error) {
 		// A one-channel strip of sibling partitions with some slack, like a
 		// parent partition at one layer.
 		n := 3 + rng.Intn(5)
-		layout := core.Layout{}
-		comps := map[topology.NodeID]core.Component{}
+		layout := make(core.Layout, n)
+		comps := make([]core.Component, n)
 		slot := 0
 		for j := 0; j < n; j++ {
 			w := 1 + rng.Intn(4)
-			id := topology.NodeID(j + 1)
-			comps[id] = core.Component{Slots: w, Channels: 1}
-			layout[id] = core.Offset{Slot: slot, Channel: 0}
+			comps[j] = core.Component{Slots: w, Channels: 1}
+			layout[j] = core.Offset{Slot: slot, Channel: 0, Placed: true}
 			slot += w
 		}
 		width := slot + 2 + rng.Intn(4) // slack at the end
-		target := topology.NodeID(1 + rng.Intn(n))
+		target := rng.Intn(n)
 		grown := core.Component{Slots: comps[target].Slots + 1 + rng.Intn(2), Channels: 1}
 
 		_, moved, ok := core.AdjustLayout(width, 1, layout, comps, target, grown)

@@ -164,14 +164,6 @@ func (w *WindowSeries) Set(window int64, v int64) {
 	w.vals[window] = v
 }
 
-// Len returns the number of materialised windows.
-func (w *WindowSeries) Len() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.vals)
-}
-
 // Values returns a copy of the materialised windows.
 func (w *WindowSeries) Values() []int64 {
 	if w == nil || len(w.vals) == 0 {

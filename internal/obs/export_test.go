@@ -60,3 +60,11 @@ func (r *Registry) SumKind(kind string) int64 {
 	}
 	return total
 }
+
+// Len returns the number of materialised windows.
+func (w *WindowSeries) Len() int {
+	if w == nil {
+		return 0
+	}
+	return len(w.vals)
+}

@@ -129,6 +129,8 @@ func (r Region) Overlaps(q Region) bool {
 }
 
 // Cells enumerates the region's cells in slot-major order.
+//
+//harplint:allow unused schedule's region tests and core's map-kernel reference (kernels_ref_test.go)
 func (r Region) Cells() []Cell {
 	if r.Empty() {
 		return nil

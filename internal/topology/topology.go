@@ -277,6 +277,14 @@ func (t *Tree) Children(id NodeID) []NodeID {
 	return out
 }
 
+// AppendChildren appends a node's children, in ascending order, to dst.
+func (t *Tree) AppendChildren(dst []NodeID, id NodeID) []NodeID {
+	if n := t.rec(id); n != nil {
+		dst = append(dst, n.children...)
+	}
+	return dst
+}
+
 // IsLeaf reports whether the node has no children.
 func (t *Tree) IsLeaf(id NodeID) bool {
 	i := t.Index(id)

@@ -101,6 +101,8 @@ func (s *Set) SetRate(id TaskID, rate float64) error {
 }
 
 // Len returns the number of tasks.
+//
+//harplint:allow unused the task-count checks of traffic's tests and the scaleFleet fixtures of core and cosim
 func (s *Set) Len() int { return len(s.tasks) }
 
 // Tasks returns the tasks sorted by ID.

@@ -54,6 +54,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/harpnet/harp/internal/coap"
 	"github.com/harpnet/harp/internal/obs"
@@ -472,6 +473,15 @@ func (b *Bus) SetTracer(t *obs.Tracer) { b.tracer = t }
 // agent and MAC series land next to the transport's, and ResetCounters
 // clears them all together.
 func (b *Bus) Metrics() *obs.Registry { return b.metrics }
+
+// Reserve sizes the per-node tables for a fleet of nodes nodes with IDs
+// below nodes (a topology.Tree's usual numbering), so that registering the
+// fleet appends without regrowing them. Sparse IDs still register; the
+// tables then grow past the reservation as before.
+func (b *Bus) Reserve(nodes int) {
+	b.nodes = slices.Grow(b.nodes, max(0, nodes-len(b.nodes)))
+	b.nodeIdx = slices.Grow(b.nodeIdx, max(0, nodes-len(b.nodeIdx)))
+}
 
 // Register attaches a node's handler, assigning the node the next dense
 // slot (re-registering an id replaces its handler in place). Node IDs are

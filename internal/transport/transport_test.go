@@ -294,6 +294,45 @@ func TestBusReliableExchangeAllocs(t *testing.T) {
 	}
 }
 
+// TestBusReservedRegisterAllocs: a bus reserved for a fleet registers the
+// whole fleet without regrowing its per-node tables, and registers it in
+// the same dense slots as an unreserved bus.
+func TestBusReservedRegisterAllocs(t *testing.T) {
+	const fleet = 1000
+	buses := make([]*Bus, 4)
+	for i := range buses {
+		bus, err := NewBus(100, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Reserve(fleet)
+		buses[i] = bus
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(len(buses)-1, func() {
+		bus := buses[next]
+		next++
+		for id := topology.NodeID(fleet - 1); id >= 0; id-- {
+			bus.Register(id, nopHandler{})
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("registering %d nodes on a reserved bus allocates %.0f times, want 0", fleet, allocs)
+	}
+	plain, err := NewBus(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := topology.NodeID(fleet - 1); id >= 0; id-- {
+		plain.Register(id, nopHandler{})
+	}
+	for id := topology.NodeID(0); id < fleet; id++ {
+		if got, want := buses[0].slot(id), plain.slot(id); got != want {
+			t.Fatalf("node %d: slot %d on the reserved bus, %d on a plain one", id, got, want)
+		}
+	}
+}
+
 // TestBusUnregisteredSender: per-pair state lives with the sender, so a
 // sender nobody registered has nowhere to keep it — both send calls refuse
 // it exactly as they refuse an unregistered destination.

@@ -36,11 +36,15 @@ lint:
 # imports sync, sync/atomic or net/http. The third keeps agent state
 # dense: per-node protocol state is per-layer and per-child records, so no
 # non-test file under internal/agent declares a layer-keyed map[int]. The
-# last three keep node state off NodeID-keyed maps where the tree's dense
+# next three keep node state off NodeID-keyed maps where the tree's dense
 # index serves: topology.Tree stores its nodes in slices, the transport
 # and the MAC simulator address per-node state by slot or Tree.Index, and
-# core's planner and kernels hold per-node slices and child-slot slices
-# (maps keyed by Link, DirLayer or Direction remain).
+# core's planner and kernels hold per-node slices and child-slot slices.
+# The last two keep link demand off Link-keyed maps: traffic.Demand is a
+# table of the links that carry demand, and core.Plan holds each link's
+# demand by the child's Tree.Index. Only the signatures of
+# traffic.FromCells and core.NewPlanFromLinkDemand, whose callers hold
+# maps, still take them.
 NO_EXEMPT_PKGS = internal/transport internal/agent internal/sim internal/vclock internal/core internal/cosim internal/experiments internal/obs
 guards:
 	@if grep -rnF 'harplint:allow determinism' $(NO_EXEMPT_PKGS); then \
@@ -55,6 +59,10 @@ guards:
 		echo "per-node state is addressed by dense index: no map[topology.NodeID] in internal/transport or internal/sim"; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' 'map\[(topology\.NodeID|int)\]' internal/core; then \
 		echo "core state is per-node and child-slot slices: no map[topology.NodeID] or map[int] in internal/core"; exit 1; fi
+	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[topology.Link]' internal/traffic | grep -vF 'func FromCells('; then \
+		echo "link demand is a table of links: no map[topology.Link] in internal/traffic outside FromCells's signature"; exit 1; fi
+	@if grep -rnF --include='*.go' --exclude='*_test.go' 'map[topology.Link]' internal/core | grep -vF 'func NewPlanFromLinkDemand('; then \
+		echo "the plan holds link demand by Tree.Index: no map[topology.Link] in internal/core outside NewPlanFromLinkDemand's signature"; exit 1; fi
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

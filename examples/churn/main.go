@@ -34,7 +34,7 @@ func main() {
 	fmt.Printf("RPL formed a %d-node tree with %d layers\n", tree.Len(), tree.MaxLayer())
 
 	frame := schedule.Slotframe{Slots: 800, Channels: 16, DataSlots: 800, SlotDuration: 10_000_000}
-	demand := func(over *topology.Tree) (map[topology.Link]int, map[topology.Link]float64) {
+	demand := func(over *topology.Tree) *traffic.Demand {
 		tasks, err := traffic.UniformEcho(over, 1)
 		if err != nil {
 			log.Fatal(err)
@@ -43,16 +43,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cells := make(map[topology.Link]int)
-		rates := make(map[topology.Link]float64)
-		for _, l := range d.Links() {
-			cells[l] = d.Cells(l)
-			rates[l] = 1
-		}
-		return cells, rates
+		return d
 	}
-	cells, rates := demand(tree)
-	plan, err := core.NewPlanFromLinkDemand(tree, frame, cells, rates, core.Options{RootGap: 2})
+	plan, err := core.NewPlan(tree, frame, demand(tree), core.Options{RootGap: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,13 +75,13 @@ func main() {
 				continue
 			}
 			// Demand over the post-switch routes.
-			newCells, newRates := demand(clone)
+			newDemand := demand(clone)
 
-			rep, err := plan.Reparent(sw.Node, sw.To, newCells, newRates)
+			rep, err := plan.Reparent(sw.Node, sw.To, newDemand)
 			if errors.Is(err, core.ErrReparentFailed) {
 				fmt.Printf("event %d: node %d -> %d could not migrate incrementally; rebuilding\n",
 					event, sw.Node, sw.To)
-				plan, err = core.NewPlanFromLinkDemand(tree, frame, newCells, newRates, core.Options{RootGap: 2})
+				plan, err = core.NewPlan(tree, frame, newDemand, core.Options{RootGap: 2})
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -240,14 +240,5 @@ func (n *Network) ReparentNode(node, newParent NodeID) (*TopologyAdjustment, err
 	if err != nil {
 		return nil, err
 	}
-	cells := make(map[Link]int)
-	rates := make(map[Link]float64)
-	for _, l := range demand.Links() {
-		cells[l] = demand.Cells(l)
-		flows := demand.Flows(l)
-		if len(flows) > 0 {
-			rates[l] = flows[0].Task.Rate
-		}
-	}
-	return n.Plan.Reparent(node, newParent, cells, rates)
+	return n.Plan.Reparent(node, newParent, demand)
 }

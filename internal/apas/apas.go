@@ -87,6 +87,9 @@ func (m *Manager) SetLinkDemand(l topology.Link, cells int, topRate float64) (Re
 	if err != nil {
 		return Report{}, err
 	}
+	if depth == 0 || l.Direction > topology.Downlink {
+		return Report{}, fmt.Errorf("apas: %v is not a child link of the tree", l)
+	}
 	old, oldRate := m.demand[l], m.topRate[l]
 	m.demand[l] = cells
 	m.topRate[l] = topRate

@@ -123,4 +123,12 @@ func TestAPaSRejectsInfeasible(t *testing.T) {
 	if _, err := m.SetLinkDemand(topology.Link{Child: 99}, 1, 1); err == nil {
 		t.Error("unknown link accepted")
 	}
+	// The gateway has no parent link; asking for one leaves the manager
+	// as it was.
+	if _, err := m.SetLinkDemand(topology.Link{Child: topology.GatewayID}, 1, 1); err == nil {
+		t.Error("gateway link accepted")
+	}
+	if _, err := m.SetLinkDemand(l, before, 1); err != nil {
+		t.Errorf("manager unusable after a rejected link: %v", err)
+	}
 }

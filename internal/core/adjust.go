@@ -94,9 +94,13 @@ func (p *Plan) SetLinkDemand(l topology.Link, cells int, topRate float64) (*Adju
 	if cells < 0 {
 		return nil, fmt.Errorf("core: negative demand %d", cells)
 	}
-	oldCells, oldRate := p.demand[l], p.topRate[l]
-	p.demand[l] = cells
-	p.topRate[l] = topRate
+	i, err := p.heldLinkIndex(l)
+	if err != nil {
+		return nil, err
+	}
+	demand, rates := p.demand[l.Direction], p.topRate[l.Direction]
+	oldCells, oldRate := demand[i], rates[i]
+	demand[i], rates[i] = cells, topRate
 	adj := &Adjustment{}
 
 	if cells <= oldCells {
@@ -115,8 +119,7 @@ func (p *Plan) SetLinkDemand(l topology.Link, cells int, topRate float64) (*Adju
 	}
 	if !ok {
 		// Roll back: the network cannot host the increase.
-		p.demand[l] = oldCells
-		p.topRate[l] = oldRate
+		demand[i], rates[i] = oldCells, oldRate
 		adj.Case = CaseRejected
 		p.debugCheck("SetLinkDemand(rejected rollback)")
 		return adj, nil

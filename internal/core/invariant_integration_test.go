@@ -92,15 +92,7 @@ func TestPlanInvariantsAfterReparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := make(map[topology.Link]int)
-	rates := make(map[topology.Link]float64)
-	for _, l := range demand.Links() {
-		cells[l] = demand.Cells(l)
-		if flows := demand.Flows(l); len(flows) > 0 {
-			rates[l] = flows[0].Task.Rate
-		}
-	}
-	if _, err := plan.Reparent(8, 7, cells, rates); err != nil {
+	if _, err := plan.Reparent(8, 7, demand); err != nil {
 		t.Fatal(err)
 	}
 	if err := invariant.CheckPlan(plan); err != nil {
@@ -167,15 +159,11 @@ func TestReparentAfterEscalation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := make(map[topology.Link]int)
-	rates := make(map[topology.Link]float64)
 	for _, l := range demand.Links() {
 		cells[l] = demand.Cells(l)
-		if flows := demand.Flows(l); len(flows) > 0 {
-			rates[l] = flows[0].Task.Rate
-		}
 	}
-	cells[l8], rates[l8] = 3, 3
-	if _, err := plan.Reparent(x, 3, cells, rates); err != nil {
+	cells[l8] = 3
+	if _, err := plan.Reparent(x, 3, traffic.FromCells(cells)); err != nil {
 		t.Fatal(err)
 	}
 	if err := invariant.CheckPlan(plan); err != nil {

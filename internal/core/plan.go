@@ -88,8 +88,10 @@ type Plan struct {
 	Tree  *topology.Tree
 	Frame schedule.Slotframe
 
-	demand  map[topology.Link]int
-	topRate map[topology.Link]float64
+	// demand and topRate hold each child link's cell requirement and its
+	// fastest task's rate, by direction and the child's Tree.Index.
+	demand  [2][]int
+	topRate [2][]float64
 	nodes   []nodeState // by Tree.Index
 
 	// Overflow lists links that could not be isolated because the data
@@ -125,45 +127,76 @@ type Options struct {
 // resource-interface generation, top-down partition allocation, and
 // distributed schedule generation, over the given tree and demand.
 func NewPlan(tree *topology.Tree, frame schedule.Slotframe, demand *traffic.Demand, opts Options) (*Plan, error) {
-	cells := make(map[topology.Link]int)
-	rates := make(map[topology.Link]float64)
-	for _, l := range demand.Links() {
-		cells[l] = demand.Cells(l)
-		flows := demand.Flows(l)
-		if len(flows) > 0 {
-			rates[l] = flows[0].Task.Rate // flows are rate-sorted
-		}
+	p, err := newPlan(tree, frame, opts)
+	if err != nil {
+		return nil, err
 	}
-	return NewPlanFromLinkDemand(tree, frame, cells, rates, opts)
+	for _, l := range demand.Links() {
+		i, err := p.heldLinkIndex(l)
+		if err != nil {
+			return nil, err
+		}
+		p.demand[l.Direction][i] = demand.Cells(l)
+		p.topRate[l.Direction][i] = fastestRate(demand, l)
+	}
+	return p.build()
 }
 
 // NewPlanFromLinkDemand is NewPlan for callers that already hold link-level
 // cell requirements (e.g. the centralized APaS baseline, or agents replaying
 // protocol state). The maps are copied.
 func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells map[topology.Link]int, topRate map[topology.Link]float64, opts Options) (*Plan, error) {
+	p, err := newPlan(tree, frame, opts)
+	if err != nil {
+		return nil, err
+	}
+	for l, c := range cells {
+		i, err := p.heldLinkIndex(l)
+		if err != nil {
+			return nil, err
+		}
+		if c < 0 {
+			return nil, fmt.Errorf("core: negative demand %d on %v", c, l)
+		}
+		p.demand[l.Direction][i] = c
+	}
+	for l, r := range topRate {
+		i, err := p.heldLinkIndex(l)
+		if err != nil {
+			return nil, err
+		}
+		p.topRate[l.Direction][i] = r
+	}
+	return p.build()
+}
+
+// fastestRate returns the rate of the fastest task on link l, 0 if none.
+func fastestRate(demand *traffic.Demand, l topology.Link) float64 {
+	if flows := demand.Flows(l); len(flows) > 0 {
+		return flows[0].Task.Rate // flows are rate-sorted
+	}
+	return 0
+}
+
+// newPlan validates the frame and tree and returns a plan holding no
+// demand yet.
+func newPlan(tree *topology.Tree, frame schedule.Slotframe, opts Options) (*Plan, error) {
 	if err := frame.Validate(); err != nil {
 		return nil, err
 	}
 	if err := tree.Validate(); err != nil {
 		return nil, err
 	}
+	n := tree.IndexCap()
+	cells, rates := make([]int, 2*n), make([]float64, 2*n)
 	p := &Plan{
 		Tree:       tree,
 		Frame:      frame,
-		demand:     make(map[topology.Link]int, len(cells)),
-		topRate:    make(map[topology.Link]float64, len(topRate)),
-		nodes:      make([]nodeState, tree.IndexCap()),
+		demand:     [2][]int{cells[:n:n], cells[n:]},
+		topRate:    [2][]float64{rates[:n:n], rates[n:]},
+		nodes:      make([]nodeState, n),
 		bestEffort: opts.BestEffort,
 		rootGap:    opts.RootGap,
-	}
-	for l, c := range cells {
-		if c < 0 {
-			return nil, fmt.Errorf("core: negative demand %d on %v", c, l)
-		}
-		p.demand[l] = c
-	}
-	for l, r := range topRate {
-		p.topRate[l] = r
 	}
 	// Every node's child list and run slices are cut from one backing
 	// array each, capped so that a child joining under Reparent copies
@@ -182,6 +215,11 @@ func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells 
 			ns.dirs[d].runs = runs[d][from:len(kids):len(kids)]
 		}
 	}
+	return p, nil
+}
+
+// build runs the static phase over the demand the plan holds.
+func (p *Plan) build() (*Plan, error) {
 	if err := p.buildInterfaces(); err != nil {
 		return nil, err
 	}
@@ -189,6 +227,22 @@ func NewPlanFromLinkDemand(tree *topology.Tree, frame schedule.Slotframe, cells 
 		return nil, err
 	}
 	return p, nil
+}
+
+// linkIndex returns the Tree.Index under which the plan holds link l's
+// demand, and false for a link that is not a child link of the tree.
+func (p *Plan) linkIndex(l topology.Link) (int, bool) {
+	i := p.Tree.Index(l.Child)
+	return i, l.Child != topology.GatewayID && i >= 0 && i < len(p.nodes) && l.Direction <= topology.Downlink
+}
+
+// heldLinkIndex is linkIndex for input links: an error names one the plan
+// cannot hold.
+func (p *Plan) heldLinkIndex(l topology.Link) (int, error) {
+	if i, ok := p.linkIndex(l); ok {
+		return i, nil
+	}
+	return 0, fmt.Errorf("core: link %v is not a child link of the tree", l)
 }
 
 // node returns node id's state. id must be in the tree.
@@ -206,9 +260,10 @@ func (p *Plan) lookup(id topology.NodeID) *nodeState {
 // children in one direction, by child slot, in the plan's scratch.
 func (p *Plan) childLinkDemands(ns *nodeState, dir topology.Direction) []LinkDemand {
 	out := p.scratch.Demands[:0]
+	cells, rates := p.demand[dir], p.topRate[dir]
 	for _, c := range ns.children {
-		l := topology.Link{Child: c, Direction: dir}
-		out = append(out, LinkDemand{Link: l, Cells: p.demand[l], TopRate: p.topRate[l]})
+		i := p.Tree.Index(c)
+		out = append(out, LinkDemand{Link: topology.Link{Child: c, Direction: dir}, Cells: cells[i], TopRate: rates[i]})
 	}
 	p.scratch.Demands = out
 	return out
@@ -219,7 +274,7 @@ func (p *Plan) childLinkDemands(ns *nodeState, dir topology.Direction) []LinkDem
 func (p *Plan) ownDemand(ns *nodeState, dir topology.Direction) int {
 	total := 0
 	for _, c := range ns.children {
-		total += p.demand[topology.Link{Child: c, Direction: dir}]
+		total += p.demand[dir][p.Tree.Index(c)]
 	}
 	return total
 }
@@ -299,9 +354,8 @@ func (p *Plan) allocate() error {
 	p.Overflow = nil
 	for _, dl := range alloc.Overflow {
 		for _, id := range p.Tree.NodesAtDepth(dl.Layer) {
-			l := topology.Link{Child: id, Direction: dl.Direction}
-			if p.demand[l] > 0 {
-				p.Overflow = append(p.Overflow, l)
+			if p.demand[dl.Direction][p.Tree.Index(id)] > 0 {
+				p.Overflow = append(p.Overflow, topology.Link{Child: id, Direction: dl.Direction})
 			}
 		}
 	}
@@ -412,8 +466,14 @@ func (p *Plan) CellsOf(l topology.Link) []schedule.Cell {
 	return run.AppendCells(make([]schedule.Cell, 0, run.Count), st.runRegion)
 }
 
-// Demand returns the plan's current cell requirement for a link.
-func (p *Plan) Demand(l topology.Link) int { return p.demand[l] }
+// Demand returns the plan's current cell requirement for a link, 0 for a
+// link that is not a child link of the tree.
+func (p *Plan) Demand(l topology.Link) int {
+	if i, ok := p.linkIndex(l); ok {
+		return p.demand[l.Direction][i]
+	}
+	return 0
+}
 
 // BuildSchedule materialises the full network schedule from the per-node
 // assignments. Overflow links (best-effort mode) carry no cells here; the

@@ -202,6 +202,23 @@ func TestNewPlanValidatesInputs(t *testing.T) {
 	if _, err := NewPlan(tree, schedule.Slotframe{}, demand, Options{}); err == nil {
 		t.Error("invalid frame accepted")
 	}
+	// A link whose child is the gateway or not in the tree has no
+	// partition to serve it: both constructors reject it, from either map.
+	for _, l := range []topology.Link{
+		{Child: topology.GatewayID, Direction: topology.Uplink},
+		{Child: 99, Direction: topology.Downlink},
+	} {
+		cells := map[topology.Link]int{{Child: 8, Direction: topology.Uplink}: 1, l: 1}
+		if _, err := NewPlanFromLinkDemand(tree, testFrame(), cells, nil, Options{}); err == nil {
+			t.Errorf("cells for %v accepted", l)
+		}
+		if _, err := NewPlanFromLinkDemand(tree, testFrame(), nil, map[topology.Link]float64{l: 1}, Options{}); err == nil {
+			t.Errorf("top rate for %v accepted", l)
+		}
+		if _, err := NewPlan(tree, testFrame(), traffic.FromCells(cells), Options{}); err == nil {
+			t.Errorf("demand on %v accepted", l)
+		}
+	}
 }
 
 func TestPlanPartitionsListing(t *testing.T) {
@@ -241,6 +258,11 @@ func TestPlanQueriesUnknownNode(t *testing.T) {
 	}
 	if cells := plan.CellsOf(topology.Link{Child: 99, Direction: topology.Uplink}); cells != nil {
 		t.Error("cells for unknown link")
+	}
+	for _, l := range []topology.Link{{Child: 99, Direction: topology.Uplink}, {Child: topology.GatewayID, Direction: topology.Downlink}} {
+		if d := plan.Demand(l); d != 0 {
+			t.Errorf("Demand(%v) = %d for a link outside the tree", l, d)
+		}
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/harpnet/harp/internal/schedule"
 	"github.com/harpnet/harp/internal/topology"
+	"github.com/harpnet/harp/internal/traffic"
 )
 
 // ErrReparentFailed indicates a topology change could not be absorbed by
@@ -43,10 +43,11 @@ func (t *TopologyAdjustment) TotalMessages() int {
 
 // Reparent absorbs a topology change (§V: "network dynamics ... e.g.,
 // topology changes"): node — with its entire subtree — moves under
-// newParent, as happens when RPL selects a more reliable parent. newCells
-// and newRates are the link demands of the *post-change* routing (computed
-// by the caller from the task set over the new tree, e.g. via
-// traffic.Compute).
+// newParent, as happens when RPL selects a more reliable parent. newDemand
+// is the link demand of the *post-change* routing (computed by the caller
+// from the task set over the new tree with traffic.Compute); each link's
+// top rate is its fastest flow's. Links newDemand does not list keep the
+// demand the plan holds.
 //
 // The migration reuses HARP's partition machinery end to end:
 //
@@ -60,8 +61,8 @@ func (t *TopologyAdjustment) TotalMessages() int {
 //     ordinary traffic adjustments.
 //
 // On ErrReparentFailed the tree has been re-rooted but partitions are
-// partially migrated; rebuild with NewPlanFromLinkDemand.
-func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.Link]int, newRates map[topology.Link]float64) (*TopologyAdjustment, error) {
+// partially migrated; rebuild with NewPlan.
+func (p *Plan) Reparent(node, newParent topology.NodeID, newDemand *traffic.Demand) (*TopologyAdjustment, error) {
 	if node == topology.GatewayID {
 		return nil, topology.ErrGateway
 	}
@@ -96,13 +97,12 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	// cells; its demand re-appears in step 5 once the new parent ensures
 	// capacity. Leaving the old value in place would poison intermediate
 	// reschedules at the new parent (whose partition has not grown yet).
+	ni := p.Tree.Index(node)
 	var savedDemand [2]int
 	var savedRate [2]float64
 	for _, dir := range topology.Directions() {
-		l := topology.Link{Child: node, Direction: dir}
-		savedDemand[dir] = p.demand[l]
-		savedRate[dir] = p.topRate[l]
-		p.demand[l] = 0
+		savedDemand[dir], savedRate[dir] = p.demand[dir][ni], p.topRate[dir][ni]
+		p.demand[dir][ni] = 0
 	}
 
 	// 1. Release at the old parent: the moved child's components left
@@ -136,10 +136,11 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 
 	// 3. Apply the post-change demands for links internal to the subtree
 	// directly: their partitions are re-granted by the insertion below.
-	for l, c := range newCells {
+	for _, l := range newDemand.Links() {
 		if isMoved(l.Child) && l.Child != node {
-			p.demand[l] = c
-			p.topRate[l] = newRates[l]
+			i := p.Tree.Index(l.Child)
+			p.demand[l.Direction][i] = newDemand.Cells(l)
+			p.topRate[l.Direction][i] = fastestRate(newDemand, l)
 		}
 	}
 
@@ -182,11 +183,9 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	// even at unchanged demand, capacity must be ensured there.
 	for _, dir := range topology.Directions() {
 		l := topology.Link{Child: node, Direction: dir}
-		p.demand[l] = savedDemand[dir]
-		p.topRate[l] = savedRate[dir]
-		if c, ok := newCells[l]; ok {
-			p.demand[l] = c
-			p.topRate[l] = newRates[l]
+		p.demand[dir][ni], p.topRate[dir][ni] = savedDemand[dir], savedRate[dir]
+		if c := newDemand.Cells(l); c > 0 {
+			p.demand[dir][ni], p.topRate[dir][ni] = c, fastestRate(newDemand, l)
 		}
 		adj := &Adjustment{}
 		hosted, err := p.ensureOwnCapacity(newParent, dir, adj)
@@ -203,16 +202,16 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 	// old path's releases) go through the ordinary traffic-change path, in
 	// release-first order so freed cells are available to the increases.
 	var increases []topology.Link
-	for _, l := range sortedLinks(newCells) {
+	for _, l := range newDemand.Links() {
 		if isMoved(l.Child) {
 			continue // subtree internals in step 3, the node's link in step 5
 		}
-		c := newCells[l]
-		if c == p.demand[l] {
+		c, held := newDemand.Cells(l), p.Demand(l)
+		if c == held {
 			continue
 		}
-		if c < p.demand[l] {
-			adj, err := p.SetLinkDemand(l, c, newRates[l])
+		if c < held {
+			adj, err := p.SetLinkDemand(l, c, fastestRate(newDemand, l))
 			if err != nil {
 				return report, err
 			}
@@ -222,7 +221,7 @@ func (p *Plan) Reparent(node, newParent topology.NodeID, newCells map[topology.L
 		increases = append(increases, l)
 	}
 	for _, l := range increases {
-		adj, err := p.SetLinkDemand(l, newCells[l], newRates[l])
+		adj, err := p.SetLinkDemand(l, newDemand.Cells(l), fastestRate(newDemand, l))
 		if err != nil {
 			return report, err
 		}
@@ -284,20 +283,4 @@ func (p *Plan) subtreeByDepthDesc(ids []topology.NodeID) []topology.NodeID {
 		}
 	}
 	return out
-}
-
-func sortedLinks(m map[topology.Link]int) []topology.Link {
-	out := make([]topology.Link, 0, len(m))
-	for l := range m {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return linkLess(out[i], out[j]) })
-	return out
-}
-
-func linkLess(a, b topology.Link) bool {
-	if a.Direction != b.Direction {
-		return a.Direction < b.Direction
-	}
-	return a.Child < b.Child
 }

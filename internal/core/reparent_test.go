@@ -14,7 +14,7 @@ import (
 
 // reparentDemand recomputes the echo-task demand after a hypothetical
 // reparent, without touching the original tree.
-func reparentDemand(t *testing.T, tree *topology.Tree, node, newParent topology.NodeID, rate float64) (map[topology.Link]int, map[topology.Link]float64) {
+func reparentDemand(t *testing.T, tree *topology.Tree, node, newParent topology.NodeID, rate float64) *traffic.Demand {
 	t.Helper()
 	clone := tree.Clone()
 	if err := clone.Reparent(node, newParent); err != nil {
@@ -28,23 +28,14 @@ func reparentDemand(t *testing.T, tree *topology.Tree, node, newParent topology.
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := make(map[topology.Link]int)
-	rates := make(map[topology.Link]float64)
-	for _, l := range demand.Links() {
-		cells[l] = demand.Cells(l)
-		flows := demand.Flows(l)
-		if len(flows) > 0 {
-			rates[l] = flows[0].Task.Rate
-		}
-	}
-	return cells, rates
+	return demand
 }
 
 // validateAgainstDemand checks every link carries exactly its demand.
-func validateAgainstDemand(t *testing.T, plan *Plan, cells map[topology.Link]int) {
+func validateAgainstDemand(t *testing.T, plan *Plan, demand *traffic.Demand) {
 	t.Helper()
-	for l, want := range cells {
-		if got := len(plan.CellsOf(l)); got != want {
+	for _, l := range demand.Links() {
+		if got, want := len(plan.CellsOf(l)), demand.Cells(l); got != want {
 			t.Errorf("link %v: %d cells, want %d", l, got, want)
 		}
 	}
@@ -54,8 +45,8 @@ func TestReparentLeaf(t *testing.T) {
 	// Move leaf 8 from node 5 to node 7 on the Fig. 1 network.
 	tree := topology.Fig1()
 	plan := planFor(t, tree, 1, testFrame())
-	cells, rates := reparentDemand(t, tree, 8, 7, 1)
-	rep, err := plan.Reparent(8, 7, cells, rates)
+	demand := reparentDemand(t, tree, 8, 7, 1)
+	rep, err := plan.Reparent(8, 7, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +59,7 @@ func TestReparentLeaf(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan invalid after reparent: %v", err)
 	}
-	validateAgainstDemand(t, plan, cells)
+	validateAgainstDemand(t, plan, demand)
 }
 
 func TestReparentSubtree(t *testing.T) {
@@ -77,15 +68,15 @@ func TestReparentSubtree(t *testing.T) {
 	tree := topology.Fig1()
 	frame := schedule.Slotframe{Slots: 300, Channels: 16, DataSlots: 280, SlotDuration: 10 * time.Millisecond}
 	plan := planFor(t, tree, 1, frame)
-	cells, rates := reparentDemand(t, tree, 5, 3, 1)
-	rep, err := plan.Reparent(5, 3, cells, rates)
+	demand := reparentDemand(t, tree, 5, 3, 1)
+	rep, err := plan.Reparent(5, 3, demand)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan invalid after subtree reparent: %v", err)
 	}
-	validateAgainstDemand(t, plan, cells)
+	validateAgainstDemand(t, plan, demand)
 	if len(rep.InsertReports) == 0 {
 		t.Error("no insertion reports for a multi-layer subtree")
 	}
@@ -110,8 +101,8 @@ func TestReparentDepthChange(t *testing.T) {
 	tree := topology.Fig1()
 	frame := schedule.Slotframe{Slots: 300, Channels: 16, DataSlots: 280, SlotDuration: 10 * time.Millisecond}
 	plan := planFor(t, tree, 1, frame)
-	cells, rates := reparentDemand(t, tree, 5, 6, 1)
-	if _, err := plan.Reparent(5, 6, cells, rates); err != nil {
+	demand := reparentDemand(t, tree, 5, 6, 1)
+	if _, err := plan.Reparent(5, 6, demand); err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := tree.Depth(8); d != 4 {
@@ -120,7 +111,7 @@ func TestReparentDepthChange(t *testing.T) {
 	if err := plan.Validate(); err != nil {
 		t.Fatalf("plan invalid after depth change: %v", err)
 	}
-	validateAgainstDemand(t, plan, cells)
+	validateAgainstDemand(t, plan, demand)
 	// The former leaf 6 now owns a partition for its new child.
 	if _, ok := plan.Partition(6, 3, topology.Uplink); !ok {
 		t.Error("new parent has no own-layer partition")
@@ -130,16 +121,16 @@ func TestReparentDepthChange(t *testing.T) {
 func TestReparentValidation(t *testing.T) {
 	tree := topology.Fig1()
 	plan := planFor(t, tree, 1, testFrame())
-	if _, err := plan.Reparent(topology.GatewayID, 1, nil, nil); !errors.Is(err, topology.ErrGateway) {
+	if _, err := plan.Reparent(topology.GatewayID, 1, nil); !errors.Is(err, topology.ErrGateway) {
 		t.Errorf("gateway move: want ErrGateway, got %v", err)
 	}
-	if _, err := plan.Reparent(8, 5, nil, nil); err == nil {
+	if _, err := plan.Reparent(8, 5, nil); err == nil {
 		t.Error("no-op reparent accepted")
 	}
-	if _, err := plan.Reparent(1, 8, nil, nil); !errors.Is(err, topology.ErrCycle) {
+	if _, err := plan.Reparent(1, 8, nil); !errors.Is(err, topology.ErrCycle) {
 		t.Errorf("cycle: want ErrCycle, got %v", err)
 	}
-	if _, err := plan.Reparent(99, 1, nil, nil); err == nil {
+	if _, err := plan.Reparent(99, 1, nil); err == nil {
 		t.Error("unknown node accepted")
 	}
 }
@@ -177,12 +168,12 @@ func TestReparentSequenceKeepsInvariants(t *testing.T) {
 		if inSub {
 			continue
 		}
-		cells, rates := reparentDemand(t, tree, node, target, 1)
-		if _, err := plan.Reparent(node, target, cells, rates); err != nil {
+		demand := reparentDemand(t, tree, node, target, 1)
+		if _, err := plan.Reparent(node, target, demand); err != nil {
 			if errors.Is(err, ErrReparentFailed) {
 				// Incremental migration can legitimately fail when space
 				// fragments; a real network rebuilds. Do the same.
-				rebuilt, rerr := NewPlanFromLinkDemand(tree, frame, cells, rates, Options{})
+				rebuilt, rerr := NewPlan(tree, frame, demand, Options{})
 				if rerr != nil {
 					t.Fatalf("rebuild after failed migration: %v", rerr)
 				}
@@ -195,7 +186,7 @@ func TestReparentSequenceKeepsInvariants(t *testing.T) {
 		if err := plan.Validate(); err != nil {
 			t.Fatalf("invalid after moving %d under %d: %v", node, target, err)
 		}
-		validateAgainstDemand(t, plan, cells)
+		validateAgainstDemand(t, plan, demand)
 	}
 	if moves < 3 {
 		t.Fatalf("only %d moves executed", moves)
@@ -254,20 +245,14 @@ func TestReparentPropertyRandomTopologies(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			cells := make(map[topology.Link]int)
-			rates := make(map[topology.Link]float64)
-			for _, l := range nd.Links() {
-				cells[l] = nd.Cells(l)
-				rates[l] = 1
-			}
-			if _, err := plan.Reparent(node, target, cells, rates); err != nil {
+			if _, err := plan.Reparent(node, target, nd); err != nil {
 				return errors.Is(err, ErrReparentFailed) // honest failure is allowed
 			}
 			if plan.Validate() != nil {
 				return false
 			}
-			for l, want := range cells {
-				if len(plan.CellsOf(l)) != want {
+			for _, l := range nd.Links() {
+				if len(plan.CellsOf(l)) != nd.Cells(l) {
 					return false
 				}
 			}

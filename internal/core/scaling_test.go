@@ -15,22 +15,12 @@ import (
 // cost is what one operation allocates.
 type cost struct{ allocs, bytes uint64 }
 
-// near reports whether two costs agree within 1 % in both allocations and
-// bytes, or within the runtime's own noise on a single run: the allocator's
-// tiny blocks and map growth move it by up to a dozen small allocations.
-// Anything sized by the fleet (a one-byte-per-node slice is 49 KB more at
-// 50 000 nodes than at 1 000) is far outside both.
-func (c cost) near(d cost) bool {
-	within := func(a, b, floor uint64) bool { return max(a, b)-min(a, b) <= max(max(a, b)/100, floor) }
-	return within(c.allocs, d.allocs, 16) && within(c.bytes, d.bytes, 1024)
-}
-
 // cheapestCosts measures op at both sizes the way testing.AllocsPerRun
 // measures, with GOMAXPROCS(1) while measuring, and keeps the cheapest run
 // per size. Each trial builds its state afresh with setup (untimed) and
 // collects garbage first, so every run starts from the same cold pools.
 // The runtime's counters are process-wide and can only overcount an op, so
-// trials alternate between the sizes until the two cheapest runs are near,
+// trials alternate between the sizes until the two cheapest runs are equal,
 // or maxTrials per size are spent.
 func cheapestCosts(maxTrials int, sizes [2]int, setup func(nodes int) (op func())) [2]cost {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -46,7 +36,7 @@ func cheapestCosts(maxTrials int, sizes [2]int, setup func(nodes int) (op func()
 			best[i].allocs = min(best[i].allocs, after.Mallocs-before.Mallocs)
 			best[i].bytes = min(best[i].bytes, after.TotalAlloc-before.TotalAlloc)
 		}
-		if best[0].near(best[1]) {
+		if best[0] == best[1] {
 			break
 		}
 	}
@@ -130,8 +120,9 @@ func scalePlan(t *testing.T, nodes int) (*Plan, topology.Link) {
 }
 
 // One dynamic adjustment (SetLinkDemand raising a task's uplink by one
-// cell, which escalates) allocates the same at 1 000 and 50 000 nodes:
-// nothing on the adjustment path is sized by the tree.
+// cell, which escalates) allocates exactly the same objects and bytes at
+// 1 000 and 50 000 nodes: nothing on the adjustment path is sized by the
+// tree, and no map on it makes the count vary from run to run.
 func TestAdjustCostIndependentOfTreeSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans a 50 000-node fleet")
@@ -156,7 +147,7 @@ func TestAdjustCostIndependentOfTreeSize(t *testing.T) {
 	for i, n := range sizes {
 		t.Logf("%d nodes: %d allocations, %d B per SetLinkDemand", n, costs[i].allocs, costs[i].bytes)
 	}
-	if !costs[0].near(costs[1]) {
+	if costs[0] != costs[1] {
 		t.Errorf("SetLinkDemand costs %d allocations / %d B at %d nodes but %d / %d B at %d: its cost follows the tree",
 			costs[0].allocs, costs[0].bytes, sizes[0], costs[1].allocs, costs[1].bytes, sizes[1])
 	}

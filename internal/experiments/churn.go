@@ -106,28 +106,18 @@ func churnRun(cfg ChurnConfig, stream int64) (ChurnResult, error) {
 	frame := PaperSlotframe(16)
 	frame.Slots, frame.DataSlots = 800, 800
 
-	buildDemand := func() (map[topology.Link]int, map[topology.Link]float64, error) {
-		tasks, err := traffic.UniformEcho(tree, 1)
+	demand := func(over *topology.Tree) (*traffic.Demand, error) {
+		tasks, err := traffic.UniformEcho(over, 1)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		d, err := traffic.Compute(tree, tasks)
-		if err != nil {
-			return nil, nil, err
-		}
-		cells := make(map[topology.Link]int)
-		rates := make(map[topology.Link]float64)
-		for _, l := range d.Links() {
-			cells[l] = d.Cells(l)
-			rates[l] = 1
-		}
-		return cells, rates, nil
+		return traffic.Compute(over, tasks)
 	}
-	cells, rates, err := buildDemand()
+	initial, err := demand(tree)
 	if err != nil {
 		return ChurnResult{}, err
 	}
-	plan, err := core.NewPlanFromLinkDemand(tree, frame, cells, rates, core.Options{RootGap: 2})
+	plan, err := core.NewPlan(tree, frame, initial, core.Options{RootGap: 2})
 	if err != nil {
 		return ChurnResult{}, err
 	}
@@ -158,21 +148,11 @@ func churnRun(cfg ChurnConfig, stream int64) (ChurnResult, error) {
 			if err := clone.Reparent(sw.Node, sw.To); err != nil {
 				continue // superseded by an earlier migration this event
 			}
-			tasks, err := traffic.UniformEcho(clone, 1)
+			d, err := demand(clone)
 			if err != nil {
 				return ChurnResult{}, err
 			}
-			d, err := traffic.Compute(clone, tasks)
-			if err != nil {
-				return ChurnResult{}, err
-			}
-			newCells := make(map[topology.Link]int)
-			newRates := make(map[topology.Link]float64)
-			for _, l := range d.Links() {
-				newCells[l] = d.Cells(l)
-				newRates[l] = 1
-			}
-			rep, err := plan.Reparent(sw.Node, sw.To, newCells, newRates)
+			rep, err := plan.Reparent(sw.Node, sw.To, d)
 			if err != nil {
 				if !errors.Is(err, core.ErrReparentFailed) {
 					return ChurnResult{}, err
@@ -180,7 +160,7 @@ func churnRun(cfg ChurnConfig, stream int64) (ChurnResult, error) {
 				// Incremental migration infeasible (fragmentation): rebuild,
 				// as a deployment would re-bootstrap the subtree.
 				res.Rebuilt++
-				plan, err = core.NewPlanFromLinkDemand(tree, frame, newCells, newRates, core.Options{RootGap: 2})
+				plan, err = core.NewPlan(tree, frame, d, core.Options{RootGap: 2})
 				if err != nil {
 					return ChurnResult{}, err
 				}

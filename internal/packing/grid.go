@@ -118,7 +118,9 @@ func (g *Grid) PlaceBottomLeft(w, h int) (x, y int, ok bool) {
 // PackFreeSpace attempts to place all rects into the grid's free space,
 // largest-area first (a robust ordering for bounded bins). On success the
 // grid is updated and placements are returned; on failure the grid is left
-// unmodified and ErrNoFit is returned.
+// unmodified and the bare ErrNoFit sentinel is returned: the partition
+// adjustment heuristic (Alg. 2) expects and discards one per eviction step
+// that does not fit, so the no-fit path formats nothing.
 func (g *Grid) PackFreeSpace(rects []Rect) ([]Placement, error) {
 	for _, r := range rects {
 		if r.W <= 0 || r.H <= 0 {
@@ -132,7 +134,7 @@ func (g *Grid) PackFreeSpace(rects []Rect) ([]Placement, error) {
 	for _, r := range order {
 		x, y, ok := trial.PlaceBottomLeft(r.W, r.H)
 		if !ok {
-			return nil, fmt.Errorf("%w: %v has no free position", ErrNoFit, r)
+			return nil, ErrNoFit
 		}
 		placements = append(placements, Placement{Rect: r, X: x, Y: y})
 	}

@@ -103,6 +103,9 @@ func TestGridPackFreeSpaceFailureLeavesGridUntouched(t *testing.T) {
 	if !errors.Is(err, ErrNoFit) {
 		t.Fatalf("want ErrNoFit, got %v", err)
 	}
+	if err != ErrNoFit {
+		t.Errorf("no-fit error %q is not the bare ErrNoFit sentinel", err)
+	}
 	if g.FreeCells() != before {
 		t.Error("failed PackFreeSpace modified the grid")
 	}

@@ -10,9 +10,11 @@
 package traffic
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/harpnet/harp/internal/topology"
@@ -157,24 +159,18 @@ func UniformEcho(tree *topology.Tree, rate float64) (*Set, error) {
 // ceil(rate) cells in both directions, with no convergecast accumulation —
 // the workload of the collision study (§VII-A), where "the data rate of
 // each node" is a per-link quantity. A synthetic single-hop task per link
-// carries the rate for Rate-Monotonic ordering.
+// carries the rate for Rate-Monotonic ordering; task IDs count up from 1
+// node by node in ID order, uplink first.
 func PerLink(tree *topology.Tree, rate float64) (*Demand, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("traffic: non-positive rate %.3f", rate)
 	}
-	d := &Demand{
-		cells: make(map[topology.Link]int),
-		flows: make(map[topology.Link][]Flow),
-	}
-	next := TaskID(1)
-	for _, id := range tree.Nodes() {
-		if id == topology.GatewayID {
-			continue
-		}
-		for _, dir := range topology.Directions() {
-			t := Task{ID: next, Source: id, Actuator: id, Rate: rate}
-			next++
-			d.add(topology.Link{Child: id, Direction: dir}, t)
+	nodes := tree.Nodes()[1:] // the gateway, ID 0, comes first
+	d := newDemand(2 * len(nodes))
+	for _, dir := range topology.Directions() {
+		for k, id := range nodes {
+			t := Task{ID: TaskID(2*k + int(dir) + 1), Source: id, Actuator: id, Rate: rate}
+			d.push(topology.Link{Child: id, Direction: dir}, Flow{Task: t, Cells: t.CellDemand()})
 		}
 	}
 	return d, nil
@@ -183,21 +179,24 @@ func PerLink(tree *topology.Tree, rate float64) (*Demand, error) {
 // FromCells wraps a raw link-to-cells map as a Demand, backing each link
 // with a synthetic single-link task whose rate equals the cell count (so
 // Rate-Monotonic ordering tracks demand). Useful when requirements come
-// from protocol state rather than a task set.
+// from protocol state rather than a task set. Links with no positive count
+// are dropped, and the synthetic task IDs count up from 1 in Links() order.
 func FromCells(cells map[topology.Link]int) *Demand {
-	d := &Demand{
-		cells: make(map[topology.Link]int, len(cells)),
-		flows: make(map[topology.Link][]Flow, len(cells)),
+	type linkCells struct {
+		link  topology.Link
+		cells int
 	}
-	next := TaskID(1)
+	held := make([]linkCells, 0, len(cells))
 	for l, c := range cells {
-		if c <= 0 {
-			continue
+		if c > 0 {
+			held = append(held, linkCells{l, c})
 		}
-		t := Task{ID: next, Source: l.Child, Actuator: l.Child, Rate: float64(c)}
-		next++
-		d.add(l, t)
-		d.cells[l] = c // override the ceil-accumulated value with the exact count
+	}
+	slices.SortFunc(held, func(a, b linkCells) int { return compareLinks(a.link, b.link) })
+	d := newDemand(len(held))
+	for i, h := range held {
+		t := Task{ID: TaskID(i + 1), Source: h.link.Child, Actuator: h.link.Child, Rate: float64(h.cells)}
+		d.push(h.link, Flow{Task: t, Cells: h.cells})
 	}
 	return d
 }
@@ -209,40 +208,93 @@ type Flow struct {
 	Cells int
 }
 
-// Demand is the link-level cell requirement map r(e) plus the contributing
-// flows per link.
+// Demand is the link-level cell requirement r(e) plus the contributing
+// flows per link. It is a table of the links that carry demand, in Links()
+// order, so its size follows those links and not the tree: entry i is
+// links[i], its requirement cells[i], and its flows the range of one flow
+// array that ends at ends[i], in Rate Monotonic order. A Demand is
+// read-only once built.
 type Demand struct {
-	cells map[topology.Link]int
-	flows map[topology.Link][]Flow
+	links []topology.Link
+	cells []int
+	ends  []int
+	flows []Flow
+}
+
+// newDemand returns an empty Demand with room for n single-flow links.
+func newDemand(n int) *Demand {
+	return &Demand{
+		links: make([]topology.Link, 0, n),
+		cells: make([]int, 0, n),
+		ends:  make([]int, 0, n),
+		flows: make([]Flow, 0, n),
+	}
+}
+
+// push appends link l carrying the one flow f; links must come in Links()
+// order.
+func (d *Demand) push(l topology.Link, f Flow) {
+	d.links = append(d.links, l)
+	d.cells = append(d.cells, f.Cells)
+	d.flows = append(d.flows, f)
+	d.ends = append(d.ends, len(d.flows))
+}
+
+// compareLinks orders links as Links() lists them: uplinks before
+// downlinks, then by child ID.
+func compareLinks(a, b topology.Link) int {
+	return cmp.Or(cmp.Compare(a.Direction, b.Direction), cmp.Compare(a.Child, b.Child))
+}
+
+// compareRM orders one link's flows by Rate Monotonic priority: descending
+// rate (ascending period), then task ID.
+func compareRM(a, b Flow) int {
+	return cmp.Or(cmp.Compare(b.Task.Rate, a.Task.Rate), cmp.Compare(a.Task.ID, b.Task.ID))
+}
+
+// find returns link l's entry, and whether l carries demand. The binary
+// search compares in line: agent.Deploy asks for every child link of every
+// node, most of which carry no demand.
+func (d *Demand) find(l topology.Link) (int, bool) {
+	lo, hi := 0, len(d.links)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if e := d.links[h]; e.Direction < l.Direction || e.Direction == l.Direction && e.Child < l.Child {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo, lo < len(d.links) && d.links[lo] == l
 }
 
 // Cells returns r(e) for the link (0 when no task crosses it).
-func (d *Demand) Cells(l topology.Link) int { return d.cells[l] }
+func (d *Demand) Cells(l topology.Link) int {
+	if i, ok := d.find(l); ok {
+		return d.cells[i]
+	}
+	return 0
+}
 
 // Flows returns the tasks crossing the link, sorted by descending rate
-// (ascending period), the Rate Monotonic priority order.
+// (ascending period), the Rate Monotonic priority order. The slice is the
+// Demand's own and must not be modified.
 func (d *Demand) Flows(l topology.Link) []Flow {
-	out := make([]Flow, len(d.flows[l]))
-	copy(out, d.flows[l])
-	return out
+	i, ok := d.find(l)
+	if !ok {
+		return nil
+	}
+	from := 0
+	if i > 0 {
+		from = d.ends[i-1]
+	}
+	return d.flows[from:d.ends[i]:d.ends[i]]
 }
 
 // Links returns every link with non-zero demand, sorted (uplinks before
-// downlinks, then by child ID).
-func (d *Demand) Links() []topology.Link {
-	out := make([]topology.Link, 0, len(d.cells))
-	for l := range d.cells {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Direction != b.Direction {
-			return a.Direction < b.Direction
-		}
-		return a.Child < b.Child
-	})
-	return out
-}
+// downlinks, then by child ID). The slice is the Demand's own and must not
+// be modified.
+func (d *Demand) Links() []topology.Link { return d.links[:len(d.links):len(d.links)] }
 
 // TotalCells sums r(e) over all links — the slotframe load the collision
 // study (Fig. 11) reports as "total number of cells required by all nodes".
@@ -262,39 +314,59 @@ func Compute(tree *topology.Tree, tasks *Set) (*Demand, error) {
 	if err := tasks.Validate(tree); err != nil {
 		return nil, err
 	}
-	d := &Demand{
-		cells: make(map[topology.Link]int),
-		flows: make(map[topology.Link][]Flow),
-	}
-	for _, t := range tasks.Tasks() {
-		up, err := tree.PathToGateway(t.Source)
-		if err != nil {
-			return nil, err
-		}
-		for _, hop := range up[:len(up)-1] { // exclude the gateway itself
-			d.add(topology.Link{Child: hop, Direction: topology.Uplink}, t)
-		}
-		down, err := tree.PathToGateway(t.Actuator)
-		if err != nil {
-			return nil, err
-		}
-		for _, hop := range down[:len(down)-1] {
-			d.add(topology.Link{Child: hop, Direction: topology.Downlink}, t)
-		}
-	}
-	for l := range d.flows {
-		flows := d.flows[l]
-		sort.Slice(flows, func(i, j int) bool {
-			if flows[i].Task.Rate != flows[j].Task.Rate {
-				return flows[i].Task.Rate > flows[j].Task.Rate
+	ts := tasks.Tasks()
+	// at is scratch by direction and the child's Tree.Index: 1 + the
+	// link's position in links while the paths are walked, then the link's
+	// entry once links is sorted. hops holds one (at index, task) pair per
+	// link a task crosses, in task ID order.
+	n := tree.IndexCap()
+	at := make([]int32, 2*n)
+	var links []topology.Link
+	type hop struct{ at, task int32 }
+	var hops []hop
+	for ti, t := range ts {
+		for dir, end := range [2]topology.NodeID{topology.Uplink: t.Source, topology.Downlink: t.Actuator} {
+			path, err := tree.PathToGateway(end)
+			if err != nil {
+				return nil, err
 			}
-			return flows[i].Task.ID < flows[j].Task.ID
-		})
+			for _, id := range path[:len(path)-1] { // exclude the gateway itself
+				k := dir*n + tree.Index(id)
+				if at[k] == 0 {
+					links = append(links, topology.Link{Child: id, Direction: topology.Direction(dir)})
+					at[k] = int32(len(links))
+				}
+				hops = append(hops, hop{int32(k), int32(ti)})
+			}
+		}
+	}
+	slices.SortFunc(links, compareLinks)
+	ends := make([]int, len(links)+1)
+	for e, l := range links {
+		at[int(l.Direction)*n+tree.Index(l.Child)] = int32(e)
+	}
+	for _, h := range hops {
+		ends[at[h.at]+1]++
+	}
+	for e := range links {
+		ends[e+1] += ends[e]
+	}
+	// Each entry's flows are placed from its start, which leaves ends[e]
+	// at the entry's end.
+	d := &Demand{links: links, cells: make([]int, len(links)), ends: ends[:len(links)], flows: make([]Flow, len(hops))}
+	for _, h := range hops {
+		e, t := at[h.at], ts[h.task]
+		d.flows[ends[e]] = Flow{Task: t, Cells: t.CellDemand()}
+		d.cells[e] += t.CellDemand()
+		ends[e]++
+	}
+	// The flows arrived in task ID order; only differing rates reorder them.
+	from := 0
+	for _, end := range d.ends {
+		if f := d.flows[from:end]; !slices.IsSortedFunc(f, compareRM) {
+			slices.SortFunc(f, compareRM)
+		}
+		from = end
 	}
 	return d, nil
-}
-
-func (d *Demand) add(l topology.Link, t Task) {
-	d.cells[l] += t.CellDemand()
-	d.flows[l] = append(d.flows[l], Flow{Task: t, Cells: t.CellDemand()})
 }

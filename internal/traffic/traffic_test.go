@@ -3,6 +3,8 @@ package traffic
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -313,5 +315,144 @@ func TestFromCells(t *testing.T) {
 	}
 	if d.TotalCells() != 6 {
 		t.Errorf("TotalCells = %d, want 6", d.TotalCells())
+	}
+}
+
+// mapDemand is the reference a Demand is checked against: per-link cells
+// and flows in plain maps, built the straightforward way.
+type mapDemand struct {
+	cells map[topology.Link]int
+	flows map[topology.Link][]Flow
+}
+
+func (m *mapDemand) add(l topology.Link, f Flow) {
+	m.cells[l] += f.Cells
+	m.flows[l] = append(m.flows[l], f)
+}
+
+// links returns the model's links, uplinks first, then by child ID.
+func (m *mapDemand) links() []topology.Link {
+	out := make([]topology.Link, 0, len(m.cells))
+	for l := range m.cells {
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Direction != out[j].Direction {
+			return out[i].Direction < out[j].Direction
+		}
+		return out[i].Child < out[j].Child
+	})
+	return out
+}
+
+// TestDemandMatchesMapModel builds demands with Compute, PerLink and
+// FromCells on seeded random trees and task sets and checks each against
+// the map model: Cells and Flows (contents and Rate Monotonic order) on
+// every link, on and off the tree, Links() order and TotalCells.
+func TestDemandMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tree, err := topology.Generate(topology.GenSpec{Nodes: 5 + rng.Intn(40), Layers: 1 + rng.Intn(5)}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := tree.Nodes()
+		newModel := func() *mapDemand {
+			return &mapDemand{cells: make(map[topology.Link]int), flows: make(map[topology.Link][]Flow)}
+		}
+
+		// Compute: random endpoints, rates drawn from a few values so ties
+		// and differing rates share links.
+		tasks, want := NewSet(), newModel()
+		for n := rng.Intn(25); n > 0; n-- {
+			rate := []float64{0.5, 1, 1.5, 2, 3}[rng.Intn(5)]
+			task := Task{ID: TaskID(rng.Intn(1000)), Source: nodes[1+rng.Intn(len(nodes)-1)], Actuator: nodes[1+rng.Intn(len(nodes)-1)], Rate: rate}
+			if err := tasks.Add(task); err != nil && !errors.Is(err, ErrDuplicateTask) {
+				t.Fatal(err)
+			}
+		}
+		for _, task := range tasks.Tasks() {
+			for _, end := range []struct {
+				node topology.NodeID
+				dir  topology.Direction
+			}{{task.Source, topology.Uplink}, {task.Actuator, topology.Downlink}} {
+				path, err := tree.PathToGateway(end.node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, hop := range path[:len(path)-1] {
+					want.add(topology.Link{Child: hop, Direction: end.dir}, Flow{Task: task, Cells: task.CellDemand()})
+				}
+			}
+		}
+		for _, flows := range want.flows {
+			sort.SliceStable(flows, func(i, j int) bool { return flows[i].Task.Rate > flows[j].Task.Rate })
+		}
+		got, err := Compute(tree, tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		demandAgrees(t, seed, "Compute", tree, got, want)
+
+		// PerLink: one synthetic task per link, numbered node by node.
+		rate := 0.5 + float64(rng.Intn(6))/2
+		want = newModel()
+		next := TaskID(1)
+		for _, id := range nodes[1:] {
+			for _, dir := range topology.Directions() {
+				task := Task{ID: next, Source: id, Actuator: id, Rate: rate}
+				next++
+				want.add(topology.Link{Child: id, Direction: dir}, Flow{Task: task, Cells: task.CellDemand()})
+			}
+		}
+		if got, err = PerLink(tree, rate); err != nil {
+			t.Fatal(err)
+		}
+		demandAgrees(t, seed, "PerLink", tree, got, want)
+
+		// FromCells: arbitrary links (gateway, absent and far IDs
+		// included) and counts (zero and negative ones dropped).
+		cells := make(map[topology.Link]int)
+		for n := rng.Intn(30); n > 0; n-- {
+			l := topology.Link{Child: topology.NodeID(rng.Intn(len(nodes) + 5)), Direction: topology.Directions()[rng.Intn(2)]}
+			cells[l] = rng.Intn(6) - 1
+		}
+		want = newModel()
+		raw := &mapDemand{cells: cells}
+		for _, l := range raw.links() {
+			if c := cells[l]; c > 0 {
+				task := Task{ID: TaskID(len(want.cells) + 1), Source: l.Child, Actuator: l.Child, Rate: float64(c)}
+				want.add(l, Flow{Task: task, Cells: c})
+			}
+		}
+		demandAgrees(t, seed, "FromCells", tree, FromCells(cells), want)
+	}
+}
+
+func demandAgrees(t *testing.T, seed int64, from string, tree *topology.Tree, got *Demand, want *mapDemand) {
+	t.Helper()
+	if g, w := got.Links(), want.links(); !slices.Equal(g, w) {
+		t.Fatalf("seed %d %s: Links() = %v, model %v", seed, from, g, w)
+	}
+	total := 0
+	for _, c := range want.cells {
+		total += c
+	}
+	if g := got.TotalCells(); g != total {
+		t.Fatalf("seed %d %s: TotalCells = %d, model %d", seed, from, g, total)
+	}
+	probe := append(want.links(), topology.Link{Child: topology.NodeID(tree.Len() + 10), Direction: topology.Uplink})
+	for _, id := range tree.Nodes() {
+		for _, dir := range topology.Directions() {
+			probe = append(probe, topology.Link{Child: id, Direction: dir})
+		}
+	}
+	for _, l := range probe {
+		if g, w := got.Cells(l), want.cells[l]; g != w {
+			t.Fatalf("seed %d %s: Cells(%v) = %d, model %d", seed, from, l, g, w)
+		}
+		if g, w := got.Flows(l), want.flows[l]; !slices.Equal(g, w) {
+			t.Fatalf("seed %d %s: Flows(%v) = %v, model %v", seed, from, l, g, w)
+		}
 	}
 }
